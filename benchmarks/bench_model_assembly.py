@@ -3,14 +3,17 @@
 Measures, on synthetic Timik-like instances (m = 120, k = 4), the time to
 *assemble* (not solve) the three solver-layer models:
 
-* the simplified LP relaxation ``LP_SIMP`` (:func:`repro.core.lp._build_simplified`),
+* the simplified LP relaxation ``LP_SIMP`` over CSR candidate lists
+  (:func:`repro.core.lp._build_sparse`, every user listing all items),
 * the full LP relaxation ``LP_SVGIC`` (:func:`repro.core.lp._build_full`), and
-* the exact MILP (:func:`repro.core.ip._build_program`),
+* the exact MILP over the same lists (:func:`repro.core.ip._build_program_sparse`),
 
 each against its original per-(pair, item, slot) Python-loop builder
 preserved in :mod:`repro.core.assembly_reference`.  Before timing, the
 batched and loop-built models are checked for identical sparse matrices on
-the smallest size, so the benchmark cannot silently compare different models.
+the smallest size — for LP_SIMP and the IP after dropping the oracle's empty
+columns, which the CSR builders never lay out — so the benchmark cannot
+silently compare different models.
 
 Run as a script (not collected by pytest — benchmarks use the ``bench_``
 prefix on purpose)::
@@ -38,8 +41,9 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
 from repro.core import assembly_reference as oracle
-from repro.core.ip import _build_program
-from repro.core.lp import _build_full, _build_simplified
+from repro.core.ip import _build_program_sparse
+from repro.core.lp import _build_full, _build_sparse
+from repro.core.sparse import uniform_candidate_lists
 from repro.data import datasets
 
 M_ITEMS = 120
@@ -66,9 +70,10 @@ def _instance(num_users: int):
 
 
 def _builders(variant: str, instance, items):
+    lists = uniform_candidate_lists(instance.num_users, items)
     if variant == "LP simp":
         return (
-            lambda: _build_simplified(instance, items, True),
+            lambda: _build_sparse(instance, *lists, True),
             lambda: oracle.build_simplified_lp_reference(instance, items, True),
         )
     if variant == "LP full":
@@ -78,7 +83,7 @@ def _builders(variant: str, instance, items):
         )
     if variant == "IP":
         return (
-            lambda: _build_program(instance, items),
+            lambda: _build_program_sparse(instance, *lists),
             lambda: oracle.build_ip_reference(instance, items),
         )
     raise ValueError(variant)
@@ -88,23 +93,12 @@ def _check_equivalence(num_users: int) -> None:
     """Guard: batched and loop-built models must be identical before timing."""
     instance = _instance(num_users)
     items = np.arange(instance.num_items, dtype=np.int64)
-    for variant in ("LP simp", "LP full"):
+    for variant in ("LP simp", "LP full", "IP"):
         batched_fn, loop_fn = _builders(variant, instance, items)
-        batched, loop = batched_fn(), loop_fn()
-        assert np.array_equal(batched.objective, loop.objective), variant
-        for a, b in zip(batched.build_matrices(), loop.build_matrices()):
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                assert np.array_equal(a, b), variant
-            else:
-                assert oracle.same_sparse_matrix(a, b), variant
-    batched_fn, loop_fn = _builders("IP", instance, items)
-    batched, loop = batched_fn(), loop_fn()
-    assert np.array_equal(batched.objective, loop.objective), "IP objective"
-    assert np.array_equal(batched.integrality, loop.integrality), "IP integrality"
-    matrix_b, lhs_b, rhs_b = batched.build_constraints()
-    matrix_l, lhs_l, rhs_l = loop.build_constraints()
-    assert oracle.same_sparse_matrix(matrix_b, matrix_l), "IP matrix"
-    assert np.array_equal(lhs_b, lhs_l) and np.array_equal(rhs_b, rhs_l), "IP bounds"
+        reference = loop_fn()
+        if variant != "LP full":  # the CSR builders lay out no empty column
+            reference = oracle.drop_empty_columns(reference)
+        assert oracle.same_model(batched_fn(), reference), variant
 
 
 def main(argv: List[str] | None = None) -> int:

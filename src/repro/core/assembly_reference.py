@@ -4,7 +4,9 @@ These are the original per-(pair, item, slot) Python-loop builders that
 :mod:`repro.core.lp` and :mod:`repro.core.ip` used before the batched sparse
 assembly rewrite.  They are kept verbatim as a *reference oracle*: the
 equivalence tests pin the batched builders to these row for row (identical
-sparse matrices after canonicalization, identical objectives and bounds), and
+sparse matrices after canonicalization, identical objectives and bounds —
+for LP_SIMP and the IP after :func:`drop_empty_columns`, since the CSR
+builders never lay out an empty column), and
 :mod:`benchmarks.bench_model_assembly` measures the batched builders against
 them.
 
@@ -46,6 +48,72 @@ def same_sparse_matrix(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.data, b.data)
     )
+
+
+def same_model(a, b) -> bool:
+    """Exact equality of two LPs (or two MILPs): columns, objective, bounds and rows."""
+    if type(a) is not type(b) or a.num_variables != b.num_variables:
+        return False
+    vectors = ["objective", "lower_bounds", "upper_bounds"]
+    if isinstance(a, MixedIntegerProgram):
+        vectors.append("integrality")
+        parts = [p.build_constraints() or (None, None, None) for p in (a, b)]
+    else:
+        parts = [a.build_matrices(), b.build_matrices()]
+    if not all(np.array_equal(getattr(a, name), getattr(b, name)) for name in vectors):
+        return False
+    return all(
+        same_sparse_matrix(x, y)
+        if sparse.issparse(x) or sparse.issparse(y)
+        else np.array_equal(x, y)
+        for x, y in zip(*parts)
+    )
+
+
+def drop_empty_columns(program):
+    """Copy of an LP or MILP without its empty columns.
+
+    A column with a zero objective coefficient and no constraint entry is a
+    variable left free in its bounds that changes neither the objective nor
+    feasibility.  The loop builders lay out one ``y`` / ``z`` per pair-item
+    cell, the CSR builders only per positive-weight cell, so a CSR-built model
+    must equal the loop-built one minus these columns.
+    """
+    milp = isinstance(program, MixedIntegerProgram)
+    if milp:
+        assembled = program.build_constraints()
+        blocks = [] if assembled is None else [assembled]
+    else:
+        # (matrix, lhs, rhs): lhs None marks the <= block, lhs == rhs the == block.
+        a_ub, b_ub, a_eq, b_eq = program.build_matrices()
+        blocks = [
+            block for block in ((a_ub, None, b_ub), (a_eq, b_eq, b_eq)) if block[0] is not None
+        ]
+    used = program.objective != 0
+    for matrix, _, _ in blocks:
+        used[matrix.tocoo().col] = True
+    keep = np.flatnonzero(used)
+    column = np.full(program.num_variables, -1, dtype=np.int64)
+    column[keep] = np.arange(keep.size)
+
+    trimmed = type(program)(
+        keep.size,
+        lower_bounds=program.lower_bounds[keep],
+        upper_bounds=program.upper_bounds[keep],
+    )
+    trimmed.objective = program.objective[keep]
+    if milp:
+        trimmed.integrality = program.integrality[keep]
+    for matrix, lhs, rhs in blocks:
+        coo = matrix.tocoo()
+        triplets = (coo.row, column[coo.col], coo.data)
+        if milp:
+            trimmed.add_range_constraints_batch(*triplets, lhs, rhs)
+        elif lhs is None:
+            trimmed.add_le_constraints_batch(*triplets, rhs)
+        else:
+            trimmed.add_eq_constraints_batch(*triplets, rhs)
+    return trimmed
 
 
 def build_simplified_lp_reference(
@@ -262,6 +330,8 @@ def build_ip_reference(
 
 
 __all__ = [
+    "drop_empty_columns",
+    "same_model",
     "build_simplified_lp_reference",
     "build_full_lp_reference",
     "build_ip_reference",

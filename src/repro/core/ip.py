@@ -5,7 +5,9 @@ item displayed to user ``u`` at slot ``s``; auxiliary co-display variables
 ``y[e,c,s]`` (and, for SVGIC-ST, ``z[e,c]``) linearize the social term.  The
 ``x``/``y``/``z`` variables over slot-aggregated forms (constraints (3), (4))
 are substituted directly into the objective, which keeps the model small
-without changing its optimum.
+without changing its optimum.  The model is laid out over CSR candidate
+lists (every user gets the global candidate set), with ``y`` / ``z`` only
+on positive-weight pair-item cells, like LP_SIMP in :mod:`repro.core.lp`.
 
 Solved with HiGHS MILP by default; the in-repo branch-and-bound solver can be
 selected to emulate alternative MIP search strategies (Figure 9(a)).
@@ -19,121 +21,15 @@ from typing import Optional
 import numpy as np
 
 from repro.core.configuration import SAVGConfiguration
-from repro.core.lp import candidate_items
+from repro.core.lp import candidate_items, sparse_pair_cells
 from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
+from repro.core.sparse import uniform_candidate_lists
+from repro.solvers.assembly import csr_row_ids
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
 from repro.solvers.milp import MixedIntegerProgram
-
-
-def _build_program(
-    instance: SVGICInstance,
-    items: np.ndarray,
-) -> MixedIntegerProgram:
-    """Assemble the SVGIC (or SVGIC-ST) MILP restricted to ``items``.
-
-    Variable layout: ``x[u, ci, s] -> (u * mc + ci) * k + s``, then
-    ``y[p, ci, s] -> num_x + (p * mc + ci) * k + s``, then (SVGIC-ST only)
-    ``z[p, ci] -> num_x + num_y + p * mc + ci``.  All constraint rows are
-    appended as NumPy triplet batches, in the same row order the loop-built
-    reference (:mod:`repro.core.assembly_reference`) produces.
-    """
-    n, k = instance.num_users, instance.num_slots
-    lam = instance.social_weight
-    pairs = instance.pairs
-    pair_social = instance.pair_social[:, items]
-    num_pairs = pairs.shape[0]
-    mc = items.shape[0]
-    is_st = isinstance(instance, SVGICSTInstance)
-    d_tel = instance.teleport_discount if is_st else 0.0
-
-    num_x = n * mc * k
-    num_y = num_pairs * mc * k
-    num_z = num_pairs * mc if is_st else 0
-    program = MixedIntegerProgram(num_x + num_y + num_z)
-
-    # x variables are binary; y / z are continuous in [0,1] (they take binary
-    # values at the optimum because their objective coefficients are >= 0 and
-    # they are only upper-bounded by x variables).
-    program.mark_integer_block(np.arange(num_x))
-
-    pref = instance.preference[:, items]
-    weight = lam * pair_social  # (P, mc)
-    objective_parts = [
-        np.repeat(((1.0 - lam) * pref).ravel(), k),
-        np.repeat((weight * (1.0 - d_tel) if is_st else weight).ravel(), k),
-    ]
-    if is_st:
-        objective_parts.append((weight * d_tel).ravel())
-    program.set_objective_coefficients(
-        np.arange(program.num_variables), np.concatenate(objective_parts)
-    )
-
-    s_idx = np.arange(k)
-
-    # (1) no-duplication: one row per (u, c) over its contiguous slot block.
-    program.add_le_constraints_batch(
-        rows=np.repeat(np.arange(n * mc), k),
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.ones(n * mc),
-    )
-    # (2) exactly one item per display unit: row (u, s) strided over items.
-    unit_cols = (
-        np.arange(n)[:, None, None] * (mc * k)
-        + np.arange(mc)[None, None, :] * k
-        + s_idx[None, :, None]
-    ).ravel()
-    program.add_eq_constraints_batch(
-        rows=np.repeat(np.arange(n * k), mc),
-        cols=unit_cols,
-        vals=np.ones(n * k * mc),
-        rhs=np.ones(n * k),
-    )
-    # (5)(6) direct co-display coupling, plus (8)(9) indirect coupling on the
-    # slot-aggregated x for SVGIC-ST — per positive-weight (pair, item) cell:
-    # 2k per-slot rows followed by the two z rows, as in the reference loop.
-    p_idx, c_idx = np.nonzero(pair_social > 0)
-    if p_idx.size:
-        npos = p_idx.size
-        y_vars = (num_x + (p_idx * mc + c_idx) * k)[:, None] + s_idx  # (npos, k)
-        xu_vars = ((pairs[p_idx, 0] * mc + c_idx) * k)[:, None] + s_idx
-        xv_vars = ((pairs[p_idx, 1] * mc + c_idx) * k)[:, None] + s_idx
-        block = 2 * k + (2 if is_st else 0)  # rows per positive cell
-        row_u = np.arange(npos)[:, None] * block + 2 * s_idx[None, :]
-        row_v = row_u + 1
-        ones = np.ones(npos * k)
-        rows_parts = [row_u.ravel(), row_u.ravel(), row_v.ravel(), row_v.ravel()]
-        cols_parts = [y_vars.ravel(), xu_vars.ravel(), y_vars.ravel(), xv_vars.ravel()]
-        vals_parts = [ones, -ones, ones, -ones]
-        if is_st:
-            row_zu = np.arange(npos) * block + 2 * k
-            row_zv = row_zu + 1
-            z_vars = num_x + num_y + p_idx * mc + c_idx
-            rows_parts += [row_zu, np.repeat(row_zu, k), row_zv, np.repeat(row_zv, k)]
-            cols_parts += [z_vars, xu_vars.ravel(), z_vars, xv_vars.ravel()]
-            vals_parts += [np.ones(npos), -ones, np.ones(npos), -ones]
-        program.add_le_constraints_batch(
-            rows=np.concatenate(rows_parts),
-            cols=np.concatenate(cols_parts),
-            vals=np.concatenate(vals_parts),
-            rhs=np.zeros(npos * block),
-        )
-
-    # Subgroup size constraint (SVGIC-ST): at most M users per (item, slot).
-    if is_st and instance.max_subgroup_size < n:
-        cap = float(instance.max_subgroup_size)
-        cell = np.arange(mc)[:, None] * k + s_idx[None, :]  # row per (c, s)
-        program.add_le_constraints_batch(
-            rows=np.repeat(np.arange(mc * k), n),
-            cols=(cell.ravel()[:, None] + np.arange(n)[None, :] * (mc * k)).ravel(),
-            vals=np.ones(mc * k * n),
-            rhs=np.full(mc * k, cap),
-        )
-
-    return program
 
 
 def _build_program_sparse(
@@ -141,18 +37,16 @@ def _build_program_sparse(
     indptr: np.ndarray,
     indices: np.ndarray,
 ) -> MixedIntegerProgram:
-    """Assemble the MILP over per-user candidate lists (CSR index structure).
+    """Assemble the MILP over candidate lists (CSR index structure).
 
-    The sparse sibling of :func:`_build_program`: ``x`` variables exist only
-    for (user, item) cells stored in a user's list — layout
-    ``x[xi, s] -> xi * k + s`` for the ``xi``-th stored cell — and ``y`` /
-    ``z`` only for positive-weight pair-item cells present in both endpoints'
-    lists (:func:`repro.core.lp.sparse_pair_cells`), so variable and triplet
-    counts scale with stored nonzeros rather than ``n·m``.
+    ``x`` variables exist only for (user, item) cells stored in a user's
+    list — layout ``x[xi, s] -> xi * k + s`` for the ``xi``-th stored cell —
+    and ``y`` / ``z`` only for positive-weight pair-item cells present in both
+    endpoints' lists (:func:`repro.core.lp.sparse_pair_cells`), so variable
+    and triplet counts scale with stored nonzeros rather than ``n·m``.  All
+    constraint rows are appended as NumPy triplet batches, in the row order
+    of the loop-built reference (:mod:`repro.core.assembly_reference`).
     """
-    from repro.core.lp import sparse_pair_cells
-    from repro.solvers.assembly import csr_row_ids
-
     n, k = instance.num_users, instance.num_slots
     lam = instance.social_weight
     is_st = isinstance(instance, SVGICSTInstance)
@@ -171,6 +65,9 @@ def _build_program_sparse(
     num_y = npos * k
     num_z = npos if is_st else 0
     program = MixedIntegerProgram(num_x + num_y + num_z)
+    # x variables are binary; y / z are continuous in [0,1] (they take binary
+    # values at the optimum because their objective coefficients are >= 0 and
+    # they are only upper-bounded by x variables).
     program.mark_integer_block(np.arange(num_x))
 
     w_cells = lam * instance.pair_social[p_idx, c_idx]
@@ -245,17 +142,18 @@ def _decode_configuration_sparse(
     indices: np.ndarray,
     values: np.ndarray,
 ) -> SAVGConfiguration:
-    """Decode a sparse-layout MILP solution back into a k-Configuration.
+    """Decode a MILP solution over equal-length candidate lists into a k-Configuration.
 
-    Per-user candidate lists from
-    :func:`repro.core.sparse.per_user_candidate_lists` are equal-length, so
-    the x block reshapes to ``(n, L, k)`` and decoding mirrors the dense
-    argmax-plus-duplicate-repair.
+    The x block reshapes to ``(n, L, k)``; each slot takes the listed item
+    with the largest decoded mass.  Defensive repair: if numerical noise
+    produced a duplicate, the offending slot gets the best unused listed
+    item — the one carrying the highest decoded x mass at that slot, ties
+    broken by preference.
     """
     n, k = instance.num_users, instance.num_slots
     sizes = np.diff(indptr)
     if sizes.size == 0 or sizes.min() != sizes.max():
-        raise ValueError("sparse decode requires equal-length candidate lists")
+        raise ValueError("decode requires equal-length candidate lists")
     length = int(sizes[0])
     nnz_x = int(indptr[-1])
     x_block = values[: nnz_x * k].reshape(n, length, k)
@@ -279,35 +177,6 @@ def _decode_configuration_sparse(
     return config
 
 
-def _decode_configuration(
-    instance: SVGICInstance, items: np.ndarray, values: np.ndarray
-) -> SAVGConfiguration:
-    """Turn MILP variable values back into an SAVG k-Configuration."""
-    n, k = instance.num_users, instance.num_slots
-    mc = items.shape[0]
-    x_block = values[: n * mc * k].reshape(n, mc, k)
-    best_ci = np.argmax(x_block, axis=1)  # (n, k)
-    config = SAVGConfiguration.for_instance(instance)
-    config.assignment[:, :] = items[best_ci]
-    # Defensive repair: if numerical noise produced a duplicate, reassign the
-    # offending slot to the best unused candidate item — the one carrying the
-    # highest decoded x mass at that slot, ties broken by preference.
-    sorted_ci = np.sort(best_ci, axis=1)
-    duplicated = np.nonzero((sorted_ci[:, 1:] == sorted_ci[:, :-1]).any(axis=1))[0]
-    pref = instance.preference[:, items]
-    for u in duplicated:
-        used: set = set()
-        for s in range(k):
-            ci = int(best_ci[u, s])
-            if ci in used:
-                unused = np.array([c for c in range(mc) if c not in used])
-                ranked = np.lexsort((pref[u, unused], x_block[u, unused, s]))
-                ci = int(unused[ranked[-1]])
-                config.assignment[u, s] = int(items[ci])
-            used.add(ci)
-    return config
-
-
 @register_algorithm(
     "IP",
     tags=("paper", "exact"),
@@ -321,7 +190,6 @@ def solve_exact(
     solver: str = "highs",
     prune_items: bool = True,
     max_candidate_items: Optional[int] = None,
-    assembly: str = "dense",
     rng: object = None,  # accepted for interface uniformity; unused (exact solver)
     context: Optional[SolveContext] = None,
 ) -> AlgorithmResult:
@@ -340,33 +208,19 @@ def solve_exact(
         the IP a (very tight) heuristic rather than provably exact on
         instances where the optimum uses an item outside the candidate set;
         pass ``prune_items=False`` for certified optima on small instances.
-    assembly:
-        ``"dense"`` (default — one shared candidate set) or ``"sparse"``
-        (per-user candidate lists; variables scale with stored nonzeros, the
-        same layout as the LP's ``formulation="sparse"``).  With
-        ``prune_items=False`` both assemble the same model up to
-        zero-objective unconstrained y/z columns, so the optimum is identical.
+        Every user's candidate list is the same global set, so the model is
+        laid out exactly like LP_SIMP under ``formulation="simplified"``.
     """
     start = time.perf_counter()
-    if assembly not in {"dense", "sparse"}:
-        raise ValueError(f"unknown assembly {assembly!r}; use 'dense' or 'sparse'")
-    indptr = indices = None
-    if assembly == "sparse":
-        from repro.core.lp import _sparse_user_lists
-
-        indptr, indices = _sparse_user_lists(instance, prune_items, max_candidate_items)
-        items = np.unique(indices)
-        program = _build_program_sparse(instance, indptr, indices)
-    else:
-        if prune_items and instance.num_items > instance.num_slots:
-            if context is not None:
-                items = context.candidate_item_ids(max_candidate_items)
-            else:
-                items = candidate_items(instance, max_candidate_items)
+    if prune_items and instance.num_items > instance.num_slots:
+        if context is not None:
+            items = context.candidate_item_ids(max_candidate_items)
         else:
-            items = np.arange(instance.num_items, dtype=np.int64)
-
-        program = _build_program(instance, items)
+            items = candidate_items(instance, max_candidate_items)
+    else:
+        items = np.arange(instance.num_items, dtype=np.int64)
+    indptr, indices = uniform_candidate_lists(instance.num_users, items)
+    program = _build_program_sparse(instance, indptr, indices)
 
     if solver == "highs":
         milp_result = program.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
@@ -374,7 +228,6 @@ def solve_exact(
         optimal = milp_result.optimal
         info = {
             "solver": "highs",
-            "assembly": assembly,
             "mip_gap": milp_result.mip_gap,
             "milp_seconds": milp_result.solve_seconds,
             "num_variables": program.num_variables,
@@ -397,10 +250,7 @@ def solve_exact(
     else:
         raise ValueError(f"unknown solver {solver!r}; use 'highs', 'bnb-best' or 'bnb-depth'")
 
-    if assembly == "sparse":
-        configuration = _decode_configuration_sparse(instance, indptr, indices, values)
-    else:
-        configuration = _decode_configuration(instance, items, values)
+    configuration = _decode_configuration_sparse(instance, indptr, indices, values)
     configuration.validate(instance)
     elapsed = time.perf_counter() - start
     return AlgorithmResult.from_configuration(

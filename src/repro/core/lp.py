@@ -1,26 +1,32 @@
 """LP relaxations of SVGIC (Section 4.1) and the compact transformation (Section 4.4).
 
-Three formulations are provided:
+One assembler builds the compact relaxation ``LP_SIMP``: slot-aggregated
+variables ``x[u,c]`` and ``y[e,c]`` laid out over **per-user candidate
+lists** in CSR form (``indptr`` / ``indices``, see
+:mod:`repro.core.sparse`).  ``x`` exists only for (user, item) cells in a
+user's list and ``y`` only for positive-weight pair-item cells present in
+*both* endpoints' lists, so model size scales with stored nonzeros, not
+``n·m``.  By Observation 2 of the paper its optimum equals that of the
+per-slot relaxation, whose slot utility factors are recovered as
+``x*[u,c,s] = x[u,c] / k``.
 
-* ``"full"`` — the straightforward relaxation ``LP_SVGIC`` with per-slot
-  variables ``x[u,c,s]`` and ``y[e,c,s]`` (O((n+|E|)·m·k) variables).
-* ``"simplified"`` — the advanced LP transformation ``LP_SIMP`` with
-  slot-aggregated variables ``x[u,c]`` and ``y[e,c]`` (O((n+|E|)·m)); by
-  Observation 2 of the paper both have the same optimal objective and the
-  per-slot utility factors are recovered as ``x*[u,c,s] = x[u,c] / k``.
-* ``"sparse"`` — LP_SIMP laid out over **per-user candidate lists** (a CSR
-  index structure from :func:`repro.core.sparse.per_user_candidate_lists`)
-  instead of one shared candidate set: ``x`` variables exist only for
-  (user, item) cells in a user's list and ``y`` only for positive-weight
-  pair-item cells present in *both* endpoints' lists, so model size scales
-  with the number of stored nonzeros, not ``n·m``.  With full lists
-  (``prune_items=False``) the program is the simplified one minus its
-  zero-objective unconstrained ``y`` columns — the optimum is identical,
-  which the equivalence tests pin at 1e-9.
+``formulation`` chooses the candidate-list policy of that one assembler:
 
-Both produce a :class:`FractionalSolution` whose objective value is an upper
-bound on the SVGIC optimum, and whose slot utility factors drive the AVG /
-AVG-D rounding schemes.
+* ``"simplified"`` (default) — every user's list is the global candidate
+  set of :func:`candidate_items` (all items when unpruned);
+* ``"sparse"`` — each user's list holds that user's top items by
+  :func:`candidate_scores` (:func:`repro.core.sparse.per_user_candidate_lists`).
+
+With ``prune_items=False`` both give every user the full item list and so
+return bit-identical solutions.
+
+``"full"`` is separate: the straightforward relaxation ``LP_SVGIC`` with
+per-slot variables ``x[u,c,s]`` and ``y[e,c,s]`` (O((n+|E|)·m·k)) over the
+global candidate set — the paper's ALP ablation (Figure 7).
+
+Every formulation produces a :class:`FractionalSolution` whose objective
+value is an upper bound on the SVGIC optimum, and whose slot utility factors
+drive the AVG / AVG-D rounding schemes.
 
 The paper solves the LP with Gurobi/CPLEX at ``m = 10,000`` items; HiGHS at
 that scale is slow, so :func:`candidate_items` implements the pruning the
@@ -33,12 +39,13 @@ factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.problem import SVGICInstance, SVGICSTInstance
-from repro.solvers.linprog import LinearProgram, LPResult, solve_block_diagonal
+from repro.core.sparse import per_user_candidate_lists, uniform_candidate_lists
+from repro.solvers.linprog import LinearProgram, solve_block_diagonal
 
 
 @dataclass
@@ -113,24 +120,29 @@ def candidate_items(
     The candidate set is the union over users of each user's top
     ``k + per_user_extra`` items ranked by :func:`candidate_scores`,
     optionally truncated to ``max_items`` by global score.  The returned
-    array is sorted and always contains at least ``k`` items.
+    array is sorted and always holds at least ``k`` items; for SVGIC-ST at
+    least ``ceil(n / M)``, padded by global score, because fewer items cannot
+    host every user under the subgroup cap ``M`` — the LP relaxations and the
+    IP would be infeasible.
     """
     n, m, k = instance.num_users, instance.num_items, instance.num_slots
     score = candidate_scores(instance)
+    global_score = score.sum(axis=0)
+    floor = k
+    if isinstance(instance, SVGICSTInstance):
+        floor = min(m, max(k, -(-n // instance.max_subgroup_size)))
 
     per_user = min(m, k + max(0, per_user_extra))
     top = np.argpartition(-score, per_user - 1, axis=1)[:, :per_user]
     chosen: set = set(int(c) for c in np.unique(top))
 
     if max_items is not None and len(chosen) > max_items:
-        global_score = score.sum(axis=0)
         ranked = sorted(chosen, key=lambda c: -global_score[c])
-        chosen = set(ranked[: max(max_items, k)])
-    if len(chosen) < k:
-        # Degenerate instance (e.g. all-zero utilities): pad with arbitrary items.
-        for c in range(m):
-            chosen.add(c)
-            if len(chosen) >= k:
+        chosen = set(ranked[: max(max_items, floor)])
+    if len(chosen) < floor:
+        for c in np.argsort(-global_score, kind="stable"):
+            chosen.add(int(c))
+            if len(chosen) >= floor:
                 break
     return np.asarray(sorted(chosen), dtype=np.int64)
 
@@ -152,36 +164,26 @@ def solve_lp_relaxation(
         and ``enforce_size_constraint=True``, a valid aggregate relaxation of
         the subgroup-size constraint is added
         (``sum_u x[u,c,s] <= M`` per slot in the full formulation,
-        ``sum_u x̄[u,c] <= M·k`` in the simplified one).
+        ``sum_u x̄[u,c] <= M·k`` in LP_SIMP).
     formulation:
-        ``"simplified"`` (default, the Section-4.4 transformation), ``"full"``
-        or ``"sparse"`` (per-user candidate lists; see the module docstring).
-        For ``"sparse"``, ``prune_items=False`` keeps every user's full item
-        list and ``prune_items=True`` truncates each list to her top
-        ``max_candidate_items`` items (default ``k + 2``) by
-        :func:`candidate_scores` — the per-user reading of the same knobs.
+        ``"simplified"`` (default) or ``"sparse"`` — LP_SIMP under the global
+        or the per-user candidate-list policy — or ``"full"`` (LP_SVGIC); see
+        the module docstring.  For ``"sparse"``, ``prune_items=True``
+        truncates each user's list to that user's top ``max_candidate_items``
+        items (default ``k + 2``) by :func:`candidate_scores` — the per-user
+        reading of the same knobs.
     max_candidate_items / prune_items:
-        Control the candidate-item pruning described in the module docstring.
+        Control the candidate-item pruning described in the module docstring;
+        ``prune_items=False`` keeps every item for every user.
     """
     _check_formulation(formulation)
-
-    if formulation == "sparse":
-        indptr, indices = _sparse_user_lists(instance, prune_items, max_candidate_items)
-        compact, objective, seconds = _solve_sparse(
-            instance, indptr, indices, enforce_size_constraint
-        )
-        items = np.unique(indices)
-        return _package_solution(instance, items, formulation, compact, objective, seconds)
-
-    items = _candidate_selection(instance, prune_items, max_candidate_items)
-
-    if formulation == "simplified":
-        compact, objective, seconds = _solve_simplified(instance, items, enforce_size_constraint)
-        decoded = compact
-    else:
-        decoded, objective, seconds = _solve_full(instance, items, enforce_size_constraint)
-
-    return _package_solution(instance, items, formulation, decoded, objective, seconds)
+    program, items, decode = _assemble(
+        instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
+    )
+    result = program.solve()
+    return _package_solution(
+        instance, items, formulation, decode(result.values), result.objective, result.solve_seconds
+    )
 
 
 def _check_formulation(formulation: str) -> None:
@@ -191,12 +193,25 @@ def _check_formulation(formulation: str) -> None:
         )
 
 
-def _sparse_user_lists(
+def _candidate_selection(
     instance: SVGICInstance, prune_items: bool, max_candidate_items: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-user candidate lists for the sparse formulation (CSR indptr/indices)."""
-    from repro.core.sparse import per_user_candidate_lists
+) -> np.ndarray:
+    """The global candidate set: :func:`candidate_items`, or every item when unpruned."""
+    if prune_items and instance.num_items > instance.num_slots:
+        return candidate_items(instance, max_candidate_items)
+    return np.arange(instance.num_items, dtype=np.int64)
 
+
+def _candidate_lists(
+    instance: SVGICInstance,
+    formulation: str,
+    prune_items: bool,
+    max_candidate_items: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` candidate lists under ``formulation``'s list policy."""
+    if formulation == "simplified":
+        items = _candidate_selection(instance, prune_items, max_candidate_items)
+        return uniform_candidate_lists(instance.num_users, items)
     if not prune_items or instance.num_items <= instance.num_slots:
         per_user: Optional[int] = None
     elif max_candidate_items is not None:
@@ -206,13 +221,27 @@ def _sparse_user_lists(
     return per_user_candidate_lists(instance, per_user_items=per_user)
 
 
-def _candidate_selection(
-    instance: SVGICInstance, prune_items: bool, max_candidate_items: Optional[int]
-) -> np.ndarray:
-    """The item ids carrying LP variables under the given pruning settings."""
-    if prune_items and instance.num_items > instance.num_slots:
-        return candidate_items(instance, max_candidate_items)
-    return np.arange(instance.num_items, dtype=np.int64)
+def _assemble(
+    instance: SVGICInstance,
+    formulation: str,
+    prune_items: bool,
+    max_candidate_items: Optional[int],
+    enforce_size_constraint: bool,
+) -> Tuple[LinearProgram, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """One instance's program, the item ids carrying its variables, and its decoder."""
+    if formulation == "full":
+        items = _candidate_selection(instance, prune_items, max_candidate_items)
+        return (
+            _build_full(instance, items, enforce_size_constraint),
+            items,
+            lambda values: _decode_full(instance, items, values),
+        )
+    indptr, indices = _candidate_lists(instance, formulation, prune_items, max_candidate_items)
+    return (
+        _build_sparse(instance, indptr, indices, enforce_size_constraint),
+        np.unique(indices),
+        lambda values: _decode_sparse(instance, indptr, indices, values),
+    )
 
 
 def _package_solution(
@@ -271,152 +300,26 @@ def solve_lp_relaxations_stacked(
     _check_formulation(formulation)
     if not instances:
         return []
-
-    if formulation == "sparse":
-        lists = [
-            _sparse_user_lists(instance, prune_items, max_candidate_items)
-            for instance in instances
-        ]
-        programs = [
-            _build_sparse(instance, indptr, indices, enforce_size_constraint)
-            for instance, (indptr, indices) in zip(instances, lists)
-        ]
-        results = solve_block_diagonal(programs)
-        return [
-            _package_solution(
-                instance,
-                np.unique(indices),
-                formulation,
-                _decode_sparse(instance, indptr, indices, result.values),
-                result.objective,
-                result.solve_seconds,
-            )
-            for instance, (indptr, indices), result in zip(instances, lists, results)
-        ]
-
-    item_sets = [
-        _candidate_selection(instance, prune_items, max_candidate_items)
+    models = [
+        _assemble(instance, formulation, prune_items, max_candidate_items, enforce_size_constraint)
         for instance in instances
     ]
-    if formulation == "simplified":
-        programs = [
-            _build_simplified(instance, items, enforce_size_constraint)
-            for instance, items in zip(instances, item_sets)
-        ]
-    else:
-        programs = [
-            _build_full(instance, items, enforce_size_constraint)
-            for instance, items in zip(instances, item_sets)
-        ]
-    results = solve_block_diagonal(programs)
-
-    solutions: List[FractionalSolution] = []
-    for instance, items, result in zip(instances, item_sets, results):
-        if formulation == "simplified":
-            decoded = _decode_simplified(instance, items, result.values)
-        else:
-            decoded = _decode_full(instance, items, result.values)
-        solutions.append(
-            _package_solution(
-                instance, items, formulation, decoded, result.objective, result.solve_seconds
-            )
+    results = solve_block_diagonal([program for program, _, _ in models])
+    return [
+        _package_solution(
+            instance,
+            items,
+            formulation,
+            decode(result.values),
+            result.objective,
+            result.solve_seconds,
         )
-    return solutions
+        for instance, (_, items, decode), result in zip(instances, models, results)
+    ]
 
 
 # --------------------------------------------------------------------------- #
-# Simplified formulation (LP_SIMP)
-# --------------------------------------------------------------------------- #
-def _build_simplified(
-    instance: SVGICInstance,
-    items: np.ndarray,
-    enforce_size_constraint: bool,
-) -> LinearProgram:
-    """Assemble LP_SIMP restricted to ``items`` with batched triplet appends.
-
-    Variable layout: ``x[u, ci] -> u * mc + ci`` followed by
-    ``y[p, ci] -> num_x + p * mc + ci``.  Row order matches the loop-built
-    reference in :mod:`repro.core.assembly_reference` exactly.
-    """
-    n, k = instance.num_users, instance.num_slots
-    lam = instance.social_weight
-    pairs = instance.pairs
-    mc = items.shape[0]
-    num_pairs = pairs.shape[0]
-    num_x = n * mc
-    num_y = num_pairs * mc
-    lp = LinearProgram(num_x + num_y)
-
-    # Objective: (1-lambda) p(u,c) x[u,c]  +  lambda w_e(c) y[e,c]
-    pref = instance.preference[:, items]
-    w = instance.pair_social[:, items]
-    lp.set_objective_coefficients(
-        np.arange(num_x + num_y),
-        np.concatenate([((1.0 - lam) * pref).ravel(), (lam * w).ravel()]),
-    )
-
-    # sum_c x[u,c] = k — one row per user over its contiguous x block.
-    lp.add_eq_constraints_batch(
-        rows=np.repeat(np.arange(n), mc),
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.full(n, float(k)),
-    )
-
-    # y[e,c] <= x[u,c] and y[e,c] <= x[v,c] for positive-weight (pair, item)
-    # cells only (y would be 0 at optimum elsewhere; omitted for sparsity).
-    p_idx, c_idx = np.nonzero(w > 0)
-    if p_idx.size:
-        y_vars = num_x + p_idx * mc + c_idx
-        xu_vars = pairs[p_idx, 0] * mc + c_idx
-        xv_vars = pairs[p_idx, 1] * mc + c_idx
-        t = np.arange(p_idx.size)
-        ones = np.ones(p_idx.size)
-        lp.add_le_constraints_batch(
-            rows=np.concatenate([2 * t, 2 * t, 2 * t + 1, 2 * t + 1]),
-            cols=np.concatenate([y_vars, xu_vars, y_vars, xv_vars]),
-            vals=np.concatenate([ones, -ones, ones, -ones]),
-            rhs=np.zeros(2 * p_idx.size),
-        )
-
-    # Aggregate relaxation of the subgroup size constraint (SVGIC-ST only).
-    if enforce_size_constraint and isinstance(instance, SVGICSTInstance):
-        cap = float(instance.max_subgroup_size * k)
-        if cap < n * 1.0:  # otherwise the constraint is vacuous
-            lp.add_le_constraints_batch(
-                rows=np.repeat(np.arange(mc), n),
-                cols=(np.arange(mc)[:, None] + np.arange(n)[None, :] * mc).ravel(),
-                vals=np.ones(mc * n),
-                rhs=np.full(mc, cap),
-            )
-    return lp
-
-
-def _decode_simplified(
-    instance: SVGICInstance, items: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``(n, m)`` compact factors from a simplified-formulation solution vector."""
-    n = instance.num_users
-    mc = items.shape[0]
-    compact = np.zeros((n, instance.num_items), dtype=float)
-    x_block = values[: n * mc].reshape(n, mc)
-    compact[:, items] = np.clip(x_block, 0.0, 1.0)
-    return compact
-
-
-def _solve_simplified(
-    instance: SVGICInstance,
-    items: np.ndarray,
-    enforce_size_constraint: bool,
-) -> Tuple[np.ndarray, float, float]:
-    lp = _build_simplified(instance, items, enforce_size_constraint)
-    result = lp.solve()
-    compact = _decode_simplified(instance, items, result.values)
-    return compact, result.objective, result.solve_seconds
-
-
-# --------------------------------------------------------------------------- #
-# Sparse formulation (LP_SIMP over per-user candidate lists)
+# LP_SIMP over CSR candidate lists
 # --------------------------------------------------------------------------- #
 def sparse_pair_cells(
     instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray
@@ -540,18 +443,6 @@ def _decode_sparse(
     return compact
 
 
-def _solve_sparse(
-    instance: SVGICInstance,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    enforce_size_constraint: bool,
-) -> Tuple[np.ndarray, float, float]:
-    lp = _build_sparse(instance, indptr, indices, enforce_size_constraint)
-    result = lp.solve()
-    compact = _decode_sparse(instance, indptr, indices, result.values)
-    return compact, result.objective, result.solve_seconds
-
-
 # --------------------------------------------------------------------------- #
 # Full formulation (LP_SVGIC)
 # --------------------------------------------------------------------------- #
@@ -653,17 +544,6 @@ def _decode_full(
     x_block = values[: n * mc * k].reshape(n, mc, k)
     slot[:, items, :] = np.clip(x_block, 0.0, 1.0)
     return slot
-
-
-def _solve_full(
-    instance: SVGICInstance,
-    items: np.ndarray,
-    enforce_size_constraint: bool,
-) -> Tuple[np.ndarray, float, float]:
-    lp = _build_full(instance, items, enforce_size_constraint)
-    result = lp.solve()
-    slot = _decode_full(instance, items, result.values)
-    return slot, result.objective, result.solve_seconds
 
 
 __all__ = [

@@ -15,9 +15,10 @@ to each user's (or edge's) top items.  This module provides:
   largest entries and zero the rest — the preference-sparsification the
   paper's datasets exhibit organically ("any user's top preferred items are
   already contained in the top-100 items", Section 6.2).
-* **Per-user candidate lists** (:func:`per_user_candidate_lists`): the CSR
-  index structure the sparse LP/IP builders lay variables out over, so model
-  size scales with ``nnz`` instead of ``n * m``.
+* **Candidate lists** (:func:`per_user_candidate_lists`,
+  :func:`uniform_candidate_lists`): the CSR index structure the LP_SIMP and
+  IP builders lay variables out over, so model size scales with ``nnz``
+  instead of ``n * m``.
 * **A memory model** (:func:`memory_report`, :func:`estimate_lp_bytes`):
   cheap byte estimates of the dense tensors, their sparse counterparts and
   the assembled LP — what the scalability benchmark and the sharding engine
@@ -202,7 +203,7 @@ def adjacency_csr(instance: SVGICInstance) -> sp.csr_matrix:
 
 
 # --------------------------------------------------------------------------- #
-# Per-user candidate lists (the sparse model-assembly index structure)
+# Candidate lists (the model-assembly index structure)
 # --------------------------------------------------------------------------- #
 def per_user_candidate_lists(
     instance: SVGICInstance,
@@ -213,8 +214,8 @@ def per_user_candidate_lists(
     """CSR-style ``(indptr, indices)`` of each user's candidate item list.
 
     With ``per_user_items=None`` every user's list is the full item set (the
-    equivalence-testing mode — the sparse LP then matches the dense one
-    variable for variable).  Otherwise each user keeps her
+    unpruned mode, identical to :func:`uniform_candidate_lists` over all
+    items).  Otherwise each user keeps her
     ``max(per_user_items, k)`` top items ranked by ``scores`` (default: the
     shared :func:`repro.core.lp.candidate_scores`), ties broken toward lower
     item ids; lists are sorted ascending.  Lists always have at least ``k``
@@ -234,6 +235,17 @@ def per_user_candidate_lists(
     keep = np.sort(order[:, :per_user], axis=1)  # (n, per_user), ascending ids
     indptr = np.arange(0, (n + 1) * per_user, per_user, dtype=np.int64)
     return indptr, keep.ravel().astype(np.int64)
+
+
+def uniform_candidate_lists(num_users: int, items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR-style ``(indptr, indices)`` giving every user the same sorted ``items`` list.
+
+    The list layout of one global candidate set: the ``x`` ordinal of user
+    ``u``'s ``i``-th candidate is ``u * len(items) + i``.
+    """
+    size = int(items.shape[0])
+    indptr = np.arange(0, (num_users + 1) * size, size, dtype=np.int64)
+    return indptr, np.tile(np.asarray(items, dtype=np.int64), num_users)
 
 
 # --------------------------------------------------------------------------- #
@@ -294,19 +306,17 @@ def estimate_lp_bytes(
     num_pairs = int(instance.pairs.shape[0])
     mc = m if num_candidate_items is None else min(m, int(num_candidate_items))
     pair_nnz = int(np.count_nonzero(instance.pair_social)) if num_pairs else 0
-    if formulation == "simplified":
-        num_vars = n * mc + num_pairs * mc
-        nnz = n * mc + 4 * pair_nnz  # assignment rows + y<=x_u / y<=x_v couplings
-        if isinstance(instance, SVGICSTInstance):
-            nnz += n * mc
-    elif formulation == "full":
+    if formulation == "full":
         num_vars = (n + num_pairs) * mc * k
         nnz = 2 * n * mc * k + 4 * pair_nnz * k
         if isinstance(instance, SVGICSTInstance):
             nnz += n * mc * k
-    elif formulation == "sparse":
-        per_user = mc if per_user_items is None else max(int(per_user_items), k)
-        per_user = min(per_user, m)
+    elif formulation in {"simplified", "sparse"}:
+        # LP_SIMP over CSR lists: "simplified" gives every user the mc candidates.
+        if formulation == "simplified" or per_user_items is None:
+            per_user = mc
+        else:
+            per_user = min(max(int(per_user_items), k), m)
         x_vars = n * per_user
         # A pair's y variables need the item in both endpoint lists and a
         # positive weight; bound by the smaller of the two counts.
@@ -333,4 +343,5 @@ __all__ = [
     "per_user_candidate_lists",
     "top_k_csr",
     "top_k_truncate",
+    "uniform_candidate_lists",
 ]

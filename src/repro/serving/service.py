@@ -36,6 +36,7 @@ always wins and the request is never solved.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -357,75 +358,45 @@ class SolverService:
             if to_solve:
                 self._counters["lp_batches"] += 1
 
-        # Decode each request independently on its own seeded context: in the
-        # batcher thread, or — with a pool configured and more than one live
-        # request — fanned out across the persistent workers.  Results are a
-        # function of the request alone (per-request derived seeds), so the
-        # two paths and any worker interleaving produce identical configurations.
-        decode_jobs = [
-            (pending, fingerprint, fingerprint in store_hits)
-            for fingerprint, pending in zip(fingerprints, live)
-        ]
-        if self.workers and len(live) > 1:
-            pool = self._ensure_pool()
-            decode_futures = [
-                pool.submit(
-                    _decode_in_worker,
-                    pending.request.instance,
-                    pending.request.algorithm,
-                    pending.request.seed,
-                    key,
-                    solutions[fingerprint],
-                    "store" if cache_hit else "external",
-                    self.store,
-                )
-                for pending, fingerprint, cache_hit in decode_jobs
-            ]
-            for (pending, fingerprint, cache_hit), decode_future in zip(
-                decode_jobs, decode_futures
-            ):
-                try:
-                    outcome = decode_future.result()
-                except Exception as exc:
-                    pending.ticket._future.set_exception(exc)
-                    continue
-                self._finish_decode(
-                    pending,
-                    fingerprint,
-                    cache_hit,
-                    outcome,
-                    solutions=solutions,
-                    batch_id=batch_id,
-                    batch_size=len(live),
-                    started=started,
-                    solver_pid=solver_pid,
-                )
-        else:
-            for pending, fingerprint, cache_hit in decode_jobs:
-                try:
-                    outcome = _decode_in_worker(
-                        pending.request.instance,
-                        pending.request.algorithm,
-                        pending.request.seed,
-                        key,
-                        solutions[fingerprint],
-                        "store" if cache_hit else "external",
-                        self.store,
-                    )
-                except Exception as exc:
-                    pending.ticket._future.set_exception(exc)
-                    continue
-                self._finish_decode(
-                    pending,
-                    fingerprint,
-                    cache_hit,
-                    outcome,
-                    solutions=solutions,
-                    batch_id=batch_id,
-                    batch_size=len(live),
-                    started=started,
-                    solver_pid=solver_pid,
-                )
+        # Decode each request on its own seeded context: in the batcher thread,
+        # or — with a pool and more than one live request — on the persistent
+        # workers, all submitted up front.  Each request is published as soon
+        # as its own decode ends; a failed decode fails only its own ticket.
+        # Results depend on the request alone (per-request derived seeds), so
+        # both paths and any worker interleaving give identical configurations.
+        pool = self._ensure_pool() if self.workers and len(live) > 1 else None
+        decodes = []
+        for fingerprint, pending in zip(fingerprints, live):
+            args = (
+                pending.request.instance,
+                pending.request.algorithm,
+                pending.request.seed,
+                key,
+                solutions[fingerprint],
+                "store" if fingerprint in store_hits else "external",
+                self.store,
+            )
+            if pool is not None:
+                decodes.append(pool.submit(_decode_in_worker, *args).result)
+            else:
+                decodes.append(functools.partial(_decode_in_worker, *args))
+        for fingerprint, pending, decode in zip(fingerprints, live, decodes):
+            try:
+                outcome = decode()
+            except Exception as exc:
+                pending.ticket._future.set_exception(exc)
+                continue
+            self._finish_decode(
+                pending,
+                fingerprint,
+                fingerprint in store_hits,
+                outcome,
+                solutions=solutions,
+                batch_id=batch_id,
+                batch_size=len(live),
+                started=started,
+                solver_pid=solver_pid,
+            )
 
     def _finish_decode(
         self,

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.configuration import SAVGConfiguration
-from repro.core.ip import _decode_configuration, solve_exact
+from repro.core.ip import _decode_configuration_sparse, solve_exact
 from repro.core.objective import total_utility
 from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.core.sparse import uniform_candidate_lists
 from repro.core.svgic_st import size_violation_report
 from repro.data import datasets
 
@@ -72,11 +73,12 @@ class TestExactSolver:
 
 
 class TestDecodeRepair:
-    """The duplicate-repair path of ``_decode_configuration``.
+    """The duplicate-repair path of ``_decode_configuration_sparse``.
 
-    Crafted x blocks make the per-slot argmax decode the same item twice;
-    the repair must pick the *best* unused candidate item — highest decoded
-    x mass at the offending slot, ties broken by preference.
+    Crafted x blocks over a candidate list shared by every user make the
+    per-slot argmax decode the same item twice; the repair must pick the
+    *best* unused candidate item — highest decoded x mass at the offending
+    slot, ties broken by preference.
     """
 
     @staticmethod
@@ -93,13 +95,18 @@ class TestDecodeRepair:
             name="decode-repair",
         )
 
+    @staticmethod
+    def _decode(instance, items, x_block):
+        lists = uniform_candidate_lists(instance.num_users, items)
+        return _decode_configuration_sparse(instance, *lists, x_block.ravel())
+
     def test_repair_picks_highest_mass_unused_item(self):
         instance = self._single_user_instance([0.1, 0.9, 0.5])
         items = np.arange(3, dtype=np.int64)
         x_block = np.zeros((1, 3, 2))
         x_block[0, :, 0] = [1.0, 0.0, 0.0]  # slot 0 decodes item 0
         x_block[0, :, 1] = [0.9, 0.4, 0.6]  # argmax duplicates item 0
-        config = _decode_configuration(instance, items, x_block.ravel())
+        config = self._decode(instance, items, x_block)
         # Unused candidates at slot 1 are {1, 2}; item 2 carries more mass
         # (0.6 > 0.4).  The old first-unused rule would have picked item 1.
         assert config.assignment[0, 0] == 0
@@ -112,7 +119,7 @@ class TestDecodeRepair:
         x_block = np.zeros((1, 3, 2))
         x_block[0, :, 0] = [1.0, 0.0, 0.0]
         x_block[0, :, 1] = [0.9, 0.5, 0.5]  # items 1 and 2 tie on mass
-        config = _decode_configuration(instance, items, x_block.ravel())
+        config = self._decode(instance, items, x_block)
         assert config.assignment[0, 1] == 1  # preference 0.9 > 0.5
         assert config.is_valid(instance)
 
@@ -123,7 +130,7 @@ class TestDecodeRepair:
         x_block = np.zeros((1, 3, 2))
         x_block[0, :, 0] = [1.0, 0.0, 0.0]  # slot 0 decodes original item 1
         x_block[0, :, 1] = [0.9, 0.1, 0.8]  # duplicate; best unused is ci=2
-        config = _decode_configuration(instance, items, x_block.ravel())
+        config = self._decode(instance, items, x_block)
         assert config.assignment[0, 0] == 1
         assert config.assignment[0, 1] == 4
 
@@ -133,7 +140,7 @@ class TestDecodeRepair:
         x_block = np.zeros((1, 3, 2))
         x_block[0, :, 0] = [1.0, 0.0, 0.0]
         x_block[0, :, 1] = [0.0, 1.0, 0.0]
-        config = _decode_configuration(instance, items, x_block.ravel())
+        config = self._decode(instance, items, x_block)
         assert config.assignment[0].tolist() == [0, 1]
 
 

@@ -7,13 +7,36 @@ import pytest
 
 from repro.core.ip import solve_exact
 from repro.core.lp import candidate_items, solve_lp_relaxation
-from repro.core.problem import SVGICSTInstance
+from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.core.registry import run_registered
+from repro.core.svgic_st import size_violation_report
+from repro.data import datasets
 from repro.data.example_paper import paper_example_instance
 
 
 @pytest.fixture(scope="module")
 def instance():
     return paper_example_instance()
+
+
+@pytest.fixture(scope="module")
+def crowded_st_instance():
+    """Four users who all rank items 0-2 on top, one slot, subgroup cap 1.
+
+    Every user's top ``k + 2`` items are the same three, but four users under
+    a cap of one need four distinct items.
+    """
+    base = SVGICInstance(
+        num_users=4,
+        num_items=4,
+        num_slots=1,
+        social_weight=0.5,
+        preference=np.tile([0.9, 0.8, 0.7, 0.1], (4, 1)),
+        edges=np.empty((0, 2), dtype=np.int64),
+        social=np.empty((0, 4)),
+        name="crowded",
+    )
+    return SVGICSTInstance.from_instance(base, max_subgroup_size=1)
 
 
 class TestCandidateItems:
@@ -37,6 +60,10 @@ class TestCandidateItems:
     def test_sorted_unique(self, small_timik_instance):
         items = candidate_items(small_timik_instance)
         assert np.all(np.diff(items) > 0)
+
+    def test_st_keeps_enough_items_for_the_subgroup_cap(self, crowded_st_instance):
+        assert candidate_items(crowded_st_instance).tolist() == [0, 1, 2, 3]
+        assert candidate_items(crowded_st_instance, max_items=2).tolist() == [0, 1, 2, 3]
 
 
 class TestSimplifiedRelaxation:
@@ -122,3 +149,27 @@ class TestSTRelaxation:
         constrained = solve_lp_relaxation(st, prune_items=False)
         # With M = n the constraint is vacuous; objectives match.
         assert constrained.objective == pytest.approx(unconstrained.objective, rel=1e-6)
+
+    @pytest.mark.parametrize("formulation", ["simplified", "full"])
+    def test_pruned_relaxation_feasible_under_tight_cap(self, crowded_st_instance, formulation):
+        pruned = solve_lp_relaxation(crowded_st_instance, formulation=formulation)
+        unpruned = solve_lp_relaxation(
+            crowded_st_instance, formulation=formulation, prune_items=False
+        )
+        assert pruned.objective == pytest.approx(unpruned.objective, rel=1e-9)
+
+    def test_pruned_ip_feasible_under_tight_cap(self, crowded_st_instance):
+        result = solve_exact(crowded_st_instance)
+        assert result.optimal
+        assert size_violation_report(crowded_st_instance, result.configuration).feasible
+        assert sorted(result.configuration.assignment[:, 0].tolist()) == [0, 1, 2, 3]
+
+    def test_avg_d_default_lp_on_st_instance_needing_more_candidates(self):
+        # The candidate union here holds 33 items, but the aggregate cap
+        # sum_u x̄[u,c] <= M·k needs ceil(100 / 3) = 34 of them.
+        instance = datasets.make_st_instance(
+            "timik", num_users=100, num_items=40, num_slots=3, max_subgroup_size=3, seed=0
+        )
+        result = run_registered("AVG-D", instance)
+        assert result.configuration.is_valid(instance)
+        assert result.objective > 0

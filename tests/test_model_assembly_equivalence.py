@@ -5,7 +5,10 @@ produce *identical* models to the original per-(pair, item, slot) loop
 builders preserved in :mod:`repro.core.assembly_reference` — exact triplet
 equality after canonicalization (CSR with sorted indices and summed
 duplicates), identical objective vectors and bounds, and identical solver
-objectives.
+objectives.  LP_SIMP and the IP are built over CSR candidate lists (every
+user gets the same item set here) and lay out no empty column, so they are
+compared with the oracle minus its empty columns
+(:func:`~repro.core.assembly_reference.drop_empty_columns`).
 """
 
 from __future__ import annotations
@@ -14,58 +17,38 @@ import numpy as np
 import pytest
 
 from repro.core import assembly_reference as oracle
-from repro.core.ip import _build_program
-from repro.core.lp import _build_full, _build_simplified, candidate_items
+from repro.core.ip import _build_program_sparse
+from repro.core.lp import _build_full, _build_sparse, candidate_items
 from repro.core.problem import SVGICSTInstance
+from repro.core.sparse import uniform_candidate_lists
 from repro.data.adversarial import group_gap_instance
-
-
-def assert_same_matrix(batched, reference) -> None:
-    """Exact triplet equality after canonicalization."""
-    if batched is None or reference is None:
-        assert batched is None and reference is None
-        return
-    assert batched.shape == reference.shape
-    a, b = oracle.canonical_csr(batched), oracle.canonical_csr(reference)
-    np.testing.assert_array_equal(a.indptr, b.indptr)
-    np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def assert_same_lp(batched, reference) -> None:
-    assert batched.num_variables == reference.num_variables
-    np.testing.assert_array_equal(batched.objective, reference.objective)
-    np.testing.assert_array_equal(batched.lower_bounds, reference.lower_bounds)
-    np.testing.assert_array_equal(batched.upper_bounds, reference.upper_bounds)
-    a_ub, b_ub, a_eq, b_eq = batched.build_matrices()
-    r_ub, r_b_ub, r_eq, r_b_eq = reference.build_matrices()
-    assert_same_matrix(a_ub, r_ub)
-    assert_same_matrix(a_eq, r_eq)
-    for lhs, rhs in ((b_ub, r_b_ub), (b_eq, r_b_eq)):
-        if lhs is None or rhs is None:
-            assert lhs is None and rhs is None
-        else:
-            np.testing.assert_array_equal(lhs, rhs)
-
-
-def assert_same_milp(batched, reference) -> None:
-    assert batched.num_variables == reference.num_variables
-    np.testing.assert_array_equal(batched.objective, reference.objective)
-    np.testing.assert_array_equal(batched.integrality, reference.integrality)
-    np.testing.assert_array_equal(batched.lower_bounds, reference.lower_bounds)
-    np.testing.assert_array_equal(batched.upper_bounds, reference.upper_bounds)
-    assembled = batched.build_constraints()
-    expected = reference.build_constraints()
-    if assembled is None or expected is None:
-        assert assembled is None and expected is None
-        return
-    assert_same_matrix(assembled[0], expected[0])
-    np.testing.assert_array_equal(assembled[1], expected[1])
-    np.testing.assert_array_equal(assembled[2], expected[2])
 
 
 def _all_items(instance) -> np.ndarray:
     return np.arange(instance.num_items, dtype=np.int64)
+
+
+def _csr_lp_simp(instance, items, enforce_size_constraint):
+    """LP_SIMP with every user's list set to ``items``."""
+    lists = uniform_candidate_lists(instance.num_users, items)
+    return _build_sparse(instance, *lists, enforce_size_constraint)
+
+
+def _csr_ip(instance, items):
+    """The IP with every user's list set to ``items``."""
+    return _build_program_sparse(instance, *uniform_candidate_lists(instance.num_users, items))
+
+
+def _simplified_reference(instance, items, enforce_size_constraint):
+    """The loop-built LP_SIMP minus its empty columns."""
+    return oracle.drop_empty_columns(
+        oracle.build_simplified_lp_reference(instance, items, enforce_size_constraint)
+    )
+
+
+def _ip_reference(instance, items):
+    """The loop-built IP minus its empty columns."""
+    return oracle.drop_empty_columns(oracle.build_ip_reference(instance, items))
 
 
 @pytest.fixture(scope="module")
@@ -78,43 +61,43 @@ class TestSimplifiedLPEquivalence:
     def test_tiny_instance(self, tiny_instance):
         # tiny_instance has zero pair-social cells, exercising the w > 0 mask.
         items = _all_items(tiny_instance)
-        assert_same_lp(
-            _build_simplified(tiny_instance, items, True),
-            oracle.build_simplified_lp_reference(tiny_instance, items, True),
+        assert oracle.same_model(
+            _csr_lp_simp(tiny_instance, items, True),
+            _simplified_reference(tiny_instance, items, True),
         )
 
     def test_pruned_candidate_items(self, small_timik_instance):
         items = candidate_items(small_timik_instance, max_items=10)
-        assert_same_lp(
-            _build_simplified(small_timik_instance, items, True),
-            oracle.build_simplified_lp_reference(small_timik_instance, items, True),
+        assert oracle.same_model(
+            _csr_lp_simp(small_timik_instance, items, True),
+            _simplified_reference(small_timik_instance, items, True),
         )
 
     def test_st_with_active_aggregate_cap(self, small_st_instance):
         items = _all_items(small_st_instance)
-        assert_same_lp(
-            _build_simplified(small_st_instance, items, True),
-            oracle.build_simplified_lp_reference(small_st_instance, items, True),
+        assert oracle.same_model(
+            _csr_lp_simp(small_st_instance, items, True),
+            _simplified_reference(small_st_instance, items, True),
         )
 
     def test_st_with_vacuous_cap(self, tiny_instance):
         st = SVGICSTInstance.from_instance(tiny_instance, max_subgroup_size=5)
         items = _all_items(st)
-        assert_same_lp(
-            _build_simplified(st, items, True),
-            oracle.build_simplified_lp_reference(st, items, True),
+        assert oracle.same_model(
+            _csr_lp_simp(st, items, True),
+            _simplified_reference(st, items, True),
         )
 
     def test_empty_social_network(self, edgeless_instance):
         items = _all_items(edgeless_instance)
-        assert_same_lp(
-            _build_simplified(edgeless_instance, items, True),
-            oracle.build_simplified_lp_reference(edgeless_instance, items, True),
+        assert oracle.same_model(
+            _csr_lp_simp(edgeless_instance, items, True),
+            _simplified_reference(edgeless_instance, items, True),
         )
 
     def test_same_solver_objective(self, tiny_instance):
         items = _all_items(tiny_instance)
-        batched = _build_simplified(tiny_instance, items, True).solve()
+        batched = _csr_lp_simp(tiny_instance, items, True).solve()
         reference = oracle.build_simplified_lp_reference(tiny_instance, items, True).solve()
         assert batched.objective == pytest.approx(reference.objective, abs=1e-9)
 
@@ -122,28 +105,28 @@ class TestSimplifiedLPEquivalence:
 class TestFullLPEquivalence:
     def test_tiny_instance(self, tiny_instance):
         items = _all_items(tiny_instance)
-        assert_same_lp(
+        assert oracle.same_model(
             _build_full(tiny_instance, items, True),
             oracle.build_full_lp_reference(tiny_instance, items, True),
         )
 
     def test_pruned_candidate_items(self, small_timik_instance):
         items = candidate_items(small_timik_instance, max_items=10)
-        assert_same_lp(
+        assert oracle.same_model(
             _build_full(small_timik_instance, items, True),
             oracle.build_full_lp_reference(small_timik_instance, items, True),
         )
 
     def test_st_with_active_per_slot_cap(self, small_st_instance):
         items = _all_items(small_st_instance)
-        assert_same_lp(
+        assert oracle.same_model(
             _build_full(small_st_instance, items, True),
             oracle.build_full_lp_reference(small_st_instance, items, True),
         )
 
     def test_empty_social_network(self, edgeless_instance):
         items = _all_items(edgeless_instance)
-        assert_same_lp(
+        assert oracle.same_model(
             _build_full(edgeless_instance, items, True),
             oracle.build_full_lp_reference(edgeless_instance, items, True),
         )
@@ -158,23 +141,23 @@ class TestFullLPEquivalence:
 class TestIPEquivalence:
     def test_tiny_instance(self, tiny_instance):
         items = _all_items(tiny_instance)
-        assert_same_milp(
-            _build_program(tiny_instance, items),
-            oracle.build_ip_reference(tiny_instance, items),
+        assert oracle.same_model(
+            _csr_ip(tiny_instance, items),
+            _ip_reference(tiny_instance, items),
         )
 
     def test_pruned_candidate_items(self, small_timik_instance):
         items = candidate_items(small_timik_instance, max_items=8)
-        assert_same_milp(
-            _build_program(small_timik_instance, items),
-            oracle.build_ip_reference(small_timik_instance, items),
+        assert oracle.same_model(
+            _csr_ip(small_timik_instance, items),
+            _ip_reference(small_timik_instance, items),
         )
 
     def test_st_with_z_variables_and_caps(self, small_st_instance):
         items = _all_items(small_st_instance)
-        assert_same_milp(
-            _build_program(small_st_instance, items),
-            oracle.build_ip_reference(small_st_instance, items),
+        assert oracle.same_model(
+            _csr_ip(small_st_instance, items),
+            _ip_reference(small_st_instance, items),
         )
 
     def test_st_with_vacuous_cap(self, tiny_instance):
@@ -182,21 +165,21 @@ class TestIPEquivalence:
             tiny_instance, teleport_discount=0.3, max_subgroup_size=5
         )
         items = _all_items(st)
-        assert_same_milp(
-            _build_program(st, items),
-            oracle.build_ip_reference(st, items),
+        assert oracle.same_model(
+            _csr_ip(st, items),
+            _ip_reference(st, items),
         )
 
     def test_empty_social_network(self, edgeless_instance):
         items = _all_items(edgeless_instance)
-        assert_same_milp(
-            _build_program(edgeless_instance, items),
-            oracle.build_ip_reference(edgeless_instance, items),
+        assert oracle.same_model(
+            _csr_ip(edgeless_instance, items),
+            _ip_reference(edgeless_instance, items),
         )
 
     def test_same_solver_objective(self, tiny_instance):
         items = _all_items(tiny_instance)
-        batched = _build_program(tiny_instance, items).solve()
+        batched = _csr_ip(tiny_instance, items).solve()
         reference = oracle.build_ip_reference(tiny_instance, items).solve()
         assert batched.objective == pytest.approx(reference.objective, abs=1e-9)
 
@@ -205,6 +188,6 @@ class TestIPEquivalence:
             tiny_instance, teleport_discount=0.4, max_subgroup_size=2
         )
         items = _all_items(st)
-        batched = _build_program(st, items).solve()
+        batched = _csr_ip(st, items).solve()
         reference = oracle.build_ip_reference(st, items).solve()
         assert batched.objective == pytest.approx(reference.objective, abs=1e-9)

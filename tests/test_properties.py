@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import assembly_reference as oracle
 from repro.core.avg import csf_rounding, run_avg
 from repro.core.avg_d import run_avg_d
 from repro.core.configuration import SAVGConfiguration
 from repro.core.greedy import greedy_complete, top_k_preference_configuration
-from repro.core.lp import solve_lp_relaxation
+from repro.core.ip import _build_program_sparse
+from repro.core.lp import _build_sparse, candidate_items, solve_lp_relaxation
 from repro.core.objective import evaluate, per_user_utility, total_utility
 from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.core.sparse import uniform_candidate_lists
 from repro.metrics.regret import regret_ratios
 from repro.metrics.subgroups import subgroup_metrics
 
@@ -24,8 +27,12 @@ SETTINGS = dict(
 
 
 @st.composite
-def svgic_instances(draw):
-    """Random small SVGIC instances with arbitrary utilities and edge sets."""
+def svgic_instances(draw, zero_cells=False):
+    """Random small SVGIC instances with arbitrary utilities and edge sets.
+
+    ``zero_cells=True`` also zeroes a drawn share of the social entries, so
+    some pair-item cells carry no weight.
+    """
     num_users = draw(st.integers(min_value=2, max_value=5))
     num_items = draw(st.integers(min_value=3, max_value=7))
     num_slots = draw(st.integers(min_value=1, max_value=min(3, num_items)))
@@ -42,6 +49,8 @@ def svgic_instances(draw):
     ]
     edges = np.asarray(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
     social = rng.uniform(0.0, 0.6, size=(edges.shape[0], num_items))
+    if zero_cells:
+        social[rng.random(social.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
     return SVGICInstance(
         num_users=num_users,
         num_items=num_items,
@@ -51,6 +60,21 @@ def svgic_instances(draw):
         edges=edges,
         social=social,
         name="hypothesis",
+    )
+
+
+@st.composite
+def assembly_instances(draw):
+    """SVGIC and SVGIC-ST instances with zero pair cells and active or vacuous caps."""
+    instance = draw(svgic_instances(zero_cells=True))
+    n, m = instance.num_users, instance.num_items
+    cap = draw(st.one_of(st.none(), st.integers(min_value=-(-n // m), max_value=n)))
+    if cap is None:
+        return instance
+    return SVGICSTInstance.from_instance(
+        instance,
+        max_subgroup_size=cap,
+        teleport_discount=draw(st.sampled_from([0.0, 0.3])),
     )
 
 
@@ -222,3 +246,31 @@ class TestObservation2:
         simplified = solve_lp_relaxation(st_instance, formulation="simplified", prune_items=False)
         full = solve_lp_relaxation(st_instance, formulation="full", prune_items=False)
         assert full.objective == pytest.approx(simplified.objective, rel=1e-6, abs=1e-7)
+
+
+class TestSingleAssembler:
+    """LP_SIMP and the IP have one CSR assembler, pinned to the loop oracle."""
+
+    @settings(**SETTINGS)
+    @given(assembly_instances(), st.booleans())
+    def test_csr_models_equal_loop_oracle_minus_empty_columns(self, instance, prune):
+        items = candidate_items(instance) if prune else np.arange(instance.num_items)
+        lists = uniform_candidate_lists(instance.num_users, items)
+        assert oracle.same_model(
+            _build_sparse(instance, *lists, True),
+            oracle.drop_empty_columns(oracle.build_simplified_lp_reference(instance, items, True)),
+        )
+        assert oracle.same_model(
+            _build_program_sparse(instance, *lists),
+            oracle.drop_empty_columns(oracle.build_ip_reference(instance, items)),
+        )
+
+    @settings(**SETTINGS)
+    @given(assembly_instances())
+    def test_simplified_and_sparse_identical_with_full_lists(self, instance):
+        # The two formulations differ only in list policy; unpruned, the
+        # policies agree, so the solutions must be bit-identical.
+        simplified = solve_lp_relaxation(instance, formulation="simplified", prune_items=False)
+        sparse = solve_lp_relaxation(instance, formulation="sparse", prune_items=False)
+        np.testing.assert_array_equal(simplified.compact_factors, sparse.compact_factors)
+        assert simplified.objective == sparse.objective

@@ -9,6 +9,8 @@ import pytest
 
 from repro.data import datasets
 from repro.serving import LPParameters, SolverService, compatibility_key
+from repro.serving import service as service_module
+from repro.serving.batching import _decode_in_worker
 from repro.serving.replay import replay_closed_loop, replay_open_loop
 
 
@@ -223,6 +225,29 @@ class TestReplayHarness:
         assert report.count == 3
         assert all(result is not None for result in report.results)
         assert report.parameters["rate_rps"] == 50.0
+
+
+def _decode_failing_for_seed_one(instance, algorithm, seed, *rest):
+    """Decode stand-in that fails the request with seed 1 and decodes the rest."""
+    if seed == 1:
+        raise RuntimeError("decode failed for seed 1")
+    return _decode_in_worker(instance, algorithm, seed, *rest)
+
+
+class TestDecodeFailure:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failed_decode_fails_only_its_own_ticket(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(service_module, "_decode_in_worker", _decode_failing_for_seed_one)
+        with SolverService(
+            tmp_path / "store", workers=workers, batch_window=0.5, max_batch_size=3
+        ) as service:
+            tickets = [service.submit(make_instance(350 + i), seed=i) for i in range(3)]
+            with pytest.raises(RuntimeError, match="seed 1"):
+                tickets[1].result(timeout=120)
+            answered = [tickets[0].result(timeout=120), tickets[2].result(timeout=120)]
+            stats = service.stats()
+        assert all(serve.batch_size == 3 for serve in answered)
+        assert stats["completed"] == 2
 
 
 class TestParallelDecode:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import sparse
+from repro.core.assembly_reference import build_ip_reference
 from repro.core.configuration import SAVGConfiguration, UNASSIGNED
 from repro.core.ip import solve_exact
-from repro.core.lp import solve_lp_relaxation
+from repro.core.lp import _build_sparse, solve_lp_relaxation
 from repro.core.objective import (
     DeltaEvaluator,
     evaluate,
@@ -113,6 +114,23 @@ def test_estimate_lp_bytes_orders_formulations(small_timik_instance):
     assert sparse_est < simplified < full
 
 
+@pytest.mark.parametrize("st", [False, True])
+def test_estimate_lp_bytes_matches_assembled_simplified_model(st):
+    # With full lists the estimate counts exactly what LP_SIMP assembles:
+    # y only on positive pair cells, cap rows only on SVGIC-ST (active here).
+    shape = dict(num_users=12, num_items=16, num_slots=3, seed=3, social_top_k=4, edge_density=0.3)
+    if st:
+        instance = datasets.make_st_instance("timik", max_subgroup_size=2, **shape)
+    else:
+        instance = datasets.make_instance("timik", **shape)
+    assert (instance.pair_social == 0).any()
+    lists = sparse.uniform_candidate_lists(instance.num_users, np.arange(instance.num_items))
+    program = _build_sparse(instance, *lists, True)
+    a_ub, _, a_eq, _ = program.build_matrices()
+    assembled = 28 * (a_ub.nnz + a_eq.nnz) + 8 * program.num_variables
+    assert sparse.estimate_lp_bytes(instance, formulation="simplified") == assembled
+
+
 # --------------------------------------------------------------------------- #
 # Evaluator equivalence (the 1e-9 pin)
 # --------------------------------------------------------------------------- #
@@ -196,14 +214,17 @@ def test_sparse_lp_pruned_stays_feasible(small_timik_instance):
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_sparse_ip_matches_dense_optimum(seed):
+    # The CSR-built IP omits the loop-built model's y/z columns on zero-weight
+    # pair cells; its optimum must equal the dense model's.
     instance = datasets.make_instance(
-        "timik", num_users=8, num_items=10, num_slots=2, seed=seed
+        "timik", num_users=8, num_items=10, num_slots=2, seed=seed, social_top_k=3
     )
-    dense = solve_exact(instance)
-    sparse_res = solve_exact(instance, assembly="sparse")
-    assert sparse_res.breakdown.total == pytest.approx(dense.breakdown.total, abs=1e-9)
+    assert (instance.pair_social == 0).any()
+    items = np.arange(instance.num_items, dtype=np.int64)
+    dense = build_ip_reference(instance, items).solve()
+    sparse_res = solve_exact(instance, prune_items=False)
+    assert sparse_res.breakdown.total == pytest.approx(dense.objective, abs=1e-9)
     assert sparse_res.configuration.is_valid(instance)
-    assert sparse_res.info["assembly"] == "sparse"
 
 
 # --------------------------------------------------------------------------- #
