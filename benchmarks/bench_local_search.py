@@ -1,6 +1,6 @@
 """Local-search benchmark: improver gain over raw AVG / AVG-D, and LP reuse.
 
-Two properties of the unified solver pipeline are measured and asserted:
+Three properties of the unified solver pipeline are measured and asserted:
 
 * **Improver gain** — running the registry's ``AVG+LS`` / ``AVG-D+LS``
   variants (the base algorithm followed by the
@@ -14,13 +14,20 @@ Two properties of the unified solver pipeline are measured and asserted:
   asserts the context performed exactly **one** simplified-LP relaxation
   solve (every further request was a cache hit), i.e. the shared context
   eliminates the redundant relaxation solves AVG and AVG-D used to pay.
+* **LS stage** — on one AVG-D output, the improver (pairwise exchanges
+  scored in closed form, a batch per NumPy pass) is timed against the
+  apply/revert reference improver kept as a test oracle
+  (``tests/oracles/local_search_reference.py``).  Both must end in the same
+  configuration after the same moves and passes; full mode also requires a
+  speed-up of at least 10x at n=300, m=150, k=5.
 
 Run as a script (not collected by pytest — benchmarks use the ``bench_``
 prefix on purpose)::
 
     PYTHONPATH=src python benchmarks/bench_local_search.py [--quick]
 
-``--quick`` shrinks the instance grid; it is the mode the CI smoke job runs.
+``--quick`` shrinks the instance grid and the LS-stage instance (n=40,
+m=40, k=3, identity gate only); it is the mode the CI smoke job runs.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -37,17 +45,54 @@ try:
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
-from repro.core.pipeline import SolveContext
+from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.registry import run_registered
 from repro.data import datasets
 
+# The apply/revert improver is a test oracle and lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.local_search_reference import ReferenceLocalSearchImprover  # noqa: E402
+
 K_SLOTS = 3
 
+#: LS-stage instance (n, m, k, seed) per mode, and the full-mode speed-up gate.
+LS_STAGE_QUICK = (40, 40, 3, 4)
+LS_STAGE_FULL = (300, 150, 5, 0)
+LS_STAGE_MIN_SPEEDUP = 10.0
 
-def _instance(num_users: int, num_items: int, seed: int):
+
+def _instance(num_users: int, num_items: int, seed: int, num_slots: int = K_SLOTS):
     return datasets.make_instance(
-        "timik", num_users=num_users, num_items=num_items, num_slots=K_SLOTS, seed=seed
+        "timik", num_users=num_users, num_items=num_items, num_slots=num_slots, seed=seed
     )
+
+
+def ls_stage(num_users: int, num_items: int, num_slots: int, seed: int) -> Dict[str, Any]:
+    """Time the improver and the reference improver on the same AVG-D output."""
+    instance = _instance(num_users, num_items, seed, num_slots)
+    start = run_registered("AVG-D", instance).configuration
+    began = time.perf_counter()
+    batched = LocalSearchImprover().apply(instance, start)
+    batched_seconds = time.perf_counter() - began
+    began = time.perf_counter()
+    reference = ReferenceLocalSearchImprover().apply(instance, start)
+    reference_seconds = time.perf_counter() - began
+    identical = (
+        np.array_equal(batched.configuration.assignment, reference.configuration.assignment)
+        and batched.info["moves"] == reference.info["moves"]
+        and batched.info["passes"] == reference.info["passes"]
+    )
+    return {
+        "n": num_users,
+        "m": num_items,
+        "k": num_slots,
+        "moves": batched.info["moves"],
+        "passes": batched.info["passes"],
+        "batched_seconds": batched_seconds,
+        "reference_seconds": reference_seconds,
+        "speedup": reference_seconds / batched_seconds,
+        "identical": identical,
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -115,11 +160,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             failures += 1
 
+    ls_row = ls_stage(*(LS_STAGE_QUICK if args.quick else LS_STAGE_FULL))
+    print()
+    print(
+        f"LS stage on the AVG-D output (n={ls_row['n']}, m={ls_row['m']}, k={ls_row['k']}): "
+        f"batched {ls_row['batched_seconds']:.3f} s vs apply/revert "
+        f"{ls_row['reference_seconds']:.3f} s = {ls_row['speedup']:.1f}x; "
+        f"{ls_row['moves']} moves in {ls_row['passes']} passes, "
+        f"identical: {'yes' if ls_row['identical'] else 'NO'}"
+    )
+    if not ls_row["identical"]:
+        print("FAIL: the batched improver diverged from the apply/revert reference")
+        failures += 1
+    if not args.quick and ls_row["speedup"] < LS_STAGE_MIN_SPEEDUP:
+        print(
+            f"FAIL: LS-stage speed-up {ls_row['speedup']:.1f}x is below "
+            f"{LS_STAGE_MIN_SPEEDUP:.0f}x"
+        )
+        failures += 1
+
     emit_bench_json(
         "local_search",
         {
             "wall_seconds": time.perf_counter() - bench_started,
             "instances": len(grid),
+            "ls_stage": ls_row,
         },
         failures=failures,
     )
@@ -129,8 +194,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{failures} acceptance check(s) failed.")
         return 1
     print(
-        "All checks passed: local search never lost utility and the shared "
-        "SolveContext eliminated every redundant LP relaxation solve."
+        "All checks passed: local search never lost utility, the shared "
+        "SolveContext eliminated every redundant LP relaxation solve, and the "
+        "batched improver matched the apply/revert reference."
     )
     return 0
 

@@ -418,7 +418,7 @@ class _SparsePairWeights:
         rows, cols = np.broadcast_arrays(
             np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         )
-        if rows.size == 0:
+        if rows.size == 0 or self._keys.size == 0:
             return np.zeros(rows.shape, dtype=float)
         queries = rows * self._m + cols
         pos = np.searchsorted(self._keys, queries)
@@ -449,6 +449,10 @@ class DeltaEvaluator:
     row are tolerated (contributions follow the same semantics as the full
     evaluation on such configurations), so intermediate states of local
     search moves need no special casing.
+
+    Read-only probes score moves without writing cells: :meth:`probe_many`
+    every candidate item of one display unit, :meth:`slot_swap_gains` and
+    :meth:`pair_exchange_gains` batches of pairwise exchanges in closed form.
     """
 
     def __init__(
@@ -477,11 +481,12 @@ class DeltaEvaluator:
         self._pref = instance.preference
 
         # Pair structures (undirected, with both directed taus combined),
-        # flattened to per-user index arrays so one mutation touches its
-        # incident pairs with a handful of vectorized ops instead of a
-        # Python loop over the neighbourhood.  With sparse_pairs=True the
-        # dense (P, m) grid is replaced by a CSR key lookup — required for
-        # the boundary-repair pass to fit in memory at n >= 10k.
+        # flattened to a CSR incidence so one mutation touches its incident
+        # pairs with a handful of vectorized ops, and a batch of exchange
+        # probes expands many users' neighbourhoods in one gather.  With
+        # sparse_pairs=True the dense (P, m) grid is replaced by a CSR key
+        # lookup — required for the boundary-repair pass to fit in memory at
+        # n >= 10k.
         if sparse_pairs:
             from repro.core.sparse import pair_social_csr
 
@@ -492,16 +497,16 @@ class DeltaEvaluator:
         else:
             self._pair_social = instance.pair_social
             self._pair_lookup = None
+        # Row ``u`` of the incidence lists u's pairs in ascending pair id
+        # (the order of ``instance.pair_ids_by_user``) with the other endpoint.
         pairs = instance.pairs
-        self._incident: list = []
-        for user in range(instance.num_users):
-            pids = np.asarray(instance.pair_ids_by_user[user], dtype=np.int64)
-            if pids.size:
-                endpoints = pairs[pids]
-                others = np.where(endpoints[:, 0] == user, endpoints[:, 1], endpoints[:, 0])
-            else:
-                others = pids
-            self._incident.append((pids, others))
+        owners = pairs.T.reshape(-1)
+        pair_ids = np.tile(np.arange(pairs.shape[0], dtype=np.int64), 2)
+        order = np.lexsort((pair_ids, owners))
+        self._inc_ptr = np.zeros(instance.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=instance.num_users), out=self._inc_ptr[1:])
+        self._inc_pids = pair_ids[order]
+        self._inc_others = pairs[:, ::-1].T.reshape(-1)[order]
         # Per-user item counts are derived from the (n, k) assignment on
         # demand (a row holds at most k items) instead of materializing a
         # dense (n, m) count grid — that grid alone is ~100 MB at n=50k,
@@ -524,6 +529,26 @@ class DeltaEvaluator:
         if self._pair_lookup is not None:
             return self._pair_lookup.rows_dense(pids)
         return self._pair_social[pids]
+
+    def _incident(self, user: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``user``'s pair ids and the other endpoints (views into the incidence)."""
+        lo, hi = self._inc_ptr[user], self._inc_ptr[user + 1]
+        return self._inc_pids[lo:hi], self._inc_others[lo:hi]
+
+    def _incident_entries(
+        self, users: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The incidence rows of ``users`` (repeats allowed), concatenated.
+
+        Returns ``(owner, pair ids, others)``: entry ``j`` belongs to
+        ``users[owner[j]]``, the segment id gains are summed by.
+        """
+        starts = self._inc_ptr[users]
+        lengths = self._inc_ptr[users + 1] - starts
+        owner = np.repeat(np.arange(users.size), lengths)
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        flat = np.arange(owner.size) + shift
+        return owner, self._inc_pids[flat], self._inc_others[flat]
 
     # ------------------------------------------------------------------ #
     def _full_breakdown(self) -> UtilityBreakdown:
@@ -550,7 +575,7 @@ class DeltaEvaluator:
         discounted ``lambda * d_tel * w^c_e`` once.  All incident pairs are
         handled with a few vectorized operations per affected item.
         """
-        pids, others = self._incident[user]
+        pids, others = self._incident(user)
         if pids.size == 0 or not items:
             return 0.0, 0.0
         direct = 0.0
@@ -665,7 +690,7 @@ class DeltaEvaluator:
         currently displayed item.
         """
         gains = (1.0 - self._lam) * self._pref[user].copy()
-        pids, others = self._incident[user]
+        pids, others = self._incident(user)
         if pids.size:
             shown = self.assignment[others, slot]
             assigned = shown != UNASSIGNED
@@ -707,7 +732,7 @@ class DeltaEvaluator:
         old_pref = float(pref[old]) if old != UNASSIGNED else 0.0
         deltas = (1.0 - self._lam) * (pref[candidates] - old_pref)
 
-        pids, others = self._incident[user]
+        pids, others = self._incident(user)
         if pids.size:
             shown = self.assignment[others, slot]  # neighbours' items at this slot
             assigned = shown != UNASSIGNED
@@ -812,6 +837,148 @@ class DeltaEvaluator:
             )
 
         return item_delta[candidates] + old_delta
+
+    # ------------------------------------------------------------------ #
+    def slot_swap_gains(
+        self, users: np.ndarray, first_slots: np.ndarray, second_slots: np.ndarray
+    ) -> np.ndarray:
+        """Utility deltas of swapping the items of two of a user's slots, batched.
+
+        Entry ``i`` is the change of :attr:`total` when ``users[i]`` trades
+        the items shown at ``first_slots[i]`` and ``second_slots[i]`` — what
+        the two corresponding :meth:`set_cell` calls produce — computed
+        without mutating the evaluator.  Both cells must be assigned, to
+        items shown once in the row (``ValueError`` otherwise).
+
+        The preference mass does not move, and on each incident pair
+        ``q = (u, x)`` only the direct matches of the two items do; with
+        teleportation a lost direct match falls back to the discounted
+        indirect term.  With ``a``/``b`` the items at ``s1``/``s2``, ``w``
+        the pair weights, ``lambda`` the social weight and ``d`` the teleport
+        discount (0 for SVGIC) the gain is
+        ``lambda (1-d) sum_q [w_q(a) ([A(x,s2)=a] - [A(x,s1)=a])
+        + w_q(b) ([A(x,s1)=b] - [A(x,s2)=b])]``,
+        summed for every entry in one pass over the users' flat incidence.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        first_slots = np.asarray(first_slots, dtype=np.int64)
+        second_slots = np.asarray(second_slots, dtype=np.int64)
+        rows = self.assignment[users]
+        a = self.assignment[users, first_slots]
+        b = self.assignment[users, second_slots]
+        legal = (
+            (a != UNASSIGNED)
+            & (b != UNASSIGNED)
+            & ((rows == a[:, None]).sum(axis=1) == 1)
+            & ((rows == b[:, None]).sum(axis=1) == 1)
+        )
+        if not np.all(legal):
+            user = int(users[np.argmin(legal)])
+            raise ValueError(
+                f"slot swap for user {user} needs two assigned cells holding items "
+                "shown once in the row"
+            )
+        owner, pids, others = self._incident_entries(users)
+        at_first = self.assignment[others, first_slots[owner]]
+        at_second = self.assignment[others, second_slots[owner]]
+        item_a, item_b = a[owner], b[owner]
+        moved_a = (at_second == item_a).astype(float) - (at_first == item_a)
+        moved_b = (at_first == item_b).astype(float) - (at_second == item_b)
+        touched = (moved_a != 0) | (moved_b != 0)
+        pids, owner = pids[touched], owner[touched]
+        terms = (
+            self._w_cells(pids, item_a[touched]) * moved_a[touched]
+            + self._w_cells(pids, item_b[touched]) * moved_b[touched]
+        )
+        scale = self._lam * (1.0 - self._d_tel)
+        return scale * np.bincount(owner, weights=terms, minlength=users.size)
+
+    def pair_exchange_gains(self, pair_ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Utility deltas of exchanging a friend pair's items at one slot, batched.
+
+        Entry ``i`` is the change of :attr:`total` when the endpoints
+        ``u < v`` of pair ``pair_ids[i]`` swap ``a = A(u, s)`` and
+        ``b = A(v, s)`` at ``s = slots[i]`` — what the two corresponding
+        :meth:`set_cell` calls produce — computed without mutating the
+        evaluator.  Both cells must be assigned, ``a`` and ``b`` shown once
+        in their rows, and neither item shown to the other endpoint, so the
+        exchange keeps both rows duplicate-free (``ValueError`` otherwise).
+
+        The pair itself co-displays neither item before or after.  On every
+        other pair ``q = (u, x)`` user ``u`` loses ``w_q(a) g_x(a, s)`` and
+        gains ``w_q(b) g_x(b, s)``, where
+        ``g_x(c, s) = [A(x,s)=c] + d ([c in A(x,.)] - [A(x,s)=c])`` is 1 for a
+        direct match, ``d`` (the teleport discount, 0 for SVGIC) for an
+        indirect one and 0 otherwise; ``v``'s side mirrors it with the items
+        swapped.  With ``p`` the preferences and ``lambda`` the social weight
+        the gain is ``(1-lambda) (p(u,b) - p(u,a) + p(v,a) - p(v,b))`` plus
+        ``lambda`` times both sides' sums, scored in one pass over the
+        endpoints' flat incidence.
+        """
+        pair_ids = np.asarray(pair_ids, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        pairs = self.instance.pairs
+        u, v = pairs[pair_ids, 0], pairs[pair_ids, 1]
+        rows_u, rows_v = self.assignment[u], self.assignment[v]
+        a, b = self.assignment[u, slots], self.assignment[v, slots]
+        legal = (
+            (a != UNASSIGNED)
+            & (b != UNASSIGNED)
+            & ((rows_u == a[:, None]).sum(axis=1) == 1)
+            & ((rows_v == b[:, None]).sum(axis=1) == 1)
+            & ~(rows_u == b[:, None]).any(axis=1)
+            & ~(rows_v == a[:, None]).any(axis=1)
+        )
+        if not np.all(legal):
+            pid = int(pair_ids[np.argmin(legal)])
+            raise ValueError(
+                f"exchange on pair {pid} needs two assigned cells and must keep "
+                "both rows duplicate-free"
+            )
+        pref = self._pref
+        gains = (1.0 - self._lam) * (pref[u, b] - pref[u, a] + pref[v, a] - pref[v, b])
+        social = self._exchange_side(u, slots, a, b, pair_ids) + self._exchange_side(
+            v, slots, b, a, pair_ids
+        )
+        return gains + self._lam * social
+
+    def _exchange_side(
+        self,
+        users: np.ndarray,
+        slots: np.ndarray,
+        lost: np.ndarray,
+        gained: np.ndarray,
+        skip: np.ndarray,
+    ) -> np.ndarray:
+        """Unweighted social change when ``users[i]`` shows ``gained[i]`` for ``lost[i]``.
+
+        Sums ``w_q(gained) g_x(gained, s) - w_q(lost) g_x(lost, s)`` over the
+        user's pairs ``q = (user, x)`` other than ``skip[i]``; see
+        :meth:`pair_exchange_gains`.
+        """
+        owner, pids, others = self._incident_entries(users)
+        keep = pids != skip[owner]
+        owner, pids, others = owner[keep], pids[keep], others[keep]
+        slot = slots[owner]
+        item_in, item_out = gained[owner], lost[owner]
+        shown = self.assignment[others, slot]
+        g_in = (shown == item_in).astype(float)
+        g_out = (shown == item_out).astype(float)
+        if self._d_tel:
+            rows_x = self.assignment[others]
+            g_in += self._d_tel * (
+                (rows_x == item_in[:, None]).any(axis=1) & (shown != item_in)
+            )
+            g_out += self._d_tel * (
+                (rows_x == item_out[:, None]).any(axis=1) & (shown != item_out)
+            )
+        touched = (g_in != 0) | (g_out != 0)
+        pids, owner = pids[touched], owner[touched]
+        terms = (
+            self._w_cells(pids, item_in[touched]) * g_in[touched]
+            - self._w_cells(pids, item_out[touched]) * g_out[touched]
+        )
+        return np.bincount(owner, weights=terms, minlength=users.size)
 
     # ------------------------------------------------------------------ #
     @property

@@ -34,7 +34,17 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -562,6 +572,22 @@ class DuplicateRepairStage:
 # --------------------------------------------------------------------------- #
 # Local search improver
 # --------------------------------------------------------------------------- #
+class _Exchanges(NamedTuple):
+    """One pairwise phase's candidates, in visiting order.
+
+    Candidate ``i`` swaps the items of display units
+    ``(first_users[i], first_slots[i])`` and
+    ``(second_users[i], second_slots[i])``.  ``pair_ids`` names the friend
+    pair of a same-slot exchange; ``None`` marks a phase of slot swaps.
+    """
+
+    first_users: np.ndarray
+    first_slots: np.ndarray
+    second_users: np.ndarray
+    second_slots: np.ndarray
+    pair_ids: Optional[np.ndarray]
+
+
 class LocalSearchImprover:
     """2-opt local search over display units with delta-based move evaluation.
 
@@ -575,11 +601,19 @@ class LocalSearchImprover:
     * **pairwise exchanges** — swap the items of two display units, either
       the two slots of one user (changing the co-display pattern) or the
       same slot of a friend pair (size-cap neutral by construction).
+      Candidates are visited in a fixed order (users, then slot pairs;
+      friend pairs, then slots) and the first one gaining more than
+      ``tolerance`` is executed.  Every remaining candidate is scored at
+      once, in closed form, by
+      :meth:`~repro.core.objective.DeltaEvaluator.slot_swap_gains` /
+      :meth:`~repro.core.objective.DeltaEvaluator.pair_exchange_gains`;
+      after an accepted move the scan re-scores from the next candidate, so
+      the moves are exactly those of a one-probe-at-a-time scan.  Rejected
+      candidates never touch the evaluator: only accepted moves write cells
+      (two :meth:`~repro.core.objective.DeltaEvaluator.set_cell` calls).
+      The closed forms assume rows that repeat no item, so with
+      ``pairwise=True`` :meth:`apply` rejects a configuration that has one.
 
-    Every move is evaluated with :class:`~repro.core.objective.DeltaEvaluator`
-    (``O(degree * k)`` per probe instead of a full re-evaluation), applied
-    speculatively and reverted exactly when not the best — delta updates are
-    arithmetically symmetric, so probing leaves the evaluator bit-identical.
     Passes repeat until a full sweep accepts no move (or ``max_passes`` is
     reached), which makes the utility trace monotonically non-decreasing:
     accepted moves must gain more than ``tolerance``.
@@ -658,9 +692,10 @@ class LocalSearchImprover:
         batched.  Ties keep the first (lowest-index) candidate, matching the
         scalar loop's strict-improvement scan.
         """
-        old = int(evaluator.assignment[user, slot])
         row = evaluator.assignment[user]
-        valid = candidates[~np.isin(candidates, row)]
+        shown = np.zeros(evaluator.instance.num_items, dtype=bool)
+        shown[row[row != UNASSIGNED]] = True
+        valid = candidates[~shown[candidates]]
         if size_limit is not None and counts is not None:
             valid = valid[counts[valid, slot] < size_limit]
         if valid.size == 0:
@@ -674,20 +709,75 @@ class LocalSearchImprover:
     def _try_swap(
         self,
         evaluator: DeltaEvaluator,
-        units: Sequence[Tuple[int, int]],
-        items: Sequence[int],
-    ) -> float:
-        """Probe assigning ``items`` to ``units``; returns the gain, reverted if <= tol."""
-        base = evaluator.total
-        old = [int(evaluator.assignment[u, s]) for u, s in units]
-        for (u, s), item in zip(units, items):
-            evaluator.set_cell(u, s, item)
-        gain = evaluator.total - base
-        if gain <= self.tolerance:
-            for (u, s), item in zip(reversed(units), reversed(old)):
-                evaluator.set_cell(u, s, item)
-            return 0.0
-        return gain
+        exchanges: _Exchanges,
+        start: int,
+        counts: Optional[np.ndarray],
+        size_limit: Optional[int],
+    ) -> Optional[int]:
+        """Index of the first exchange from ``start`` on gaining more than ``tolerance``.
+
+        Every remaining candidate is filtered by the phase's skip rules — an
+        unassigned cell; for slot swaps an ``(item, slot)`` subgroup the swap
+        would fill beyond ``size_limit``; for friend-pair exchanges an item
+        the other endpoint already shows — and the rest are scored in one
+        kernel call.  Read-only; ``None`` when no candidate gains.
+        """
+        first_users = exchanges.first_users[start:]
+        first_slots = exchanges.first_slots[start:]
+        second_users = exchanges.second_users[start:]
+        second_slots = exchanges.second_slots[start:]
+        assignment = evaluator.assignment
+        a = assignment[first_users, first_slots]
+        b = assignment[second_users, second_slots]
+        legal = (a != UNASSIGNED) & (b != UNASSIGNED)
+        if exchanges.pair_ids is None:
+            if size_limit is not None:
+                legal &= (counts[b, first_slots] < size_limit) & (
+                    counts[a, second_slots] < size_limit
+                )
+        else:
+            legal &= ~(assignment[first_users] == b[:, None]).any(axis=1)
+            legal &= ~(assignment[second_users] == a[:, None]).any(axis=1)
+        index = np.flatnonzero(legal)
+        if index.size == 0:
+            return None
+        if exchanges.pair_ids is None:
+            gains = evaluator.slot_swap_gains(
+                first_users[index], first_slots[index], second_slots[index]
+            )
+        else:
+            gains = evaluator.pair_exchange_gains(
+                exchanges.pair_ids[start:][index], first_slots[index]
+            )
+        hits = np.flatnonzero(gains > self.tolerance)
+        return start + int(index[hits[0]]) if hits.size else None
+
+    def _exchange_phase(
+        self,
+        evaluator: DeltaEvaluator,
+        exchanges: _Exchanges,
+        counts: Optional[np.ndarray],
+        size_limit: Optional[int],
+        trace: List[float],
+    ) -> int:
+        """Scan ``exchanges`` in order, executing each gaining one; returns the moves."""
+        moves = 0
+        hit = self._try_swap(evaluator, exchanges, 0, counts, size_limit)
+        while hit is not None:
+            u1, s1 = int(exchanges.first_users[hit]), int(exchanges.first_slots[hit])
+            u2, s2 = int(exchanges.second_users[hit]), int(exchanges.second_slots[hit])
+            a, b = int(evaluator.assignment[u1, s1]), int(evaluator.assignment[u2, s2])
+            evaluator.set_cell(u1, s1, b)
+            evaluator.set_cell(u2, s2, a)
+            if counts is not None:  # nets to zero for same-slot exchanges
+                counts[a, s1] -= 1
+                counts[b, s2] -= 1
+                counts[b, s1] += 1
+                counts[a, s2] += 1
+            moves += 1
+            trace.append(evaluator.total)
+            hit = self._try_swap(evaluator, exchanges, hit + 1, counts, size_limit)
+        return moves
 
     # -- main loop -------------------------------------------------------- #
     def apply(
@@ -711,6 +801,9 @@ class LocalSearchImprover:
         skipped so the event hot path stays strictly incremental.  The churn
         engine repairs dynamic sessions this way, restricted via ``users=``
         to the neighbourhood an event touched.
+
+        With ``pairwise=True`` a ``ValueError`` naming the user is raised,
+        before any move, if a row the search may change shows an item twice.
         """
         in_place = evaluator is not None
         if in_place:
@@ -742,6 +835,34 @@ class LocalSearchImprover:
                 else []
             )
 
+        if self.pairwise:
+            searched = np.asarray(user_iter, dtype=np.int64)
+            # The exchange kernels' closed forms need rows that show each
+            # item once; no move creates a repeat, so one check suffices.
+            rows = np.sort(evaluator.assignment[searched], axis=1)
+            repeats = ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != UNASSIGNED)).any(axis=1)
+            if repeats.any():
+                raise ValueError(
+                    f"user {searched[np.argmax(repeats)]} is shown an item more than "
+                    "once; pairwise exchanges need duplicate-free rows"
+                )
+            # Candidates in the scan order: users, then slot pairs (s1 < s2);
+            # friend pairs, then slots.
+            slot_a, slot_b = np.triu_indices(k, 1)
+            swap_users = np.repeat(searched, slot_a.size)
+            slot_swaps = _Exchanges(
+                swap_users,
+                np.tile(slot_a, searched.size),
+                swap_users,
+                np.tile(slot_b, searched.size),
+                None,
+            )
+            pair_ids = np.repeat(np.asarray(pair_iter, dtype=np.int64), k)
+            pair_slots = np.tile(np.arange(k), len(pair_iter))
+            pair_swaps = _Exchanges(
+                pairs[pair_ids, 0], pair_slots, pairs[pair_ids, 1], pair_slots, pair_ids
+            )
+
         trace: List[float] = [evaluator.total]
         moves = 0
         passes = 0
@@ -768,50 +889,13 @@ class LocalSearchImprover:
                     trace.append(evaluator.total)
 
             if self.pairwise:
-                # Intra-user pairwise exchange: swap the items of two slots.
-                for user in user_iter:
-                    for s1 in range(k - 1):
-                        for s2 in range(s1 + 1, k):
-                            a = int(evaluator.assignment[user, s1])
-                            b = int(evaluator.assignment[user, s2])
-                            if a == b or a == UNASSIGNED or b == UNASSIGNED:
-                                continue
-                            if size_limit is not None and counts is not None:
-                                if (
-                                    counts[b, s1] >= size_limit
-                                    or counts[a, s2] >= size_limit
-                                ):
-                                    continue
-                            gain = self._try_swap(
-                                evaluator, [(user, s1), (user, s2)], [b, a]
-                            )
-                            if gain > 0.0:
-                                if counts is not None:
-                                    counts[a, s1] -= 1
-                                    counts[b, s2] -= 1
-                                    counts[b, s1] += 1
-                                    counts[a, s2] += 1
-                                moves += 1
-                                improved = True
-                                trace.append(evaluator.total)
-
-                # Friend-pair exchange at one slot (size-cap neutral).
-                for pid in pair_iter:
-                    u, v = int(pairs[pid, 0]), int(pairs[pid, 1])
-                    for slot in range(k):
-                        a = int(evaluator.assignment[u, slot])
-                        b = int(evaluator.assignment[v, slot])
-                        if a == b or a == UNASSIGNED or b == UNASSIGNED:
-                            continue
-                        if b in evaluator.assignment[u] or a in evaluator.assignment[v]:
-                            continue  # would violate no-duplication
-                        gain = self._try_swap(
-                            evaluator, [(u, slot), (v, slot)], [b, a]
-                        )
-                        if gain > 0.0:
-                            moves += 1
-                            improved = True
-                            trace.append(evaluator.total)
+                # Intra-user slot swaps, then friend-pair exchanges at one slot.
+                for exchanges in (slot_swaps, pair_swaps):
+                    accepted = self._exchange_phase(
+                        evaluator, exchanges, counts, size_limit, trace
+                    )
+                    moves += accepted
+                    improved = improved or accepted > 0
 
             if not improved:
                 break

@@ -206,6 +206,16 @@ class TestLocalSearchImprover:
         with pytest.raises(ValueError):
             LocalSearchImprover(tolerance=-1.0)
 
+    def test_pairwise_search_rejects_rows_that_repeat_an_item(self, tiny_instance):
+        config = SAVGConfiguration(
+            assignment=np.array([[0, 1], [2, 2], [3, UNASSIGNED]]), num_items=4
+        )
+        with pytest.raises(ValueError, match="user 1"):
+            LocalSearchImprover().apply(tiny_instance, config)
+        # Rows the search never changes, or a search without exchanges, may repeat.
+        LocalSearchImprover(users=[0, 2]).apply(tiny_instance, config)
+        LocalSearchImprover(pairwise=False).apply(tiny_instance, config)
+
 
 class TestProbeMany:
     """DeltaEvaluator.probe_many is pinned to the scalar set_cell probe."""
@@ -337,6 +347,23 @@ class TestProbeMany:
         assert evaluator.breakdown == before_breakdown
         np.testing.assert_array_equal(evaluator.assignment, before_assignment)
 
+    def test_sparse_pairs_without_positive_weights(self, tiny_instance):
+        from dataclasses import replace
+
+        from repro.core.objective import DeltaEvaluator
+
+        instance = replace(tiny_instance, social=np.zeros_like(tiny_instance.social))
+        config = _random_valid_configuration(instance, np.random.default_rng(3))
+        sparse = DeltaEvaluator(instance, config, sparse_pairs=True)
+        dense = DeltaEvaluator(instance, config)
+        candidates = np.arange(instance.num_items)
+        for user in range(instance.num_users):
+            for slot in range(instance.num_slots):
+                np.testing.assert_array_equal(
+                    sparse.probe_many((user, slot), candidates),
+                    dense.probe_many((user, slot), candidates),
+                )
+
     def test_improver_batched_moves_match_scratch_evaluation(self, small_timik_instance):
         """End-to-end: the batched improver still only makes true improvements."""
         config = top_k_preference_configuration(small_timik_instance)
@@ -346,3 +373,37 @@ class TestProbeMany:
         assert outcome.info["final_utility"] == pytest.approx(
             total_utility(small_timik_instance, outcome.configuration), abs=1e-9
         )
+
+
+class TestExchangeKernels:
+    """Input checks of the closed-form exchange kernels (gains: test_properties)."""
+
+    def test_reject_exchanges_outside_their_closed_forms(self, tiny_instance):
+        from repro.core.objective import DeltaEvaluator
+
+        config = SAVGConfiguration(
+            assignment=np.array([[0, 1], [1, UNASSIGNED], [2, 2]]), num_items=4
+        )
+        evaluator = DeltaEvaluator(tiny_instance, config)
+        before = evaluator.total
+        first_pair = tiny_instance.pair_index[(0, 1)]
+        second_pair = tiny_instance.pair_index[(1, 2)]
+        with pytest.raises(ValueError, match="user 1"):
+            evaluator.slot_swap_gains([0, 1], [0, 0], [1, 1])  # unassigned cell
+        with pytest.raises(ValueError, match="user 2"):
+            evaluator.slot_swap_gains([2], [0], [1])  # item shown twice
+        with pytest.raises(ValueError, match=f"pair {first_pair}"):
+            evaluator.pair_exchange_gains([first_pair], [0])  # would show 1 twice
+        with pytest.raises(ValueError, match=f"pair {second_pair}"):
+            evaluator.pair_exchange_gains([second_pair], [1])  # unassigned cell
+        assert evaluator.total == before
+        np.testing.assert_array_equal(evaluator.assignment, config.assignment)
+
+    def test_empty_batches(self, tiny_instance):
+        from repro.core.objective import DeltaEvaluator
+
+        evaluator = DeltaEvaluator(
+            tiny_instance, _random_valid_configuration(tiny_instance, np.random.default_rng(1))
+        )
+        assert evaluator.slot_swap_gains([], [], []).shape == (0,)
+        assert evaluator.pair_exchange_gains([], []).shape == (0,)

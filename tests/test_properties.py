@@ -9,15 +9,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import assembly_reference as oracle
 from repro.core.avg import csf_rounding, run_avg
 from repro.core.avg_d import run_avg_d
-from repro.core.configuration import SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.greedy import greedy_complete, top_k_preference_configuration
 from repro.core.ip import _build_program_sparse
 from repro.core.lp import _build_sparse, candidate_items, solve_lp_relaxation
-from repro.core.objective import evaluate, per_user_utility, total_utility
+from repro.core.objective import DeltaEvaluator, evaluate, per_user_utility, total_utility
+from repro.core.pipeline import LocalSearchImprover
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.sparse import uniform_candidate_lists
 from repro.metrics.regret import regret_ratios
 from repro.metrics.subgroups import subgroup_metrics
+
+from oracles.local_search_reference import ReferenceLocalSearchImprover
 
 SETTINGS = dict(
     max_examples=12,
@@ -27,14 +30,14 @@ SETTINGS = dict(
 
 
 @st.composite
-def svgic_instances(draw, zero_cells=False):
+def svgic_instances(draw, zero_cells=False, max_users=5, max_items=7):
     """Random small SVGIC instances with arbitrary utilities and edge sets.
 
     ``zero_cells=True`` also zeroes a drawn share of the social entries, so
     some pair-item cells carry no weight.
     """
-    num_users = draw(st.integers(min_value=2, max_value=5))
-    num_items = draw(st.integers(min_value=3, max_value=7))
+    num_users = draw(st.integers(min_value=2, max_value=max_users))
+    num_items = draw(st.integers(min_value=3, max_value=max_items))
     num_slots = draw(st.integers(min_value=1, max_value=min(3, num_items)))
     social_weight = draw(st.sampled_from([0.25, 0.5, 0.75]))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -64,9 +67,9 @@ def svgic_instances(draw, zero_cells=False):
 
 
 @st.composite
-def assembly_instances(draw):
+def assembly_instances(draw, **sizes):
     """SVGIC and SVGIC-ST instances with zero pair cells and active or vacuous caps."""
-    instance = draw(svgic_instances(zero_cells=True))
+    instance = draw(svgic_instances(zero_cells=True, **sizes))
     n, m = instance.num_users, instance.num_items
     cap = draw(st.one_of(st.none(), st.integers(min_value=-(-n // m), max_value=n)))
     if cap is None:
@@ -274,3 +277,101 @@ class TestSingleAssembler:
         sparse = solve_lp_relaxation(instance, formulation="sparse", prune_items=False)
         np.testing.assert_array_equal(simplified.compact_factors, sparse.compact_factors)
         assert simplified.objective == sparse.objective
+
+
+@st.composite
+def exchange_states(draw):
+    """An assembly instance with a duplicate-free, possibly partial configuration."""
+    instance = draw(assembly_instances(max_users=9, max_items=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    assignment = np.stack(
+        [
+            rng.permutation(instance.num_items)[: instance.num_slots]
+            for _ in range(instance.num_users)
+        ]
+    )
+    assignment[rng.random(assignment.shape) < draw(st.sampled_from([0.0, 0.3]))] = UNASSIGNED
+    return instance, SAVGConfiguration(assignment=assignment, num_items=instance.num_items)
+
+
+def _applied_delta(evaluator, cells):
+    """Change of the running total from writing ``cells``, reverted afterwards."""
+    base = evaluator.total
+    old = [int(evaluator.assignment[u, s]) for u, s, _ in cells]
+    for u, s, item in cells:
+        evaluator.set_cell(u, s, item)
+    delta = evaluator.total - base
+    for (u, s, _), item in zip(reversed(cells), reversed(old)):
+        evaluator.set_cell(u, s, item)
+    return delta
+
+
+class TestExchangeKernels:
+    """The closed-form exchange gains equal set_cell apply/revert deltas."""
+
+    @settings(**{**SETTINGS, "max_examples": 200})
+    @given(exchange_states(), st.booleans())
+    def test_slot_swap_gains_equal_applied_deltas(self, state, sparse_pairs):
+        instance, config = state
+        evaluator = DeltaEvaluator(instance, config, sparse_pairs=sparse_pairs)
+        A = config.assignment
+        k = instance.num_slots
+        swaps = np.array(
+            [
+                (u, s1, s2)
+                for u in range(instance.num_users)
+                for s1 in range(k)
+                for s2 in range(s1 + 1, k)
+                if A[u, s1] != UNASSIGNED and A[u, s2] != UNASSIGNED
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        gains = evaluator.slot_swap_gains(swaps[:, 0], swaps[:, 1], swaps[:, 2])
+        np.testing.assert_array_equal(evaluator.assignment, A)
+        deltas = [
+            _applied_delta(evaluator, [(u, s1, A[u, s2]), (u, s2, A[u, s1])])
+            for u, s1, s2 in swaps
+        ]
+        np.testing.assert_allclose(gains, deltas, rtol=0, atol=1e-9)
+
+    @settings(**{**SETTINGS, "max_examples": 200})
+    @given(exchange_states(), st.booleans())
+    def test_pair_exchange_gains_equal_applied_deltas(self, state, sparse_pairs):
+        instance, config = state
+        evaluator = DeltaEvaluator(instance, config, sparse_pairs=sparse_pairs)
+        A = config.assignment
+        exchanges = np.array(
+            [
+                (pid, s)
+                for pid, (u, v) in enumerate(instance.pairs)
+                for s in range(instance.num_slots)
+                if A[u, s] != UNASSIGNED
+                and A[v, s] != UNASSIGNED
+                and A[v, s] not in A[u]
+                and A[u, s] not in A[v]
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        gains = evaluator.pair_exchange_gains(exchanges[:, 0], exchanges[:, 1])
+        np.testing.assert_array_equal(evaluator.assignment, A)
+        deltas = [
+            _applied_delta(evaluator, [(u, s, A[v, s]), (v, s, A[u, s])])
+            for (u, v), s in zip(instance.pairs[exchanges[:, 0]], exchanges[:, 1])
+        ]
+        np.testing.assert_allclose(gains, deltas, rtol=0, atol=1e-9)
+
+    @settings(**SETTINGS)
+    @given(exchange_states(), st.booleans())
+    def test_improver_matches_apply_revert_reference(self, state, sparse_pairs):
+        instance, config = state
+        fast = LocalSearchImprover(sparse_pairs=sparse_pairs).apply(instance, config)
+        reference = ReferenceLocalSearchImprover(sparse_pairs=sparse_pairs).apply(
+            instance, config
+        )
+        np.testing.assert_array_equal(
+            fast.configuration.assignment, reference.configuration.assignment
+        )
+        assert (fast.info["moves"], fast.info["passes"]) == (
+            reference.info["moves"],
+            reference.info["passes"],
+        )
