@@ -1,4 +1,4 @@
-"""Parallel sweep benchmark: SerialExecutor vs ParallelExecutor wall time.
+"""Parallel sweep benchmark: SerialExecutor vs WorkStealingExecutor wall time.
 
 Three acceptance properties of the experiment execution layer are measured
 and asserted on a Figure-5-style sweep at n >= 100:
@@ -7,8 +7,8 @@ and asserted on a Figure-5-style sweep at n >= 100:
   (every column except wall-clock ``seconds``), i.e. fanning jobs out over a
   process pool changes nothing but the schedule.
 * **LP reuse under fan-out** — every job's provenance counters report
-  exactly **one** simplified-LP relaxation solve per instance: chunking by
-  sweep value keeps each instance's line-up (and its shared
+  exactly **one** simplified-LP relaxation solve per instance: affinity
+  grouping keeps each instance's line-up (and its shared
   :class:`~repro.core.pipeline.SolveContext`) on one worker.
 * **Speed-up** — with 2 workers the sweep completes at least **1.3x**
   faster than serially.  The assertion requires >= 2 usable cores (it is
@@ -37,9 +37,10 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
 from repro.core.registry import build_runners
-from repro.experiments.executor import ParallelExecutor, SerialExecutor, compile_sweep
+from repro.experiments.executor import SerialExecutor, compile_sweep
 from repro.experiments.figures import InstanceSweepFactory
 from repro.experiments.harness import run_plan
+from repro.experiments.scheduler import WorkStealingExecutor
 
 WORKERS = 2
 MIN_SPEEDUP = 1.3
@@ -86,7 +87,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_plan(plan, ParallelExecutor(workers=WORKERS))
+    parallel = run_plan(plan, WorkStealingExecutor(workers=WORKERS))
     parallel_seconds = time.perf_counter() - start
 
     speedup = serial_seconds / parallel_seconds

@@ -1,12 +1,20 @@
-"""Work-stealing scheduler benchmark: chunked ParallelExecutor vs WorkStealingExecutor.
+"""Work-stealing scheduler benchmark: a chunk-by-value schedule vs work stealing.
 
-The chunked executor assigns *all* repetitions of one sweep value to one
+A chunked schedule assigns *all* repetitions of one sweep value to one
 worker.  On a heterogeneous sweep — small instances next to one instance an
 order of magnitude bigger — that chunk is the makespan: one worker grinds
 the heavy value's repetitions back to back while the others sit idle.  The
 cost-model-aware :class:`~repro.experiments.scheduler.WorkStealingExecutor`
 splits the heavy value's repetitions into separately claimable groups and
 orders groups longest-first, so the heavy repetitions run *concurrently*.
+
+The chunked baseline runs on the same executor with the chunk-by-value
+schedule rebuilt from two bench-local pieces: a factory wrapper
+(:class:`ChunkByValue`) whose ``instance_affinity`` is the sweep value, so
+each value forms one group whose repetitions run one after another on one
+worker, and a cost model (:class:`FlatCostModel`) that prices every job
+the same, so workers claim the groups in value order.  The pool holds
+``min(workers, values)`` processes.
 
 Acceptance properties asserted on a Figure-5-style sweep whose largest
 instance is ~6x the next value:
@@ -37,7 +45,8 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, List, Optional
 
 try:
     from benchmarks._reporting import emit_bench_json
@@ -45,17 +54,38 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
 from repro.core.registry import build_runners
-from repro.experiments.executor import (
-    ParallelExecutor,
-    compile_sweep,
-    job_timing_signature,
-)
+from repro.experiments.executor import compile_sweep, job_timing_signature
 from repro.experiments.figures import InstanceSweepFactory
 from repro.experiments.harness import run_plan
-from repro.experiments.scheduler import CostModel, WorkStealingExecutor, job_features
+from repro.experiments.scheduler import (
+    CostModel,
+    JobFeatures,
+    WorkStealingExecutor,
+    job_features,
+)
 
 WORKERS = 2
 MIN_SPEEDUP = 1.25
+
+
+@dataclass(frozen=True)
+class ChunkByValue:
+    """Factory wrapper that puts all repetitions of one sweep value in one group."""
+
+    factory: InstanceSweepFactory
+
+    def __call__(self, value: Any, rep_seed: int):
+        return self.factory(value, rep_seed)
+
+    def instance_affinity(self, value: Any, rep_seed: int) -> Any:
+        return value
+
+
+class FlatCostModel(CostModel):
+    """Every job costs the same, so groups are claimed in plan (value) order."""
+
+    def estimate(self, features: JobFeatures) -> float:
+        return 1.0
 
 
 def _usable_cpus() -> int:
@@ -95,7 +125,10 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"heaviest value {max(values)} vs lightest {min(values)}")
 
     start = time.perf_counter()
-    chunked = run_plan(plan, ParallelExecutor(workers=WORKERS))
+    chunked = run_plan(
+        replace(plan, instance_factory=ChunkByValue(factory)),
+        WorkStealingExecutor(workers=WORKERS, cost_model=FlatCostModel()),
+    )
     chunked_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -161,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures += 1
         else:
             print(f"OK: speedup {speedup:.2f}x >= {MIN_SPEEDUP}x over the "
-                  f"chunked executor with {WORKERS} workers")
+                  f"chunked schedule with {WORKERS} workers")
     else:
         print(f"NOTE: only {cpus} usable CPU — the {MIN_SPEEDUP}x speedup floor "
               "needs >= 2 cores and was not asserted")

@@ -54,9 +54,9 @@ def parallel_sweep_demo() -> None:
 
     ``sweep()`` (and ``grid()`` for 2-D sweeps) first compiles the
     experiment into a plan of picklable jobs, then hands it to an executor.
-    The default runs serially; ``ParallelExecutor(workers=...)`` fans jobs
-    out over a process pool — chunked by sweep value so every instance keeps
-    its single shared LP solve — and returns the *identical* table, so
+    The default runs serially; ``WorkStealingExecutor(workers=...)`` fans
+    jobs out over a process pool — grouped by instance so every instance
+    keeps its single shared LP solve — and returns the *identical* table, so
     swapping executors is a pure throughput knob.  Every figure function
     (``figures.figure3_small_datasets`` etc.) takes the same ``executor=``
     argument.
@@ -64,7 +64,7 @@ def parallel_sweep_demo() -> None:
     import time
 
     from repro.core.registry import build_runners
-    from repro.experiments import ParallelExecutor, sweep
+    from repro.experiments import WorkStealingExecutor, sweep
     from repro.experiments.figures import InstanceSweepFactory
 
     print("\nParameter sweep: group size n in (10, 14, 18), serial vs 2 workers")
@@ -72,7 +72,7 @@ def parallel_sweep_demo() -> None:
     algorithms = build_runners(["AVG", "AVG-D", "PER"])
 
     tables = {}
-    for label, executor in (("serial", None), ("2 workers", ParallelExecutor(workers=2))):
+    for label, executor in (("serial", None), ("2 workers", WorkStealingExecutor(workers=2))):
         start = time.perf_counter()
         tables[label] = sweep(
             "quickstart-sweep", "utility vs group size", (10, 14, 18),

@@ -4,7 +4,6 @@ from repro.experiments import figures
 from repro.experiments.case_study import CaseStudy, describe_case_study
 from repro.experiments.executor import (
     JobResult,
-    ParallelExecutor,
     SerialExecutor,
     SweepJob,
     SweepPlan,
@@ -45,7 +44,6 @@ __all__ = [
     "plan_signature",
     "job_checkpoint_key",
     "SerialExecutor",
-    "ParallelExecutor",
     "WorkStealingExecutor",
     "CostModel",
     "schedule_groups",

@@ -10,22 +10,20 @@ The experiment layer separates *what* a sweep runs from *how* it runs:
   (:meth:`SweepPlan.subset`) and shipped to worker processes.
 * Executors run a plan's jobs and return :class:`JobResult` rows.
   :class:`SerialExecutor` executes in plan order in-process;
-  :class:`ParallelExecutor` fans jobs out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, chunking by sweep value so
-  every repetition/algorithm of one instance stays on one worker (preserving
-  the per-instance :class:`~repro.core.pipeline.SolveContext` LP reuse) and
-  reassembling results deterministically by job index regardless of
-  completion order.  Workers rehydrate the algorithm registry simply by
-  importing it — registration is an import-time side effect of the provider
-  modules.
-* Both executors thread an **artifact store** (instance fingerprint →
-  :class:`~repro.core.pipeline.ContextArtifacts`) through their jobs: when a
-  factory rebuilds an identical instance for another repetition, the LP
-  fractional solutions and weighted tensors are rehydrated instead of
-  recomputed, in-process and across process boundaries alike (shipping
-  worker artifacts back to the parent is opt-in —
-  ``ParallelExecutor(collect_artifacts=True)`` — since sweeps with a fresh
-  instance per job can never reuse them).
+  :class:`~repro.experiments.scheduler.WorkStealingExecutor` fans affinity
+  groups of jobs out over a process pool, keeping every job that builds the
+  same instance on one worker (preserving the per-instance
+  :class:`~repro.core.pipeline.SolveContext` LP reuse).  Both run each job
+  through one step (:func:`_execute_job`: resume, run, checkpoint, record
+  timing), so they cannot drift apart.  Workers rehydrate the algorithm
+  registry simply by importing it — registration is an import-time side
+  effect of the provider modules.
+* Jobs share an **artifact store** (instance fingerprint →
+  :class:`~repro.core.pipeline.ContextArtifacts`): when a factory rebuilds
+  an identical instance for another repetition, the LP fractional solutions
+  and weighted tensors are rehydrated instead of recomputed.  The serial
+  executor keeps one in-memory store across its runs; a pool worker keeps
+  one per claimed group.
 * Execution is **streaming and resumable**: :meth:`Executor.iter_run` yields
   :class:`JobResult` records as jobs finish (completion order, not plan
   order) and ``run()`` is a thin deterministic-reorder wrapper over the
@@ -53,7 +51,6 @@ import hashlib
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -541,76 +538,63 @@ def record_job_timing(store: Any, job: SweepJob, result: JobResult) -> None:
         pass
 
 
-#: Per-worker artifact seed, installed once by the pool initializer so a
-#: store with many entries is pickled per *worker*, not per chunk.
-_WORKER_SEED_ARTIFACTS: Dict[str, ContextArtifacts] = {}
+def _execute_job(
+    instance_factory: InstanceFactory,
+    job: SweepJob,
+    backing: Optional[Any],
+    store: Optional[Any],
+    signature: Optional[str],
+    resume: bool,
+) -> Tuple[JobResult, bool]:
+    """The one per-job step every executor runs: resume, run, checkpoint.
 
-
-def _seed_worker_artifacts(seed_artifacts: Optional[Dict[str, ContextArtifacts]]) -> None:
-    global _WORKER_SEED_ARTIFACTS
-    _WORKER_SEED_ARTIFACTS = dict(seed_artifacts or {})
+    With a persistent ``store`` the job's checkpoint is consulted first
+    (unless ``resume`` is off) and a fresh result is checkpointed and its
+    wall time recorded the moment it finishes — by whichever process ran
+    it, since the store's WAL-mode SQLite index tolerates concurrent
+    writers.  ``backing`` is the artifact store :func:`run_job` reuses LP
+    solutions from.  Returns the result and whether it was resumed.
+    """
+    if store is None:
+        return run_job(instance_factory, job, backing), False
+    key = job_checkpoint_key(job)
+    if resume:
+        cached = store.load_job(signature, key)
+        if cached is not None:
+            return _as_resumed(cached, job), True
+    result = run_job(instance_factory, job, backing)
+    store.save_job(signature, key, result)
+    record_job_timing(store, job, result)
+    return result, False
 
 
 def _run_job_group(
     instance_factory: InstanceFactory,
     jobs: Tuple[SweepJob, ...],
-    collect_artifacts: bool,
-    seed_artifacts: Optional[Dict[str, ContextArtifacts]] = None,
-) -> Tuple[List[JobResult], Dict[str, ContextArtifacts]]:
-    """Worker entry point: run one chunk of jobs with a chunk-local store.
+    store: Optional[Any],
+    signature: Optional[str],
+    resume: bool,
+) -> Tuple[List[JobResult], int]:
+    """Worker entry point: run one claimed group of jobs in order.
 
     Module-level so it imports cleanly under both ``fork`` and ``spawn``
     start methods; importing this module (and, transitively, the registry on
     first dispatch) rehydrates all algorithm registrations in the worker.
-    The store starts from the worker-level seed (installed once per worker
-    by the pool initializer) unless ``seed_artifacts`` ships a chunk-level
-    seed explicitly — the path persistent (reused) pools take, since their
-    initializer ran before the current run's artifacts existed.  Only
-    artifacts this chunk computed (or refreshed) are shipped back — seeded
-    entries the parent already holds would be pure return traffic.
+    Jobs share the persistent ``store`` when one backs the run and a
+    group-local artifact dict otherwise, so jobs of the group that rebuild
+    one instance pay a single LP solve.  Jobs another process checkpointed
+    in the meantime are skipped (``resume``); returns the group's results
+    plus how many of them were resumed.
     """
-    seeded = _WORKER_SEED_ARTIFACTS if seed_artifacts is None else seed_artifacts
-    store: Dict[str, ContextArtifacts] = dict(seeded)
-    results = [run_job(instance_factory, job, store) for job in jobs]
-    if not collect_artifacts:
-        return results, {}
-    fresh = {
-        fingerprint: artifacts
-        for fingerprint, artifacts in store.items()
-        if seeded.get(fingerprint) is not artifacts
-    }
-    return results, fresh
-
-
-def _run_job_group_store(
-    instance_factory: InstanceFactory,
-    jobs: Tuple[SweepJob, ...],
-    store: Any,
-    signature: str,
-    resume: bool,
-) -> Tuple[List[JobResult], int]:
-    """Worker entry point when a persistent store backs the run.
-
-    Each finished job is checkpointed *by the worker, immediately* — the
-    store's WAL-mode SQLite index tolerates concurrent writers — so a sweep
-    killed mid-chunk still keeps every job that completed.  Jobs another
-    process checkpointed in the meantime are skipped (``resume``); returns
-    the chunk's results plus how many of them were resumed.
-    """
+    backing = store if store is not None else {}
     results: List[JobResult] = []
     resumed = 0
     for job in jobs:
-        key = job_checkpoint_key(job)
-        if resume:
-            cached = store.load_job(signature, key)
-            if cached is not None:
-                results.append(_as_resumed(cached, job))
-                resumed += 1
-                continue
-        result = run_job(instance_factory, job, store)
-        store.save_job(signature, key, result)
-        record_job_timing(store, job, result)
+        result, was_resumed = _execute_job(
+            instance_factory, job, backing, store, signature, resume
+        )
         results.append(result)
+        resumed += was_resumed
     return results, resumed
 
 
@@ -662,43 +646,30 @@ class Executor(Protocol):
 class SerialExecutor:
     """Run every job in plan order, in-process — the default executor.
 
-    Behaviour matches the historical ``sweep()`` loop plus two optional
-    reuse layers:
+    Behaviour matches the historical ``sweep()`` loop plus two reuse layers:
 
-    * ``artifact_store`` — an in-memory fingerprint →
-      :class:`~repro.core.pipeline.ContextArtifacts` mapping letting
-      repetitions that rebuild an identical instance reuse its LP solutions
-      within this process (a pure cache: the LP solver is deterministic, so
-      results are unchanged).
-    * ``store`` — a persistent :class:`repro.store.ArtifactStore`.  LP
-      solutions are then loaded/written through disk (reuse survives
-      invocations; ``lp_store_hits`` in the job provenance counts it), and
-      every finished job is checkpointed under the plan's
-      :func:`plan_signature` as soon as it completes, so an interrupted run
-      resumes from its checkpoints.  ``resume=False`` re-executes jobs even
-      when a checkpoint exists (still refreshing the checkpoints and still
-      reusing stored LP solutions) — useful for measuring warm-store solve
-      counts.
+    * an in-memory fingerprint →
+      :class:`~repro.core.pipeline.ContextArtifacts` mapping (the
+      ``artifact_store`` attribute), kept across this executor's runs,
+      letting repetitions that rebuild an identical instance reuse its LP
+      solutions (a pure cache: the LP solver is deterministic, so results
+      are unchanged).
+    * ``store`` — a persistent :class:`repro.store.ArtifactStore`, used
+      instead of the in-memory mapping.  LP solutions are then
+      loaded/written through disk (reuse survives invocations;
+      ``lp_store_hits`` in the job provenance counts it), and every finished
+      job is checkpointed under the plan's :func:`plan_signature` as soon as
+      it completes, so an interrupted run resumes from its checkpoints.
+      ``resume=False`` re-executes jobs even when a checkpoint exists (still
+      refreshing the checkpoints and still reusing stored LP solutions) —
+      useful for measuring warm-store solve counts.
 
     ``jobs_resumed`` / ``jobs_executed`` report, after each run, how many
     results came from checkpoints versus fresh execution.
     """
 
-    def __init__(
-        self,
-        artifact_store: Optional[ArtifactStore] = None,
-        *,
-        store: Optional[Any] = None,
-        resume: bool = True,
-    ) -> None:
-        if store is not None and artifact_store is not None:
-            raise ValueError(
-                "pass either an in-memory artifact_store or a persistent "
-                "store, not both — the persistent store already covers LP reuse"
-            )
-        self.artifact_store: ArtifactStore = (
-            artifact_store if artifact_store is not None else {}
-        )
+    def __init__(self, *, store: Optional[Any] = None, resume: bool = True) -> None:
+        self.artifact_store: ArtifactStore = {}
         self.store = store
         self.resume = resume
         self.jobs_resumed = 0
@@ -711,249 +682,14 @@ class SerialExecutor:
         signature = plan_signature(plan) if self.store is not None else None
         backing = self.store if self.store is not None else self.artifact_store
         for job in plan.jobs:
-            if signature is not None and self.resume:
-                cached = self.store.load_job(signature, job_checkpoint_key(job))
-                if cached is not None:
-                    self.jobs_resumed += 1
-                    yield _as_resumed(cached, job)
-                    continue
-            result = run_job(plan.instance_factory, job, backing)
-            self.jobs_executed += 1
-            if signature is not None:
-                self.store.save_job(signature, job_checkpoint_key(job), result)
-                record_job_timing(self.store, job, result)
-            yield result
-
-    def run(self, plan: SweepPlan) -> List[JobResult]:
-        return sorted(self.iter_run(plan), key=lambda result: result.job_index)
-
-
-class ParallelExecutor:
-    """Fan a plan out over a process pool; results are order-independent.
-
-    Jobs are chunked by sweep value (all repetitions of one sweep point form
-    one chunk) so each instance's repetitions share a worker-local artifact
-    store — the per-instance LP reuse of :class:`SolveContext` survives the
-    fan-out.  Completed chunks are reassembled by job index, so the returned
-    list (and therefore every aggregated table) is identical to a serial
-    run's regardless of worker scheduling.
-
-    Parameters
-    ----------
-    workers:
-        Pool size.  ``1`` still goes through the pool (useful for testing
-        the pickling path).  Requests exceeding ``os.cpu_count()`` are
-        clamped with a :class:`RuntimeWarning`
-        (:func:`resolve_worker_count`) — oversubscribing CPU-bound LP jobs
-        only adds start-up cost and scheduler churn.
-    reuse_pool:
-        When True the executor keeps one persistent process pool across
-        ``run()`` / ``iter_run()`` calls instead of spawning a fresh pool
-        per run, so repeated plans pay worker start-up (and registry import)
-        once — the mode the serving layer and latency benchmarks rely on.
-        Call :meth:`close` (or use the executor as a context manager) to
-        shut the pool down.  With ``artifact_store`` seeding, a persistent
-        pool ships the seed per chunk instead of per worker.
-    collect_artifacts:
-        When True, worker artifact stores are shipped back and merged into
-        :attr:`artifact_store`, so a later plan run through this executor
-        (or a :class:`SerialExecutor` sharing the store) reuses them across
-        the process boundary.  Off by default: artifacts embed the dense
-        weighted tensors, and sweeps whose factories derive a fresh
-        instance per repetition can never hit them — opt in when instances
-        repeat across jobs or runs.  (Worker-local reuse *within* a chunk
-        is always on and needs no collection.)
-    mp_context:
-        Optional :mod:`multiprocessing` start method (``"fork"``,
-        ``"spawn"``, ...); ``None`` uses the platform default.
-    store:
-        Optional persistent :class:`repro.store.ArtifactStore`.  The store
-        object itself is shipped to the workers (it pickles by path and
-        reconnects; WAL-mode SQLite tolerates the concurrent writers): each
-        worker loads LP solutions from disk before solving and checkpoints
-        every finished job immediately, so killing the sweep mid-flight
-        loses at most the jobs still in progress — a re-run with the same
-        store yields the checkpointed results and completes only the
-        unfinished jobs.  ``resume=False`` re-executes everything while
-        still reusing stored LP solutions.  Workers that cold-start
-        *concurrently* on one instance may each solve its LP once before
-        either has written it — a benign race (the solver is deterministic
-        and blobs are content-addressed, so the writes collide on identical
-        content): a cold parallel run performs at most ``workers`` solves
-        per instance instead of one, and every later job reads from disk.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        collect_artifacts: bool = False,
-        artifact_store: Optional[ArtifactStore] = None,
-        mp_context: Optional[str] = None,
-        store: Optional[Any] = None,
-        resume: bool = True,
-        reuse_pool: bool = False,
-    ) -> None:
-        if store is not None and (collect_artifacts or artifact_store is not None):
-            raise ValueError(
-                "a persistent store supersedes the in-memory artifact options; "
-                "pass either store= or artifact_store=/collect_artifacts=, not both"
+            result, resumed = _execute_job(
+                plan.instance_factory, job, backing, self.store, signature, self.resume
             )
-        self.workers = resolve_worker_count(workers)
-        self.collect_artifacts = collect_artifacts
-        self.artifact_store: ArtifactStore = (
-            artifact_store if artifact_store is not None else {}
-        )
-        self.mp_context = mp_context
-        self.store = store
-        self.resume = resume
-        self.reuse_pool = reuse_pool
-        self.jobs_resumed = 0
-        self.jobs_executed = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @staticmethod
-    def _chunks(jobs: Iterable[SweepJob]) -> List[Tuple[SweepJob, ...]]:
-        grouped: Dict[int, List[SweepJob]] = {}
-        for job in jobs:
-            grouped.setdefault(job.value_index, []).append(job)
-        return [tuple(grouped[key]) for key in sorted(grouped)]
-
-    def _mp_ctx(self):
-        if self.mp_context is None:
-            return None
-        import multiprocessing
-
-        return multiprocessing.get_context(self.mp_context)
-
-    def _persistent_pool(self) -> ProcessPoolExecutor:
-        """The long-lived pool (created on first use) when ``reuse_pool`` is set."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._mp_ctx()
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op without ``reuse_pool``)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _finish_run(self, pool: ProcessPoolExecutor, pending: Iterable[Any]) -> None:
-        """End-of-run pool handling: per-run pools die, persistent pools drain."""
-        if pool is self._pool:
-            for future in pending:
-                future.cancel()
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def iter_run(self, plan: SweepPlan) -> Iterator[JobResult]:
-        """Yield job results in completion order (chunk by chunk).
-
-        Closing the iterator early cancels chunks that have not started;
-        chunks already running finish (and, with a persistent store,
-        checkpoint their jobs) before the pool shuts down.
-        """
-        self.jobs_resumed = 0
-        self.jobs_executed = 0
-        if self.store is not None:
-            yield from self._iter_run_store(plan)
-        else:
-            yield from self._iter_run_seeded(plan)
-
-    def _iter_run_store(self, plan: SweepPlan) -> Iterator[JobResult]:
-        signature = plan_signature(plan)
-        remaining: List[SweepJob] = []
-        for job in plan.jobs:
-            cached = (
-                self.store.load_job(signature, job_checkpoint_key(job))
-                if self.resume
-                else None
-            )
-            if cached is not None:
+            if resumed:
                 self.jobs_resumed += 1
-                yield _as_resumed(cached, job)
             else:
-                remaining.append(job)
-        chunks = self._chunks(remaining)
-        if not chunks:
-            return
-        if self.reuse_pool:
-            pool = self._persistent_pool()
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)), mp_context=self._mp_ctx()
-            )
-        pending: set = set()
-        try:
-            pending = {
-                pool.submit(
-                    _run_job_group_store,
-                    plan.instance_factory,
-                    chunk,
-                    self.store,
-                    signature,
-                    self.resume,
-                )
-                for chunk in chunks
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk_results, resumed = future.result()
-                    self.jobs_resumed += resumed
-                    self.jobs_executed += len(chunk_results) - resumed
-                    yield from chunk_results
-        finally:
-            self._finish_run(pool, pending)
-
-    def _iter_run_seeded(self, plan: SweepPlan) -> Iterator[JobResult]:
-        chunks = self._chunks(plan.jobs)
-        if not chunks:
-            return
-        seed_artifacts = dict(self.artifact_store) if self.artifact_store else None
-        if self.reuse_pool:
-            # A persistent pool's initializer ran before this run's artifacts
-            # existed, so the seed travels with each chunk instead.
-            pool = self._persistent_pool()
-            chunk_seed = seed_artifacts
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                mp_context=self._mp_ctx(),
-                initializer=_seed_worker_artifacts,
-                initargs=(seed_artifacts,),
-            )
-            chunk_seed = None
-        pending: set = set()
-        try:
-            pending = {
-                pool.submit(
-                    _run_job_group,
-                    plan.instance_factory,
-                    chunk,
-                    self.collect_artifacts,
-                    chunk_seed,
-                )
-                for chunk in chunks
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk_results, artifacts = future.result()
-                    self.jobs_executed += len(chunk_results)
-                    if self.collect_artifacts:
-                        self.artifact_store.update(artifacts)
-                    yield from chunk_results
-        finally:
-            self._finish_run(pool, pending)
+                self.jobs_executed += 1
+            yield result
 
     def run(self, plan: SweepPlan) -> List[JobResult]:
         return sorted(self.iter_run(plan), key=lambda result: result.job_index)
@@ -976,5 +712,4 @@ __all__ = [
     "resolve_worker_count",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
 ]

@@ -11,8 +11,8 @@ relaxation solve per instance.  The sweep-based figures (3, 5-8) compile to
 :class:`~repro.experiments.executor.SweepPlan` jobs over the picklable
 :class:`InstanceSweepFactory` and accept ``executor=`` and ``store=``
 arguments — pass a
-:class:`~repro.experiments.executor.ParallelExecutor` to fan the sweep out
-over a process pool (the table is identical), and a
+:class:`~repro.experiments.scheduler.WorkStealingExecutor` to fan the sweep
+out over a process pool (the table is identical), and a
 :class:`repro.store.ArtifactStore` to persist LP solves and finished jobs
 across invocations (a warm store repeats a figure without a single LP
 solve; an interrupted sweep resumes from its checkpoints).  Default

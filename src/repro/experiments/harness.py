@@ -22,8 +22,8 @@ The harness is layered over three separable pieces:
 * **Executors** (:mod:`repro.experiments.executor`) decide *where* jobs
   run: the default :class:`~repro.experiments.executor.SerialExecutor`
   executes in plan order in-process, and
-  :class:`~repro.experiments.executor.ParallelExecutor` fans out over a
-  process pool — chunked by sweep value so the per-instance
+  :class:`~repro.experiments.scheduler.WorkStealingExecutor` fans out over
+  a process pool — grouped by instance affinity so the per-instance
   :class:`~repro.core.pipeline.SolveContext` LP reuse survives, with
   deterministic result reassembly, so both executors produce identical
   tables for the same plan.
@@ -326,12 +326,10 @@ def run_plan(
                 f"executor {type(executor).__name__} does not support store=; "
                 "construct it with the store or omit the argument"
             )
-        if getattr(executor, "artifact_store", None) or getattr(
-            executor, "collect_artifacts", False
-        ):
+        if getattr(executor, "artifact_store", None):
             raise ValueError(
-                "executor already carries in-memory artifact options; "
-                "construct it with store= instead of binding one here"
+                "executor already holds in-memory artifacts from an earlier "
+                "run; construct it with store= instead of binding one here"
             )
         executor.store = store
         try:
@@ -396,8 +394,8 @@ def sweep(
     sweep point and repetition; metric rows are averaged over repetitions.
     The sweep is first compiled into a :class:`SweepPlan` of picklable jobs
     and then handed to ``executor`` (default: serial; pass a
-    :class:`~repro.experiments.executor.ParallelExecutor` to fan out over a
-    process pool — the table is identical either way).  ``store`` threads a
+    :class:`~repro.experiments.scheduler.WorkStealingExecutor` to fan out
+    over a process pool — the table is identical either way).  ``store`` threads a
     persistent artifact store through the run (LP reuse across invocations
     plus job checkpoints; see :func:`run_plan`); ``progress`` streams each
     finished :class:`JobResult` to a callback (see :func:`run_plan` and

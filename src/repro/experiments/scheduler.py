@@ -1,10 +1,10 @@
 """Cost-model-aware work-stealing scheduler for heterogeneous sweep plans.
 
-The static chunk-by-sweep-value assignment of
-:class:`~repro.experiments.executor.ParallelExecutor` leaves workers idle
-behind the slowest chunk when job costs differ by orders of magnitude (IP at
-large ``n`` next to greedy baselines at small ``n``).  This module replaces
-it with an adaptive scheduler built from three pieces:
+A static split of a plan (say, all repetitions of one sweep value per
+worker) leaves workers idle behind the slowest part when job costs differ
+by orders of magnitude (IP at large ``n`` next to greedy baselines at small
+``n``).  This module schedules the process pool adaptively, from three
+pieces:
 
 * **A per-job cost model** (:class:`CostModel`).  Features are the instance
   dimensions (``n``, ``m``, ``k``) and the line-up's *work shape* — the
@@ -23,18 +23,17 @@ it with an adaptive scheduler built from three pieces:
   build — the affinity key — and groups are ordered by descending estimated
   cost.  Grouping guarantees that all jobs sharing an instance fingerprint
   are claimed by the *same* worker, so the single-LP-solve-per-instance
-  invariant of the chunked executor survives dynamic stealing; LPT ordering
-  guarantees no worker is left grinding the heaviest group while the others
-  sit idle at the tail.
+  invariant survives dynamic stealing; LPT ordering guarantees no worker is
+  left grinding the heaviest group while the others sit idle at the tail.
 * **A shared work queue with dynamic claiming**
   (:class:`WorkStealingExecutor`).  Groups are fed, heaviest first, into one
   shared queue; each worker claims the next unclaimed group the moment it
   goes idle (the claim protocol is the process pool's FIFO task queue —
   claiming is atomic, a group runs on exactly one worker).  Results stream
   back in completion order through ``iter_run``, checkpointing and resuming
-  exactly like the chunked executor: with a persistent ``store=`` every
-  finished job is checkpointed immediately and a killed sweep completes only
-  its unfinished jobs on re-run.
+  exactly like :class:`~repro.experiments.executor.SerialExecutor`: with a
+  persistent ``store=`` every finished job is checkpointed immediately and a
+  killed sweep completes only its unfinished jobs on re-run.
 
 The same cost model schedules :func:`repro.core.sharding.solve_sharded`'s
 per-shard solves (largest predicted shard first) so the sharding engine and
@@ -56,7 +55,6 @@ from repro.experiments.executor import (
     SweepPlan,
     _as_resumed,
     _run_job_group,
-    _run_job_group_store,
     job_checkpoint_key,
     job_timing_signature,
     plan_signature,
@@ -362,7 +360,9 @@ def affinity_key(plan: SweepPlan, job: SweepJob) -> Tuple[Any, ...]:
     it by exposing ``instance_affinity(value, rep_seed)`` —
     :class:`~repro.experiments.figures.FixedInstanceFactory` returns a
     constant, collapsing a whole algorithm-parameter scan into one group so
-    the scan keeps paying a single LP solve even under stealing.
+    the scan keeps paying a single LP solve even under stealing.  A factory
+    that ignores ``rep_seed`` without declaring the hook still gives correct
+    tables, but each of its jobs pays its own LP solve in a pool run.
     """
     hook = getattr(plan.instance_factory, "instance_affinity", None)
     if callable(hook):
@@ -419,13 +419,12 @@ def schedule_groups(
 # The work-stealing executor
 # --------------------------------------------------------------------------- #
 class WorkStealingExecutor:
-    """Adaptive executor: cost-model LPT schedule over a shared claim queue.
+    """The process-pool executor: cost-model LPT schedule over a shared claim queue.
 
-    Drop-in alternative to
-    :class:`~repro.experiments.executor.ParallelExecutor` — same plans, same
-    streaming ``iter_run`` / deterministic ``run`` contract, byte-identical
-    result tables — with the static chunk-by-sweep-value assignment replaced
-    by dynamic claiming of LPT-ordered affinity groups:
+    Same plans and same streaming ``iter_run`` / deterministic ``run``
+    contract as :class:`~repro.experiments.executor.SerialExecutor`, with
+    byte-identical result tables; jobs run in worker processes, claimed
+    dynamically in LPT-ordered affinity groups:
 
     * Remaining (non-resumed) jobs are grouped by :func:`affinity_key`;
       every group is claimed by exactly one worker, so jobs sharing an
@@ -440,26 +439,30 @@ class WorkStealingExecutor:
       queue-based form: a worker that drew a light group comes back for
       more while a heavy group is still running elsewhere.
 
-    Checkpoint interplay matches the chunked executor exactly: with
-    ``store=``, resumed jobs are yielded up front without scheduling, every
-    fresh job is checkpointed by its worker the moment it finishes, fresh
-    wall times are recorded into the timings table (training the very model
-    that scheduled them), and closing ``iter_run`` early cancels unclaimed
-    groups while claimed ones finish and checkpoint.
+    Checkpoint interplay matches the serial executor's: with ``store=``,
+    resumed jobs are yielded up front without scheduling, every fresh job is
+    checkpointed by its worker the moment it finishes, fresh wall times are
+    recorded into the timings table (training the very model that scheduled
+    them), and closing ``iter_run`` early cancels unclaimed groups while
+    claimed ones finish and checkpoint.  Each run starts a fresh pool of
+    ``min(workers, groups)`` processes.
 
     Parameters
     ----------
     workers:
         Pool width; validated and clamped by
-        :func:`~repro.experiments.executor.resolve_worker_count`.
+        :func:`~repro.experiments.executor.resolve_worker_count`.  ``1``
+        still goes through the pool.
     cost_model:
         Explicit :class:`CostModel`.  Default: trained from ``store``'s
         timings when present, analytic otherwise.
     store / resume:
         Persistent :class:`repro.store.ArtifactStore` checkpointing and
-        resume, exactly as on the chunked executor.
-    mp_context:
-        Optional multiprocessing start method.
+        resume, exactly as on the serial executor.  The store object itself
+        is shipped to the workers (it pickles by path and reconnects).
+        Workers that cold-start *concurrently* on one instance may each
+        solve its LP once before either has written it — a benign race
+        (the solver is deterministic and blobs are content-addressed).
     """
 
     def __init__(
@@ -469,24 +472,15 @@ class WorkStealingExecutor:
         cost_model: Optional[CostModel] = None,
         store: Optional[Any] = None,
         resume: bool = True,
-        mp_context: Optional[str] = None,
     ) -> None:
         self.workers = resolve_worker_count(workers)
         self.cost_model = cost_model
         self.store = store
         self.resume = resume
-        self.mp_context = mp_context
         self.jobs_resumed = 0
         self.jobs_executed = 0
         #: The LPT schedule of the most recent run (inspection / tests).
         self.last_schedule: List[ScheduledGroup] = []
-
-    def _mp_ctx(self):
-        if self.mp_context is None:
-            return None
-        import multiprocessing
-
-        return multiprocessing.get_context(self.mp_context)
 
     def _resolve_model(self) -> CostModel:
         if self.cost_model is not None:
@@ -522,46 +516,29 @@ class WorkStealingExecutor:
         if not groups:
             return
 
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(groups)), mp_context=self._mp_ctx()
-        )
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(groups)))
         pending: set = set()
         try:
             # Submission order *is* the queue order: the heaviest group is
             # claimed first, and every idle worker claims the next unclaimed
             # group — the steal.
-            for group in groups:
-                if signature is not None:
-                    pending.add(
-                        pool.submit(
-                            _run_job_group_store,
-                            plan.instance_factory,
-                            group.jobs,
-                            self.store,
-                            signature,
-                            self.resume,
-                        )
-                    )
-                else:
-                    pending.add(
-                        pool.submit(
-                            _run_job_group,
-                            plan.instance_factory,
-                            group.jobs,
-                            False,
-                            None,
-                        )
-                    )
+            pending = {
+                pool.submit(
+                    _run_job_group,
+                    plan.instance_factory,
+                    group.jobs,
+                    self.store,
+                    signature,
+                    self.resume,
+                )
+                for group in groups
+            }
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    if signature is not None:
-                        group_results, resumed = future.result()
-                        self.jobs_resumed += resumed
-                        self.jobs_executed += len(group_results) - resumed
-                    else:
-                        group_results, _artifacts = future.result()
-                        self.jobs_executed += len(group_results)
+                    group_results, resumed = future.result()
+                    self.jobs_resumed += resumed
+                    self.jobs_executed += len(group_results) - resumed
                     yield from group_results
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

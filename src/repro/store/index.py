@@ -8,8 +8,8 @@ fingerprint and ``param_key`` the canonical LP parameter key), ``"tensors"``
 ``fingerprint`` is the plan signature and ``param_key`` the job index).
 
 The connection is configured for concurrent multi-process access — workers
-of a :class:`~repro.experiments.executor.ParallelExecutor` all write to the
-same index: ``journal_mode=WAL`` (readers never block the writer),
+of a :class:`~repro.experiments.scheduler.WorkStealingExecutor` all write to
+the same index: ``journal_mode=WAL`` (readers never block the writer),
 ``synchronous=NORMAL`` and a 30-second ``busy_timeout``.  The connection is
 opened lazily and dropped on pickling, so an index object can ride into a
 worker process and reconnect there.

@@ -18,15 +18,14 @@ The store exposes three keyed surfaces over that substrate:
   interrupted sweeps resume instead of restarting.
 * a mapping-style facade (``get`` / ``__setitem__`` / ``__contains__``) over
   whole :class:`~repro.core.pipeline.ContextArtifacts` snapshots, so the
-  store can stand in wherever the executors accept an in-memory
-  ``fingerprint -> artifacts`` dict.
+  store can stand in for an in-memory ``fingerprint -> artifacts`` dict.
 
 Every load verifies schema version and blob integrity; anything stale,
 missing, truncated or corrupted is evicted and reported as a miss — callers
 re-solve, they never crash.  Instances are picklable (the SQLite connection
 is dropped and lazily reopened), so one store object can be shipped to
-:class:`~repro.experiments.executor.ParallelExecutor` workers, which then
-share the directory through WAL-mode SQLite.
+:class:`~repro.experiments.scheduler.WorkStealingExecutor` workers, which
+then share the directory through WAL-mode SQLite.
 """
 
 from __future__ import annotations

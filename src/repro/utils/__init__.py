@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, validation helpers, timing."""
+"""Shared utilities: deterministic RNG handling and validation helpers."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "check_fraction",
     "check_non_negative",
     "check_positive_int",

@@ -12,15 +12,15 @@ from repro.core.pipeline import SolveContext, instance_fingerprint
 from repro.core.registry import build_runners, runner_payloads
 from repro.data import datasets
 from repro.experiments.executor import (
-    ParallelExecutor,
     SerialExecutor,
     compile_grid,
     compile_sweep,
     resolve_worker_count,
     run_job,
 )
-from repro.experiments.figures import InstanceSweepFactory
+from repro.experiments.figures import FixedInstanceFactory, InstanceSweepFactory
 from repro.experiments.harness import grid, run_algorithms, run_plan, sweep
+from repro.experiments.scheduler import WorkStealingExecutor
 
 
 #: Module-level factories pickle under every multiprocessing start method.
@@ -148,7 +148,7 @@ class TestPlanCompilation:
 
 class TestSerialParallelEquivalence:
     def test_fig3_style_sweep_identical_tables(self):
-        """Acceptance: ParallelExecutor(2) row table == SerialExecutor's."""
+        """Acceptance: WorkStealingExecutor(2) row table == SerialExecutor's."""
         algorithms = build_runners(["AVG", "PER", "GRF"])
         common = dict(seed=0, repetitions=2, x_label="n")
         serial = sweep(
@@ -157,7 +157,7 @@ class TestSerialParallelEquivalence:
         )
         parallel = sweep(
             "equiv", "serial/parallel equivalence", [5, 6], SWEEP_FACTORY,
-            algorithms, executor=ParallelExecutor(workers=2), **common,
+            algorithms, executor=WorkStealingExecutor(workers=2), **common,
         )
         assert _comparable_rows(serial) == _comparable_rows(parallel)
         # The parallel run really crossed process boundaries.
@@ -171,22 +171,26 @@ class TestSerialParallelEquivalence:
         serial = sweep("one", "d", [5], SWEEP_FACTORY, algorithms, seed=3)
         pooled = sweep(
             "one", "d", [5], SWEEP_FACTORY, algorithms, seed=3,
-            executor=ParallelExecutor(workers=1),
+            executor=WorkStealingExecutor(workers=1),
         )
         assert _comparable_rows(serial) == _comparable_rows(pooled)
 
-    def test_jobs_of_one_value_stay_on_one_worker(self):
-        plan = compile_sweep(
-            "chunk", "d", [5, 6], SWEEP_FACTORY, build_runners(["PER"]),
-            seed=0, repetitions=2,
+    def test_shared_instance_scan_stays_on_one_worker_with_one_lp_solve(self):
+        """Jobs declaring one instance affinity run in one worker, one LP."""
+        fixed = FixedInstanceFactory(
+            dataset="timik", num_users=6, num_items=15, num_slots=2
         )
-        executor = ParallelExecutor(workers=2)
-        results = executor.run(plan)
-        by_value = {}
-        for job, result in zip(plan.jobs, sorted(results, key=lambda r: r.job_index)):
-            by_value.setdefault(job.value_index, set()).add(result.provenance["pid"])
-        for pids in by_value.values():
-            assert len(pids) == 1
+        args = ("scan", "d", [0.1, 0.2, 0.3], fixed, build_runners(["AVG-D", "PER"]))
+        serial = sweep(*args, seed=0, repetitions=2)
+        pooled = sweep(
+            *args, seed=0, repetitions=2, executor=WorkStealingExecutor(workers=2)
+        )
+        assert _comparable_rows(serial) == _comparable_rows(pooled)
+        provenance = pooled.parameters["job_provenance"]
+        assert len(provenance) == 6
+        pids = {p["pid"] for p in provenance}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert sum(p["lp_solves"] for p in provenance) == 1
 
     def test_run_algorithms_is_order_independent(self, small_timik_instance):
         """Satellite regression: results no longer depend on dict insertion order."""
@@ -217,7 +221,7 @@ class TestGrid:
     def test_grid_serial_parallel_equivalence(self):
         args = ("g", "d", [4, 5], [2, 3], GridFactory(), build_runners(["AVG"]))
         serial = grid(*args, seed=1)
-        parallel = grid(*args, seed=1, executor=ParallelExecutor(workers=2))
+        parallel = grid(*args, seed=1, executor=WorkStealingExecutor(workers=2))
         assert _comparable_rows(serial) == _comparable_rows(parallel)
 
     def test_compile_grid_enumerates_the_product(self):
@@ -295,20 +299,6 @@ class TestContextArtifacts:
             assert later.provenance["lp_artifact_hits"] >= 1
         assert len(executor.artifact_store) == 1
 
-    def test_artifacts_cross_process_boundaries(self):
-        """Parallel workers ship artifacts back; a later run reuses them."""
-        algorithms = build_runners(["AVG"])
-        plan = compile_sweep(
-            "xproc", "d", [6], ConstantFactory(), algorithms, seed=0, repetitions=2
-        )
-        executor = ParallelExecutor(workers=2, collect_artifacts=True)
-        executor.run(plan)
-        assert len(executor.artifact_store) == 1
-        # A serial executor sharing the store starts with zero LP solves.
-        follow_up = SerialExecutor(artifact_store=executor.artifact_store)
-        results = follow_up.run(plan)
-        assert all(r.provenance["lp_solves"] == 0 for r in results)
-
     def test_run_job_without_store_still_counts(self):
         plan = compile_sweep(
             "nostore", "d", [5], SWEEP_FACTORY, build_runners(["AVG"]), seed=0
@@ -336,7 +326,7 @@ class TestLegacyRunners:
         with pytest.raises(Exception):  # pickling error from the pool
             sweep(
                 "legacy", "d", [5], SWEEP_FACTORY, result_lambda, seed=0,
-                executor=ParallelExecutor(workers=1),
+                executor=WorkStealingExecutor(workers=1),
             )
 
 
@@ -365,48 +355,8 @@ class TestWorkerResolution:
     def test_parallel_executor_clamps_on_construction(self):
         cores = os.cpu_count() or 1
         with pytest.warns(RuntimeWarning):
-            executor = ParallelExecutor(workers=cores + 1)
+            executor = WorkStealingExecutor(workers=cores + 1)
         assert executor.workers == cores
-
-
-class TestPoolReuse:
-    def test_reused_pool_keeps_worker_pids_across_runs(self):
-        """With ``reuse_pool`` the second run re-enters the same processes."""
-        plan = compile_sweep(
-            "reuse", "d", [5, 6], SWEEP_FACTORY, build_runners(["AVG"]), seed=0
-        )
-        with ParallelExecutor(workers=1, reuse_pool=True) as executor:
-            first = {r.provenance["pid"] for r in executor.run(plan)}
-            second = {r.provenance["pid"] for r in executor.run(plan)}
-        assert first == second
-        assert os.getpid() not in first
-
-    def test_fresh_pools_without_reuse(self):
-        """The default keeps the old behaviour: a new pool per run."""
-        plan = compile_sweep(
-            "fresh", "d", [5], SWEEP_FACTORY, build_runners(["AVG"]), seed=0
-        )
-        executor = ParallelExecutor(workers=1)
-        first = {r.provenance["pid"] for r in executor.run(plan)}
-        second = {r.provenance["pid"] for r in executor.run(plan)}
-        assert first and second  # both runs completed in worker processes
-        executor.close()  # harmless when no persistent pool exists
-
-    def test_reused_pool_still_seeds_artifacts_per_run(self):
-        """Seed artifacts reach persistent workers even without an initializer."""
-        algorithms = build_runners(["AVG"])
-        plan = compile_sweep(
-            "reuse-seed", "d", [6], ConstantFactory(), algorithms, seed=0,
-            repetitions=2,
-        )
-        with ParallelExecutor(
-            workers=1, reuse_pool=True, collect_artifacts=True
-        ) as executor:
-            executor.run(plan)
-            assert len(executor.artifact_store) == 1
-            results = executor.run(plan)
-        # Second run reuses the collected artifact: zero fresh LP solves.
-        assert all(r.provenance["lp_solves"] == 0 for r in results)
 
 
 class TestServingPoolReuse:

@@ -233,14 +233,14 @@ class TestFigureExecutorPassthrough:
     """Figure sweeps run unchanged through an explicit executor."""
 
     def test_figure3_through_parallel_executor_matches_serial(self):
-        from repro.experiments import ParallelExecutor
+        from repro.experiments import WorkStealingExecutor
 
         kwargs = dict(
             values=[5, 6], base_items=12, base_slots=2, include_ip=False, repetitions=1
         )
         serial = figures.figure3_small_datasets("n", **kwargs)
         parallel = figures.figure3_small_datasets(
-            "n", executor=ParallelExecutor(workers=2), **kwargs
+            "n", executor=WorkStealingExecutor(workers=2), **kwargs
         )
         assert serial.comparable_rows() == parallel.comparable_rows()
 

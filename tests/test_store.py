@@ -22,7 +22,6 @@ from repro.core.pipeline import SolveContext
 from repro.core.registry import build_runners
 from repro.data import datasets
 from repro.experiments.executor import (
-    ParallelExecutor,
     SerialExecutor,
     compile_sweep,
     job_checkpoint_key,
@@ -31,6 +30,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures import InstanceSweepFactory
 from repro.experiments.harness import ExperimentResult, run_plan, sweep
+from repro.experiments.scheduler import WorkStealingExecutor
 from repro.store import (
     ArtifactStore,
     BlobCorruptionError,
@@ -299,11 +299,11 @@ class TestResumableExecution:
         # The first attempt got through jobs 0 and 1 before being killed —
         # subset plans share scope and job keys with their parent, so this
         # is exactly the checkpoint state a mid-flight kill leaves behind.
-        interrupted = ParallelExecutor(workers=2, store=store)
+        interrupted = WorkStealingExecutor(workers=2, store=store)
         interrupted.run(plan.subset([0, 1]))
         assert store.job_indices(plan_signature(plan)) == [0, 1]
 
-        finisher = ParallelExecutor(workers=2, store=store)
+        finisher = WorkStealingExecutor(workers=2, store=store)
         finished = run_plan(plan, finisher)
         assert finisher.jobs_resumed == 2
         assert finisher.jobs_executed == 2
@@ -316,15 +316,15 @@ class TestResumableExecution:
             "store-close", "d", [5, 6, 7, 8, 9, 10], SlowFactory(),
             build_runners(["PER"]), seed=0, repetitions=1,
         )
-        interrupted = ParallelExecutor(workers=1, store=store)
+        interrupted = WorkStealingExecutor(workers=1, store=store)
         stream = interrupted.iter_run(plan)
         next(stream)
-        stream.close()  # chunks not yet started are cancelled; running ones finish
+        stream.close()  # groups not yet claimed are cancelled; running ones finish
         checkpointed = len(store.job_indices(plan_signature(plan)))
         assert 1 <= checkpointed <= len(plan)
 
         baseline = run_plan(plan, SerialExecutor())
-        finisher = ParallelExecutor(workers=2, store=store)
+        finisher = WorkStealingExecutor(workers=2, store=store)
         finished = run_plan(plan, finisher)
         assert finisher.jobs_resumed == checkpointed
         assert finisher.jobs_resumed + finisher.jobs_executed == len(plan)
@@ -346,7 +346,7 @@ class TestResumableExecution:
     def test_parallel_workers_share_the_store_on_disk(self, store):
         plan = _make_plan(values=(5, 6), repetitions=1)
         serial = run_plan(plan, SerialExecutor())
-        executor = ParallelExecutor(workers=2, store=store)
+        executor = WorkStealingExecutor(workers=2, store=store)
         parallel = run_plan(plan, executor)
         assert executor.jobs_executed == len(plan)
         assert parallel.comparable_rows() == serial.comparable_rows()
@@ -383,15 +383,12 @@ class TestResumableExecution:
         assert len(store.job_indices(plan_signature(plan))) == 1
 
     def test_conflicting_store_options_raise(self, store):
-        with pytest.raises(ValueError, match="not both"):
-            SerialExecutor(artifact_store={}, store=store)
-        with pytest.raises(ValueError, match="supersedes"):
-            ParallelExecutor(collect_artifacts=True, store=store)
-        with pytest.raises(ValueError, match="supersedes"):
-            ParallelExecutor(artifact_store={}, store=store)
         plan = _make_plan(values=(5,), repetitions=1)
-        with pytest.raises(ValueError, match="in-memory artifact options"):
-            run_plan(plan, ParallelExecutor(collect_artifacts=True), store=store)
+        executor = SerialExecutor()
+        run_plan(plan, executor)  # fills the in-memory artifacts
+        assert executor.artifact_store
+        with pytest.raises(ValueError, match="in-memory artifacts"):
+            run_plan(plan, executor, store=store)
 
     def test_sweep_store_passthrough(self, store):
         args = dict(seed=0, repetitions=1, x_label="n")

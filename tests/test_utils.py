@@ -1,14 +1,11 @@
-"""Tests for the shared utilities (rng, validation, timing)."""
+"""Tests for the shared utilities (rng, validation)."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
-from repro.utils.timing import StageTimer, Timer, timed
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -76,37 +73,3 @@ class TestValidation:
             check_probability_matrix(np.array([[-0.1]]), "m")
         with pytest.raises(ValueError):
             check_probability_matrix(np.array([[np.inf]]), "m")
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.02
-        assert len(timer.laps) == 2
-        assert timer.mean_lap > 0
-        timer.reset()
-        assert timer.elapsed == 0.0 and not timer.laps
-
-    def test_timed_decorator(self):
-        @timed
-        def work(x):
-            return x * 2
-
-        result, seconds = work(21)
-        assert result == 42
-        assert seconds >= 0
-
-    def test_stage_timer(self):
-        stages = StageTimer()
-        with stages.stage("lp"):
-            time.sleep(0.005)
-        with stages.stage("rounding"):
-            time.sleep(0.005)
-        with stages.stage("lp"):
-            pass
-        assert set(stages.stages) == {"lp", "rounding"}
-        assert stages.total() >= 0.01
