@@ -4,17 +4,16 @@ This module is the backbone of the unified solver pipeline:
 
 * :class:`SolveContext` wraps one problem instance and lazily computes —
   and caches — the state that several algorithms would otherwise each
-  recompute: the weighted preference/social tensors, the candidate-item
-  scores and sets, and most importantly the LP relaxation solutions keyed
-  by their parameters.  Running the whole paper line-up (AVG, AVG-D,
-  independent rounding, the approximation-guarantee checks) through one
-  context performs exactly one simplified-LP solve per instance; the
-  ``lp_requests`` / ``lp_solves`` counters make that property assertable.
-  :meth:`SolveContext.export_artifacts` / :meth:`SolveContext.from_artifacts`
-  snapshot and rehydrate that state as a picklable
-  :class:`ContextArtifacts`, so sweep repetitions that share an instance —
-  in-process or across executor/process boundaries — reuse the LP solutions
-  instead of re-solving (``lp_artifact_hits`` counts those reuses).
+  recompute: the candidate-item sets and, most importantly, the LP
+  relaxation solutions keyed by their parameters.  Running the whole paper
+  line-up (AVG, AVG-D, independent rounding, the approximation-guarantee
+  checks) through one context performs exactly one simplified-LP solve per
+  instance; the ``lp_requests`` / ``lp_solves`` counters make that property
+  assertable.  A context built with ``store=`` (anything exposing
+  ``load_lp``/``save_lp``) consults it on cache misses and writes fresh
+  solves through, so contexts that share an instance — sweep repetitions,
+  served requests, churn re-solves, other processes — reuse one LP solve
+  (``lp_store_hits`` counts those reuses).
 * The :class:`Stage` protocol describes composable post-processing passes
   over a configuration.  :class:`GreedyCompletionStage` and
   :class:`DuplicateRepairStage` package the existing feasibility repairs;
@@ -50,12 +49,7 @@ import numpy as np
 
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.greedy import greedy_complete
-from repro.core.lp import (
-    FractionalSolution,
-    candidate_items,
-    candidate_scores,
-    solve_lp_relaxation,
-)
+from repro.core.lp import FractionalSolution, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.utils.rng import SeedLike
@@ -97,7 +91,7 @@ def instance_fingerprint(instance: SVGICInstance) -> str:
     """Stable content hash of an instance's defining data.
 
     Two instances with equal users/items/slots, weights and utility tables
-    share a fingerprint regardless of identity, so artifact stores can match
+    share a fingerprint regardless of identity, so LP stores can match
     e.g. the same instance rebuilt by a factory in another process.
     """
     digest = hashlib.sha256()
@@ -116,30 +110,6 @@ def instance_fingerprint(instance: SVGICInstance) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class ContextArtifacts:
-    """Picklable snapshot of a :class:`SolveContext`'s computed state.
-
-    Produced by :meth:`SolveContext.export_artifacts` and consumed by
-    :meth:`SolveContext.from_artifacts`: the weighted tensors, candidate-item
-    sets and keyed LP fractional solutions computed for one instance can be
-    persisted, shipped across process boundaries, and rehydrated into a fresh
-    context so repetitions that share an instance never re-solve the LP.
-    ``fingerprint`` guards against rehydrating onto a different instance.
-    """
-
-    fingerprint: str
-    preference_weight: Optional[np.ndarray] = None
-    pair_weight: Optional[np.ndarray] = None
-    candidate_scores: Optional[np.ndarray] = None
-    candidate_items: Dict[Optional[int], np.ndarray] = field(default_factory=dict)
-    lp_solutions: Dict[Tuple[Any, ...], "FractionalSolution"] = field(default_factory=dict)
-
-    @property
-    def num_lp_solutions(self) -> int:
-        return len(self.lp_solutions)
-
-
 class SolveContext:
     """Lazily computed, cached state shared by every algorithm run on one instance.
 
@@ -149,22 +119,31 @@ class SolveContext:
     AVG-D, independent rounding and the LP upper bound used by the
     approximation-guarantee checks all consume a single solve.
 
+    Parameters
+    ----------
+    instance:
+        The problem instance every cached value belongs to.
+    store:
+        Optional LP store exposing ``load_lp(fingerprint, key)`` and
+        ``save_lp(fingerprint, key, solution)`` (duck-typed so the core
+        layer stays import-free of :mod:`repro.store`).  Misses of the
+        in-memory cache fall through to the store before they fall through
+        to the LP solver, and fresh solves are written through immediately,
+        so every context sharing the store pays each LP exactly once.
+
     Attributes
     ----------
     lp_requests / lp_solves:
         Counters over :meth:`fractional` calls: total requests and requests
         that actually hit the LP solver.  ``lp_hits`` is the difference —
         the number of redundant solves the cache eliminated.
-    lp_artifact_hits:
-        The subset of cache hits served by entries rehydrated from
-        :class:`ContextArtifacts` (as opposed to solves performed by this
-        context in-process).
     lp_store_hits:
-        Requests served by an attached persistent store
-        (:class:`repro.store.ArtifactStore` or anything exposing
-        ``load_lp``/``save_lp``): the load itself plus every later
-        in-memory cache hit on a store-loaded entry.  These survive process
-        *and invocation* boundaries — a warm store makes ``lp_solves`` zero.
+        Requests served by the ``store`` (a persistent
+        :class:`repro.store.ArtifactStore`, an executor's in-memory LP
+        store, or anything exposing ``load_lp``/``save_lp``): the load
+        itself plus every later in-memory cache hit on a store-loaded entry.
+        With a persistent store these survive process *and invocation*
+        boundaries — a warm store makes ``lp_solves`` zero.
     lp_seconds:
         Wall-clock seconds this context spent inside the LP solver (cache
         and store hits cost nothing) — the training signal the sweep
@@ -175,122 +154,21 @@ class SolveContext:
         self.instance = instance
         self.lp_requests = 0
         self.lp_solves = 0
-        self.lp_artifact_hits = 0
         self.lp_store_hits = 0
         self.lp_seconds = 0.0
         self.last_fractional_was_hit = False
         self._lp_cache: Dict[Tuple[Any, ...], FractionalSolution] = {}
-        self._artifact_keys: set = set()
         self._store = store
         self._store_keys: set = set()
         self._candidate_cache: Dict[Optional[int], np.ndarray] = {}
-        self._preference_weight: Optional[np.ndarray] = None
-        self._pair_weight: Optional[np.ndarray] = None
-        self._candidate_scores: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
 
-    def attach_store(self, store: Any) -> None:
-        """Attach a persistent LP store consulted on cache misses.
-
-        ``store`` must expose ``load_lp(fingerprint, key)`` and
-        ``save_lp(fingerprint, key, solution)`` (duck-typed so the core
-        layer stays import-free of :mod:`repro.store`).  Misses of the
-        in-memory cache fall through to the store before they fall through
-        to the LP solver, and fresh solves are written through immediately,
-        so repeated runs on the same machine pay each LP exactly once.
-        """
-        self._store = store
-
-    # -- artifact export / rehydration ---------------------------------- #
     @property
     def fingerprint(self) -> str:
         """Content hash of the wrapped instance (computed once)."""
         if self._fingerprint is None:
             self._fingerprint = instance_fingerprint(self.instance)
         return self._fingerprint
-
-    def export_artifacts(self) -> ContextArtifacts:
-        """Snapshot the computed state for persistence or cross-process reuse.
-
-        Cheap: arrays are shared, not copied (artifacts and context must be
-        treated as read-only afterwards — every consumer in the library is).
-        """
-        return ContextArtifacts(
-            fingerprint=self.fingerprint,
-            preference_weight=self._preference_weight,
-            pair_weight=self._pair_weight,
-            candidate_scores=self._candidate_scores,
-            candidate_items=dict(self._candidate_cache),
-            lp_solutions=dict(self._lp_cache),
-        )
-
-    def adopt_artifacts(
-        self, artifacts: ContextArtifacts, *, strict: bool = True
-    ) -> bool:
-        """Populate this (fresh) context's caches from ``artifacts``.
-
-        The artifact fingerprint must match the instance; with
-        ``strict=False`` a mismatch leaves the context untouched and returns
-        False instead of raising (useful for best-effort artifact stores).
-        Rehydrated LP entries are tracked separately: cache hits on them
-        count into ``lp_artifact_hits``.  Adopting overwrites any
-        previously cached state, so call it before the first use.
-        """
-        if artifacts.fingerprint != self.fingerprint:
-            if strict:
-                raise ValueError(
-                    "artifact fingerprint does not match the instance: "
-                    f"{artifacts.fingerprint[:12]}… vs {self.fingerprint[:12]}…"
-                )
-            return False
-        self._preference_weight = artifacts.preference_weight
-        self._pair_weight = artifacts.pair_weight
-        self._candidate_scores = artifacts.candidate_scores
-        self._candidate_cache = dict(artifacts.candidate_items)
-        self._lp_cache = dict(artifacts.lp_solutions)
-        self._artifact_keys = set(artifacts.lp_solutions)
-        return True
-
-    @classmethod
-    def from_artifacts(
-        cls,
-        instance: SVGICInstance,
-        artifacts: ContextArtifacts,
-        *,
-        strict: bool = True,
-    ) -> "SolveContext":
-        """A context for ``instance`` pre-populated from ``artifacts``.
-
-        Convenience wrapper over :meth:`adopt_artifacts` for callers without
-        an existing context; a mismatch with ``strict=False`` returns a
-        fresh empty context.
-        """
-        context = cls(instance)
-        context.adopt_artifacts(artifacts, strict=strict)
-        return context
-
-    # -- dense weighted tensors ---------------------------------------- #
-    @property
-    def preference_weight(self) -> np.ndarray:
-        """``(n, m)`` weighted preference ``(1 - lambda) * p(u, c)``."""
-        if self._preference_weight is None:
-            lam = self.instance.social_weight
-            self._preference_weight = (1.0 - lam) * self.instance.preference
-        return self._preference_weight
-
-    @property
-    def pair_weight(self) -> np.ndarray:
-        """``(P, m)`` weighted pair social utility ``lambda * w^c_e``."""
-        if self._pair_weight is None:
-            self._pair_weight = self.instance.social_weight * self.instance.pair_social
-        return self._pair_weight
-
-    @property
-    def candidate_scores(self) -> np.ndarray:
-        """``(n, m)`` per-user item scores the candidate pruning ranks by (cached)."""
-        if self._candidate_scores is None:
-            self._candidate_scores = candidate_scores(self.instance)
-        return self._candidate_scores
 
     # -- candidate items ------------------------------------------------ #
     def candidate_item_ids(self, max_items: Optional[int] = None) -> np.ndarray:
@@ -320,8 +198,6 @@ class SolveContext:
         cached = self._lp_cache.get(key)
         if cached is not None:
             self.last_fractional_was_hit = True
-            if key in self._artifact_keys:
-                self.lp_artifact_hits += 1
             if key in self._store_keys:
                 self.lp_store_hits += 1
             return cached
@@ -363,21 +239,17 @@ class SolveContext:
         request's fresh context, so the algorithm dispatch finds the
         relaxation in cache and never touches a solver (``lp_solves`` stays
         zero).  ``source`` controls which hit counter later requests
-        increment: ``"external"`` (plain in-memory hit), ``"artifact"``
-        (counts into ``lp_artifact_hits``) or ``"store"`` (counts into
-        ``lp_store_hits`` — use it when the solution came off a persistent
-        store so warm-path accounting stays truthful).  Build ``key`` with
-        :func:`lp_cache_key` so it matches what the algorithms request.
+        increment: ``"external"`` (plain in-memory hit) or ``"store"``
+        (counts into ``lp_store_hits`` — use it when the solution came off a
+        persistent store so warm-path accounting stays truthful).  Build
+        ``key`` with :func:`lp_cache_key` so it matches what the algorithms
+        request.
         """
-        if source not in {"external", "artifact", "store"}:
-            raise ValueError(
-                f"source must be 'external', 'artifact' or 'store', got {source!r}"
-            )
+        if source not in {"external", "store"}:
+            raise ValueError(f"source must be 'external' or 'store', got {source!r}")
         key = tuple(key)
         self._lp_cache[key] = solution
-        if source == "artifact":
-            self._artifact_keys.add(key)
-        elif source == "store":
+        if source == "store":
             self._store_keys.add(key)
 
     @property
@@ -399,8 +271,8 @@ class SolveContext:
     ) -> Optional[float]:
         """The cached LP bound for the given parameters, or ``None`` — never solves.
 
-        Checks the in-memory cache, then an attached store; a store hit is
-        promoted into the cache.  The churn engine's re-solve policy uses
+        Checks the in-memory cache, then the store; a store hit is promoted
+        into the cache.  The churn engine's re-solve policy uses
         this to track incumbent degradation against the bound without ever
         paying an LP solve on the event hot path.
         """
@@ -424,19 +296,16 @@ class SolveContext:
     def stats(self) -> Dict[str, Any]:
         """Counter snapshot for provenance reporting.
 
-        ``lp_hits`` counts every request served without a solve;
-        ``lp_artifact_hits`` is the subset served by entries rehydrated from
-        artifacts, and ``lp_store_hits`` the subset served by an attached
-        persistent store (the remainder are plain in-process hits).
-        ``lp_seconds`` is the wall time spent inside the LP solver.
+        ``lp_hits`` counts every request served without a solve and
+        ``lp_store_hits`` the subset served by the store (the remainder are
+        plain in-process hits).  ``lp_seconds`` is the wall time spent
+        inside the LP solver.
         """
         return {
             "lp_requests": self.lp_requests,
             "lp_solves": self.lp_solves,
             "lp_hits": self.lp_hits,
-            "lp_artifact_hits": self.lp_artifact_hits,
             "lp_store_hits": self.lp_store_hits,
-            "lp_rehydrated_entries": len(self._artifact_keys),
             "lp_seconds": self.lp_seconds,
         }
 
@@ -942,7 +811,6 @@ def apply_stages(
 
 __all__ = [
     "SolveContext",
-    "ContextArtifacts",
     "instance_fingerprint",
     "lp_cache_key",
     "Stage",

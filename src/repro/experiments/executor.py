@@ -18,11 +18,12 @@ The experiment layer separates *what* a sweep runs from *how* it runs:
   timing), so they cannot drift apart.  Workers rehydrate the algorithm
   registry simply by importing it — registration is an import-time side
   effect of the provider modules.
-* Jobs share an **artifact store** (instance fingerprint →
-  :class:`~repro.core.pipeline.ContextArtifacts`): when a factory rebuilds
-  an identical instance for another repetition, the LP fractional solutions
-  and weighted tensors are rehydrated instead of recomputed.  The serial
-  executor keeps one in-memory store across its runs; a pool worker keeps
+* Jobs share an **LP store** — anything exposing ``load_lp``/``save_lp``
+  keyed by instance fingerprint and LP parameter key: when a factory
+  rebuilds an identical instance for another repetition, its LP relaxation
+  is loaded instead of re-solved (``lp_store_hits`` in the provenance
+  counts the reuse).  Without a persistent ``store=`` the serial executor
+  keeps one :class:`MemoryLPStore` across its runs and a pool worker keeps
   one per claimed group.
 * Execution is **streaming and resumable**: :meth:`Executor.iter_run` yields
   :class:`JobResult` records as jobs finish (completion order, not plan
@@ -30,12 +31,10 @@ The experiment layer separates *what* a sweep runs from *how* it runs:
   stream.  With a persistent ``store=``
   (:class:`repro.store.ArtifactStore`), every finished job is checkpointed
   under the plan's scope signature (:func:`plan_signature`) and its own
-  content key (:func:`job_checkpoint_key`) the moment it completes, each
-  job's :class:`~repro.core.pipeline.SolveContext` consults
-  the store for LP solutions before solving (``lp_store_hits`` in the
-  provenance counts reuses across invocations), and a re-run of the same
-  plan resumes from the persisted results — an interrupted sweep completes
-  only its unfinished jobs.
+  content key (:func:`job_checkpoint_key`) the moment it completes, the
+  same store serves as the LP store (so reuse spans invocations), and a
+  re-run of the same plan resumes from the persisted results — an
+  interrupted sweep completes only its unfinished jobs.
 
 Seeding is order-independent by construction: each job derives its
 repetition seed from ``(sweep name, value, rep)`` and each algorithm run
@@ -60,7 +59,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    MutableMapping,
     Optional,
     Protocol,
     Tuple,
@@ -69,16 +67,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.pipeline import ContextArtifacts, SolveContext
+from repro.core.lp import FractionalSolution
+from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance
 from repro.core.registry import AlgorithmPayload, AlgorithmRunner, runner_payloads
 from repro.metrics.evaluation import EvaluationReport, evaluate_result
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 
 InstanceFactory = Callable[[Any, int], SVGICInstance]
-
-#: Artifact stores map instance fingerprints to exported context artifacts.
-ArtifactStore = MutableMapping[str, ContextArtifacts]
 
 
 # --------------------------------------------------------------------------- #
@@ -188,7 +184,7 @@ class JobResult:
     ``reports`` is keyed by algorithm display name in line-up order;
     ``provenance`` records the job identity, the worker PID, wall time and
     the :class:`SolveContext` LP counters (``lp_solves``, ``lp_hits``,
-    ``lp_artifact_hits``) so schedulers and benchmarks can assert the
+    ``lp_store_hits``) so schedulers and benchmarks can assert the
     one-LP-solve-per-instance property.
     """
 
@@ -429,48 +425,28 @@ def run_algorithms(
 def run_job(
     instance_factory: InstanceFactory,
     job: SweepJob,
-    artifact_store: Optional[ArtifactStore] = None,
+    lp_store: Optional[Any] = None,
 ) -> JobResult:
     """Build the job's instance, rehydrate its runners, dispatch the line-up.
 
     One :class:`SolveContext` is shared by all of the job's context-aware
-    runners.  ``artifact_store`` may be either an in-memory mapping of
-    instance fingerprints to :class:`ContextArtifacts` — the context is
-    rehydrated from a matching entry and the store refreshed with this
-    job's artifacts afterwards — or a persistent keyed store (anything
-    exposing ``load_lp``/``save_lp``, i.e.
-    :class:`repro.store.ArtifactStore`), which is *attached* to the context
-    instead: LP solutions are then loaded lazily per parameter key and
-    written through as they are solved, and reuses count into the
-    ``lp_store_hits`` provenance counter.  Dispatch happens through
-    :func:`run_algorithms`, so each algorithm draws from its own
-    ``derive_seed(rep_seed, name)`` generator and results do not depend on
-    line-up order or scheduling.
+    runners.  ``lp_store`` (a :class:`MemoryLPStore`, a persistent
+    :class:`repro.store.ArtifactStore`, or anything exposing
+    ``load_lp``/``save_lp``) is given to that context: LP solutions are
+    loaded lazily per parameter key and written through as they are
+    solved, and reuses count into the ``lp_store_hits`` provenance counter.
+    Dispatch happens through :func:`run_algorithms`, so each algorithm
+    draws from its own ``derive_seed(rep_seed, name)`` generator and
+    results do not depend on line-up order or scheduling.
     """
     started = time.perf_counter()
     instance = instance_factory(job.value, job.rep_seed)
-    context = SolveContext(instance)
-    keyed_store = artifact_store is not None and hasattr(artifact_store, "load_lp")
-    if keyed_store:
-        context.attach_store(artifact_store)
-    elif artifact_store is not None:
-        artifacts = artifact_store.get(context.fingerprint)
-        if artifacts is not None:
-            context.adopt_artifacts(artifacts)
-
+    context = SolveContext(instance, store=lp_store)
     runners = {
         payload.display_name: payload.rehydrate(columns=job.columns)
         for payload in job.algorithms
     }
     reports = run_algorithms(instance, runners, seed=job.rep_seed, context=context)
-
-    if artifact_store is not None and not keyed_store and (
-        context.lp_solves > 0 or context.fingerprint not in artifact_store
-    ):
-        # Write back only when this job computed something new — pure-hit
-        # jobs leave the stored entry untouched, so executors can tell fresh
-        # artifacts from already-known ones by identity.
-        artifact_store[context.fingerprint] = context.export_artifacts()
 
     elapsed = time.perf_counter() - started
     provenance: Dict[str, Any] = {
@@ -538,6 +514,27 @@ def record_job_timing(store: Any, job: SweepJob, result: JobResult) -> None:
         pass
 
 
+class MemoryLPStore:
+    """In-process LP store: solutions keyed by ``(fingerprint, LP key)``.
+
+    The in-memory counterpart of :class:`repro.store.ArtifactStore`'s
+    ``load_lp``/``save_lp`` surface, backing sweeps run without a
+    persistent ``store=``.  A pure cache: entries are shared, not copied.
+    """
+
+    def __init__(self) -> None:
+        self._solutions: Dict[Tuple[str, Tuple[Any, ...]], FractionalSolution] = {}
+
+    def load_lp(self, fingerprint: str, key: Tuple[Any, ...]) -> Optional[FractionalSolution]:
+        return self._solutions.get((fingerprint, key))
+
+    def save_lp(self, fingerprint: str, key: Tuple[Any, ...], solution: FractionalSolution) -> None:
+        self._solutions[(fingerprint, key)] = solution
+
+    def __len__(self) -> int:
+        return len(self._solutions)
+
+
 def _execute_job(
     instance_factory: InstanceFactory,
     job: SweepJob,
@@ -552,8 +549,8 @@ def _execute_job(
     (unless ``resume`` is off) and a fresh result is checkpointed and its
     wall time recorded the moment it finishes — by whichever process ran
     it, since the store's WAL-mode SQLite index tolerates concurrent
-    writers.  ``backing`` is the artifact store :func:`run_job` reuses LP
-    solutions from.  Returns the result and whether it was resumed.
+    writers.  ``backing`` is the LP store handed to :func:`run_job`.
+    Returns the result and whether it was resumed.
     """
     if store is None:
         return run_job(instance_factory, job, backing), False
@@ -580,13 +577,14 @@ def _run_job_group(
     Module-level so it imports cleanly under both ``fork`` and ``spawn``
     start methods; importing this module (and, transitively, the registry on
     first dispatch) rehydrates all algorithm registrations in the worker.
-    Jobs share the persistent ``store`` when one backs the run and a
-    group-local artifact dict otherwise, so jobs of the group that rebuild
-    one instance pay a single LP solve.  Jobs another process checkpointed
-    in the meantime are skipped (``resume``); returns the group's results
-    plus how many of them were resumed.
+    Jobs share the persistent ``store`` as their LP store when one backs
+    the run and a fresh group-local :class:`MemoryLPStore` otherwise, so
+    jobs of the group that rebuild one instance pay a single LP solve.
+    Jobs another process checkpointed in the meantime are skipped
+    (``resume``); returns the group's results plus how many of them were
+    resumed.
     """
-    backing = store if store is not None else {}
+    backing = store if store is not None else MemoryLPStore()
     results: List[JobResult] = []
     resumed = 0
     for job in jobs:
@@ -646,20 +644,19 @@ class Executor(Protocol):
 class SerialExecutor:
     """Run every job in plan order, in-process — the default executor.
 
-    Behaviour matches the historical ``sweep()`` loop plus two reuse layers:
+    Behaviour matches the historical ``sweep()`` loop plus two reuse layers,
+    both reached through the same ``load_lp``/``save_lp`` surface (reuses
+    count into ``lp_store_hits`` in the job provenance):
 
-    * an in-memory fingerprint →
-      :class:`~repro.core.pipeline.ContextArtifacts` mapping (the
-      ``artifact_store`` attribute), kept across this executor's runs,
-      letting repetitions that rebuild an identical instance reuse its LP
-      solutions (a pure cache: the LP solver is deterministic, so results
-      are unchanged).
+    * an in-memory :class:`MemoryLPStore` (the ``artifact_store``
+      attribute), kept across this executor's runs, letting repetitions
+      that rebuild an identical instance reuse its LP solutions (a pure
+      cache: the LP solver is deterministic, so results are unchanged).
     * ``store`` — a persistent :class:`repro.store.ArtifactStore`, used
-      instead of the in-memory mapping.  LP solutions are then
-      loaded/written through disk (reuse survives invocations;
-      ``lp_store_hits`` in the job provenance counts it), and every finished
-      job is checkpointed under the plan's :func:`plan_signature` as soon as
-      it completes, so an interrupted run resumes from its checkpoints.
+      instead of the in-memory one.  LP solutions are then loaded/written
+      through disk (reuse survives invocations), and every finished job is
+      checkpointed under the plan's :func:`plan_signature` as soon as it
+      completes, so an interrupted run resumes from its checkpoints.
       ``resume=False`` re-executes jobs even when a checkpoint exists (still
       refreshing the checkpoints and still reusing stored LP solutions) —
       useful for measuring warm-store solve counts.
@@ -669,7 +666,7 @@ class SerialExecutor:
     """
 
     def __init__(self, *, store: Optional[Any] = None, resume: bool = True) -> None:
-        self.artifact_store: ArtifactStore = {}
+        self.artifact_store = MemoryLPStore()
         self.store = store
         self.resume = resume
         self.jobs_resumed = 0
@@ -700,7 +697,7 @@ __all__ = [
     "SweepPlan",
     "JobResult",
     "InstanceFactory",
-    "ArtifactStore",
+    "MemoryLPStore",
     "compile_sweep",
     "compile_grid",
     "plan_signature",

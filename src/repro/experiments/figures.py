@@ -121,9 +121,9 @@ class FixedInstanceFactory:
 
     Sweeps that scan an *algorithm* parameter (figure 12's balancing ratio)
     hold the instance constant: every job then shares one instance
-    fingerprint, so an executor-level artifact store — in-memory or the
-    persistent :class:`repro.store.ArtifactStore` — pays the LP relaxation
-    solve exactly once for the whole scan.
+    fingerprint, so the executor's LP store — in-memory or the persistent
+    :class:`repro.store.ArtifactStore` — pays the LP relaxation solve
+    exactly once for the whole scan.
     """
 
     dataset: str = "timik"
@@ -536,9 +536,9 @@ def figure12_r_sensitivity(
     x-axis is the balancing ratio, bound to AVG-D's ``balancing_ratio``
     kwarg through a payload column binding, while a
     :class:`FixedInstanceFactory` holds the instance constant — so the
-    whole scan shares one instance fingerprint and the executor's artifact
-    store pays a single LP relaxation solve for all ratios (persisted
-    across invocations when a ``store=`` is passed).  The IP optimum used
+    whole scan shares one instance fingerprint and the executor's LP store
+    pays a single LP relaxation solve for all ratios (persisted across
+    invocations when a ``store=`` is passed).  The IP optimum used
     for the optimality series is solved once, outside the plan.
     """
     factory = FixedInstanceFactory(

@@ -248,8 +248,9 @@ class CostModel:
     def from_store(cls, store: Any, *, min_samples: int = 3) -> "CostModel":
         """A model trained on every timing the store has accumulated.
 
-        Stores without a timings surface (plain dict artifact stores) yield
-        a cold model — the analytic fallback covers them.
+        Stores without a timings surface (such as the executors' in-memory
+        :class:`~repro.experiments.executor.MemoryLPStore`) yield a cold
+        model — the analytic fallback covers them.
         """
         if store is None or not hasattr(store, "load_timings"):
             return cls(min_samples=min_samples)

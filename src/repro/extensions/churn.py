@@ -119,7 +119,7 @@ def solve_active(
     ``configuration`` has the solved rows for active users and either the
     ``previous_assignment`` rows (stale, session-style) or ``UNASSIGNED``
     elsewhere.  ``preference`` optionally overrides the instance's table
-    (drift support); ``store`` is attached to the solve's
+    (drift support); ``store`` is given to the solve's
     :class:`SolveContext` so the LP is warm-started across recurring active
     sets.  ``context`` is ``None`` when no user is active.
     """
@@ -134,9 +134,7 @@ def solve_active(
         return SAVGConfiguration(assignment=assignment, num_items=instance.num_items), 0.0, None
     active_ids = np.nonzero(active)[0]
     sub_instance, mapping = base.subgroup_instance([int(u) for u in active_ids])
-    context = SolveContext(sub_instance)
-    if store is not None:
-        context.attach_store(store)
+    context = SolveContext(sub_instance, store=store)
     result = run_registered(algorithm, sub_instance, context=context, **algorithm_options)
     assignment[mapping] = result.configuration.assignment
     config = SAVGConfiguration(assignment=assignment, num_items=instance.num_items)

@@ -89,9 +89,7 @@ def _decode_in_worker(
     from repro.utils.rng import derive_seed
 
     started = time.perf_counter()
-    context = SolveContext(instance)
-    if store is not None:
-        context.attach_store(store)
+    context = SolveContext(instance, store=store)
     context.install_lp_solution(key, solution, source=source)
     result = run_registered(
         algorithm, instance, context=context, rng=derive_seed(seed, algorithm)

@@ -22,22 +22,19 @@ from repro.solvers.linprog import (
     LinearProgram,
     LPResult,
     solve_block_diagonal,
-    solve_linear_program,
     stack_programs,
 )
-from repro.solvers.milp import MILPResult, MixedIntegerProgram, solve_milp
+from repro.solvers.milp import MILPResult, MixedIntegerProgram
 
 __all__ = [
     "LinearProgram",
     "LPResult",
-    "solve_linear_program",
     "stack_programs",
     "solve_block_diagonal",
     "TripletConstraintBlock",
     "stack_constraint_blocks",
     "MixedIntegerProgram",
     "MILPResult",
-    "solve_milp",
     "BranchAndBoundSolver",
     "BnBResult",
 ]

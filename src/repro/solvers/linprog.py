@@ -256,46 +256,10 @@ def solve_block_diagonal(
     return results
 
 
-def solve_linear_program(
-    objective: np.ndarray,
-    *,
-    a_ub: Optional[sparse.spmatrix] = None,
-    b_ub: Optional[np.ndarray] = None,
-    a_eq: Optional[sparse.spmatrix] = None,
-    b_eq: Optional[np.ndarray] = None,
-    lower_bounds: Optional[np.ndarray] = None,
-    upper_bounds: Optional[np.ndarray] = None,
-) -> LPResult:
-    """One-shot functional interface: maximize ``objective @ x`` under the given constraints."""
-    objective = np.asarray(objective, dtype=float)
-    n = objective.shape[0]
-    lb = np.zeros(n) if lower_bounds is None else np.asarray(lower_bounds, float)
-    ub = np.ones(n) if upper_bounds is None else np.asarray(upper_bounds, float)
-    start = time.perf_counter()
-    result = linprog(
-        c=-objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    elapsed = time.perf_counter() - start
-    if not result.success:
-        raise LPError(f"LP solve failed: {result.message}")
-    return LPResult(
-        values=np.asarray(result.x, dtype=float),
-        objective=-float(result.fun),
-        solve_seconds=elapsed,
-    )
-
-
 __all__ = [
     "LinearProgram",
     "LPResult",
     "LPError",
-    "solve_linear_program",
     "stack_programs",
     "solve_block_diagonal",
 ]

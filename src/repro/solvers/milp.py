@@ -216,62 +216,4 @@ class MixedIntegerProgram:
         )
 
 
-def solve_milp(
-    objective: np.ndarray,
-    constraint_matrix: Optional[sparse.spmatrix],
-    constraint_lower: Optional[np.ndarray],
-    constraint_upper: Optional[np.ndarray],
-    integrality: np.ndarray,
-    *,
-    lower_bounds: Optional[np.ndarray] = None,
-    upper_bounds: Optional[np.ndarray] = None,
-    time_limit: Optional[float] = None,
-    mip_rel_gap: Optional[float] = None,
-) -> MILPResult:
-    """Functional one-shot MILP maximization interface.
-
-    Raises :class:`MILPError` when ``constraint_lower`` / ``constraint_upper``
-    or ``integrality`` do not match the constraint matrix / objective shapes.
-    """
-    objective = np.asarray(objective, dtype=float)
-    n = objective.shape[0]
-    integrality = np.asarray(integrality, dtype=np.int64).ravel()
-    if integrality.shape[0] != n:
-        raise MILPError(
-            f"integrality has {integrality.shape[0]} entries but the objective "
-            f"has {n} variables"
-        )
-    program = MixedIntegerProgram(
-        n,
-        lower_bounds=np.zeros(n) if lower_bounds is None else lower_bounds,
-        upper_bounds=np.ones(n) if upper_bounds is None else upper_bounds,
-    )
-    program.objective = objective
-    program.integrality = integrality
-    if constraint_matrix is not None:
-        coo = sparse.coo_matrix(constraint_matrix)
-        num_rows = coo.shape[0]
-        if constraint_lower is None:
-            lower = np.full(num_rows, -np.inf)
-        else:
-            lower = np.asarray(constraint_lower, dtype=float).ravel()
-            if lower.shape[0] != num_rows:
-                raise MILPError(
-                    f"constraint_lower has {lower.shape[0]} entries but the "
-                    f"constraint matrix has {num_rows} rows"
-                )
-        if constraint_upper is None:
-            upper = np.full(num_rows, np.inf)
-        else:
-            upper = np.asarray(constraint_upper, dtype=float).ravel()
-            if upper.shape[0] != num_rows:
-                raise MILPError(
-                    f"constraint_upper has {upper.shape[0]} entries but the "
-                    f"constraint matrix has {num_rows} rows"
-                )
-        if num_rows:
-            program.add_range_constraints_batch(coo.row, coo.col, coo.data, lower, upper)
-    return program.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-
-
-__all__ = ["MixedIntegerProgram", "MILPResult", "MILPError", "solve_milp"]
+__all__ = ["MixedIntegerProgram", "MILPResult", "MILPError"]

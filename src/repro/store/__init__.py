@@ -1,20 +1,18 @@
 """Persistent, content-addressed artifact/result store for solve state.
 
-The store is the disk-backed sibling of the in-memory artifact maps used by
-the experiment executors: a SQLite index (WAL journal, busy-timeout) over
-content-addressed ``.npz`` blob payloads.  Three kinds of entries share the
+The store is the disk-backed sibling of the in-memory LP store the
+experiment executors use without it
+(:class:`~repro.experiments.executor.MemoryLPStore`; both expose
+``load_lp``/``save_lp``): a SQLite index (WAL journal, busy-timeout) over
+content-addressed ``.npz`` blob payloads.  Two kinds of entries share the
 same index/blob substrate:
 
 * **LP relaxation solutions**, keyed by
   :func:`repro.core.pipeline.instance_fingerprint` plus the *full* LP
-  parameter tuple — attached to a
-  :class:`~repro.core.pipeline.SolveContext`, the store turns every LP
-  relaxation into a once-per-machine cost (the context's ``lp_store_hits``
-  counter makes the reuse assertable across process *and invocation*
-  boundaries).
-* **Context tensors** (the weighted preference/pair tensors and candidate
-  item sets of a :class:`~repro.core.pipeline.ContextArtifacts` snapshot),
-  keyed by instance fingerprint.
+  parameter tuple — given to a :class:`~repro.core.pipeline.SolveContext`
+  as its ``store=``, the store turns every LP relaxation into a
+  once-per-machine cost (the context's ``lp_store_hits`` counter makes the
+  reuse assertable across process *and invocation* boundaries).
 * **Job results** — finished :class:`~repro.experiments.executor.JobResult`
   records keyed by the plan's scope signature
   (:func:`~repro.experiments.executor.plan_signature`) and a per-job content

@@ -8,15 +8,18 @@ detectable: a read re-hashes the bytes and refuses to return data whose
 digest does not match its name (a truncated or bit-flipped file raises
 :class:`BlobCorruptionError`, which the index layer turns into an eviction).
 
-Writes are atomic: the payload lands in a process-unique temporary file that
-is ``os.replace``-d into place, so concurrent writers (parallel sweep
-workers sharing one store directory) can never expose a half-written blob.
+Writes are atomic: the payload lands in a temporary file unique to the
+writing process *and thread* that is ``os.replace``-d into place, so
+concurrent writers (parallel sweep workers sharing one store directory, or
+threads sharing one store object) can never expose a half-written blob or
+race on one temporary path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from pathlib import Path
 
 
@@ -44,7 +47,7 @@ class BlobStore:
         if path.exists():
             return digest
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{digest}.tmp-{os.getpid()}"
+        tmp = path.parent / f".{digest}.tmp-{os.getpid()}-{threading.get_ident()}"
         tmp.write_bytes(data)
         os.replace(tmp, path)
         return digest

@@ -67,11 +67,6 @@ def lp_param_key(key: Tuple[Any, ...]) -> str:
     return json.dumps(list(key))
 
 
-def parse_lp_param_key(param_key: str) -> Tuple[Any, ...]:
-    """Inverse of :func:`lp_param_key`."""
-    return tuple(json.loads(param_key))
-
-
 def encode_fractional(solution: FractionalSolution) -> Tuple[Dict[str, Any], ArrayDict]:
     meta = {
         "kind": "fractional-solution",
@@ -96,52 +91,6 @@ def decode_fractional(meta: Dict[str, Any], arrays: ArrayDict) -> FractionalSolu
         formulation=str(meta["formulation"]),
         candidate_item_ids=arrays["candidate_item_ids"],
     )
-
-
-# --------------------------------------------------------------------------- #
-# Context tensors (the non-LP part of a ContextArtifacts snapshot)
-# --------------------------------------------------------------------------- #
-_TENSOR_FIELDS = ("preference_weight", "pair_weight", "candidate_scores")
-
-
-def encode_tensors(artifacts: Any) -> Tuple[Dict[str, Any], ArrayDict]:
-    """Encode the tensor/candidate part of a :class:`ContextArtifacts`.
-
-    LP solutions are *not* included — they live in their own per-parameter
-    entries so they can be loaded (and evicted) independently.
-    """
-    arrays: ArrayDict = {}
-    present = []
-    for name in _TENSOR_FIELDS:
-        value = getattr(artifacts, name)
-        if value is not None:
-            arrays[name] = value
-            present.append(name)
-    candidate_labels = []
-    for key, ids in artifacts.candidate_items.items():
-        label = "none" if key is None else str(int(key))
-        candidate_labels.append(label)
-        arrays[f"candidate::{label}"] = ids
-    meta = {
-        "kind": "context-tensors",
-        "fingerprint": artifacts.fingerprint,
-        "tensors": present,
-        "candidate_labels": candidate_labels,
-    }
-    return meta, arrays
-
-
-def decode_tensors(meta: Dict[str, Any], arrays: ArrayDict) -> Dict[str, Any]:
-    """Decode a tensors payload into :class:`ContextArtifacts` constructor kwargs."""
-    kwargs: Dict[str, Any] = {"fingerprint": str(meta["fingerprint"])}
-    for name in _TENSOR_FIELDS:
-        kwargs[name] = arrays[name] if name in meta.get("tensors", []) else None
-    candidates: Dict[Any, np.ndarray] = {}
-    for label in meta.get("candidate_labels", []):
-        key = None if label == "none" else int(label)
-        candidates[key] = arrays[f"candidate::{label}"]
-    kwargs["candidate_items"] = candidates
-    return kwargs
 
 
 # --------------------------------------------------------------------------- #
@@ -208,11 +157,8 @@ __all__ = [
     "pack_payload",
     "unpack_payload",
     "lp_param_key",
-    "parse_lp_param_key",
     "encode_fractional",
     "decode_fractional",
-    "encode_tensors",
-    "decode_tensors",
     "encode_job_result",
     "decode_job_result",
 ]

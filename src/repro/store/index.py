@@ -3,9 +3,10 @@
 One ``entries`` table maps ``(namespace, fingerprint, param_key)`` to a blob
 digest plus the codec schema version it was written with.  The namespaces in
 use are ``"lp"`` (LP relaxation solutions; ``fingerprint`` is the instance
-fingerprint and ``param_key`` the canonical LP parameter key), ``"tensors"``
-(context tensor snapshots) and ``"job"`` (executor job checkpoints;
-``fingerprint`` is the plan signature and ``param_key`` the job index).
+fingerprint and ``param_key`` the canonical LP parameter key) and ``"job"``
+(executor job checkpoints; ``fingerprint`` is the plan signature and
+``param_key`` the job's content key, whose index lives in the payload).
+A ``timings`` table next to it holds observed job wall times.
 
 The connection is configured for concurrent multi-process access — workers
 of a :class:`~repro.experiments.scheduler.WorkStealingExecutor` all write to
@@ -163,22 +164,6 @@ class SQLiteIndex:
                 (namespace, fingerprint),
             ).fetchall()
         return [(str(pk), str(sha), int(sv)) for pk, sha, sv in rows]
-
-    def fingerprints(self, *namespaces: str) -> List[str]:
-        """Distinct fingerprints present in any of ``namespaces`` (sorted)."""
-        with self._lock:
-            if not namespaces:
-                rows = self.connection.execute(
-                    "SELECT DISTINCT fingerprint FROM entries ORDER BY fingerprint"
-                ).fetchall()
-            else:
-                marks = ",".join("?" for _ in namespaces)
-                rows = self.connection.execute(
-                    f"SELECT DISTINCT fingerprint FROM entries WHERE namespace IN ({marks})"
-                    " ORDER BY fingerprint",
-                    namespaces,
-                ).fetchall()
-        return [str(row[0]) for row in rows]
 
     def count(self, namespace: Optional[str] = None) -> int:
         """Number of entries (in one namespace, or overall)."""

@@ -10,15 +10,16 @@ The store exposes three keyed surfaces over that substrate:
 
 * ``load_lp`` / ``save_lp`` — LP relaxation solutions keyed by instance
   fingerprint **plus the full LP parameter tuple**.  This is the surface a
-  :class:`~repro.core.pipeline.SolveContext` consults when a store is
-  attached: a cache miss falls through to disk before it falls through to
-  the solver, and fresh solves are written through immediately.
+  :class:`~repro.core.pipeline.SolveContext` built with ``store=`` consults:
+  a cache miss falls through to disk before it falls through to the solver,
+  and fresh solves are written through immediately.  The executors'
+  in-memory :class:`~repro.experiments.executor.MemoryLPStore` implements
+  the same two methods for runs without a persistent store.
 * ``load_job`` / ``save_job`` — executor checkpoints keyed by plan signature
-  and job index; the streaming executors write one entry per finished job so
-  interrupted sweeps resume instead of restarting.
-* a mapping-style facade (``get`` / ``__setitem__`` / ``__contains__``) over
-  whole :class:`~repro.core.pipeline.ContextArtifacts` snapshots, so the
-  store can stand in for an in-memory ``fingerprint -> artifacts`` dict.
+  and a per-job content key; the streaming executors write one entry per
+  finished job so interrupted sweeps resume instead of restarting.
+* ``record_timing`` / ``load_timings`` — observed job wall times, the sweep
+  scheduler's cost-model training data.
 
 Every load verifies schema version and blob integrity; anything stale,
 missing, truncated or corrupted is evicted and reported as a miss — callers
@@ -32,32 +33,27 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.lp import FractionalSolution
-from repro.core.pipeline import ContextArtifacts
 from repro.experiments.executor import JobResult
 from repro.store.blobs import BlobStore
 from repro.store.codecs import (
     SCHEMA_VERSION,
     decode_fractional,
     decode_job_result,
-    decode_tensors,
     encode_fractional,
     encode_job_result,
-    encode_tensors,
     lp_param_key,
     pack_payload,
-    parse_lp_param_key,
     unpack_payload,
 )
 from repro.store.index import SQLiteIndex
 
 #: Index namespaces (see repro.store.index for the key layout per namespace).
 NS_LP = "lp"
-NS_TENSORS = "tensors"
 NS_JOB = "job"
 
 
@@ -117,7 +113,7 @@ class ArtifactStore:
         self._blobs.delete(blob_sha)
         self.evictions += 1
 
-    def _load(self, namespace: str, fingerprint: str, param_key: str = "") -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
+    def _load(self, namespace: str, fingerprint: str, param_key: str) -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
         """Verified ``(meta, arrays)`` of one entry, or None (evicting bad state)."""
         row = self._index.get(namespace, fingerprint, param_key)
         if row is None:
@@ -191,57 +187,6 @@ class ArtifactStore:
                 continue
         return sorted(indices)
 
-    # -- mapping facade over whole ContextArtifacts ----------------------- #
-    def get(self, fingerprint: str, default: Any = None) -> Optional[ContextArtifacts]:
-        """Assemble a :class:`ContextArtifacts` from every entry of ``fingerprint``.
-
-        Combines the tensors payload (if any) with all LP solutions stored
-        for the fingerprint; returns ``default`` when nothing is stored.
-        """
-        tensors = self._load(NS_TENSORS, fingerprint)
-        lp_solutions: Dict[Tuple[Any, ...], FractionalSolution] = {}
-        for param_key, _, _ in self._index.params(NS_LP, fingerprint):
-            loaded = self._load(NS_LP, fingerprint, param_key)
-            if loaded is not None:
-                lp_solutions[parse_lp_param_key(param_key)] = decode_fractional(*loaded)
-        if tensors is None and not lp_solutions:
-            return default
-        if tensors is not None:
-            kwargs = decode_tensors(*tensors)
-        else:
-            kwargs = {"fingerprint": fingerprint}
-        return ContextArtifacts(lp_solutions=lp_solutions, **kwargs)
-
-    def __setitem__(self, fingerprint: str, artifacts: ContextArtifacts) -> None:
-        self._save(NS_TENSORS, fingerprint, "", *encode_tensors(artifacts))
-        for key, solution in artifacts.lp_solutions.items():
-            self.save_lp(fingerprint, key, solution)
-
-    def __getitem__(self, fingerprint: str) -> ContextArtifacts:
-        artifacts = self.get(fingerprint)
-        if artifacts is None:
-            raise KeyError(fingerprint)
-        return artifacts
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return (
-            self._index.get(NS_TENSORS, fingerprint, "") is not None
-            or bool(self._index.params(NS_LP, fingerprint))
-        )
-
-    def __len__(self) -> int:
-        return len(self._index.fingerprints(NS_TENSORS, NS_LP))
-
-    def keys(self) -> List[str]:
-        return self._index.fingerprints(NS_TENSORS, NS_LP)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def update(self, mapping: Mapping[str, ContextArtifacts]) -> None:
-        for fingerprint, artifacts in mapping.items():
-            self[fingerprint] = artifacts
-
     # -- observed job timings (cost-model training data) ------------------ #
     def record_timing(
         self,
@@ -278,4 +223,4 @@ class ArtifactStore:
         self._index.clear()
 
 
-__all__ = ["ArtifactStore", "NS_LP", "NS_TENSORS", "NS_JOB"]
+__all__ = ["ArtifactStore", "NS_LP", "NS_JOB"]

@@ -237,11 +237,9 @@ class TestPeekLPBound:
 
     def test_peek_promotes_store_entry(self, st_instance, tmp_path):
         store = ArtifactStore(tmp_path / "peek-store")
-        warm = SolveContext(st_instance)
-        warm.attach_store(store)
+        warm = SolveContext(st_instance, store=store)
         bound = warm.lp_upper_bound()
-        cold = SolveContext(st_instance)
-        cold.attach_store(store)
+        cold = SolveContext(st_instance, store=store)
         assert cold.peek_lp_bound() == pytest.approx(bound)
         assert cold.lp_solves == 0
 

@@ -1,4 +1,4 @@
-"""Tests for sweep plans, executors and SolveContext artifact rehydration."""
+"""Tests for sweep plans, executors and LP reuse across a sweep's jobs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.pipeline import SolveContext, instance_fingerprint
+from repro.core.pipeline import instance_fingerprint
 from repro.core.registry import build_runners, runner_payloads
 from repro.data import datasets
 from repro.experiments.executor import (
@@ -21,6 +21,7 @@ from repro.experiments.executor import (
 from repro.experiments.figures import FixedInstanceFactory, InstanceSweepFactory
 from repro.experiments.harness import grid, run_algorithms, run_plan, sweep
 from repro.experiments.scheduler import WorkStealingExecutor
+from repro.store import ArtifactStore
 
 
 #: Module-level factories pickle under every multiprocessing start method.
@@ -231,52 +232,7 @@ class TestGrid:
         assert [job.value for job in plan.jobs] == [(4, 2), (4, 3), (5, 2), (5, 3)]
 
 
-class TestContextArtifacts:
-    def test_rehydrated_lp_matches_fresh_solve(self, small_timik_instance):
-        """Acceptance: artifact-rehydrated LP solutions match fresh solves to 1e-9."""
-        ctx = SolveContext(small_timik_instance)
-        solved = ctx.fractional()
-        artifacts = ctx.export_artifacts()
-
-        rehydrated = SolveContext.from_artifacts(small_timik_instance, artifacts)
-        cached = rehydrated.fractional()
-        fresh = SolveContext(small_timik_instance).fractional()
-
-        assert rehydrated.lp_solves == 0
-        assert rehydrated.lp_artifact_hits == 1
-        assert cached.objective == pytest.approx(fresh.objective, abs=1e-9)
-        np.testing.assert_allclose(
-            cached.compact_factors, fresh.compact_factors, atol=1e-9
-        )
-        np.testing.assert_allclose(cached.slot_factors, fresh.slot_factors, atol=1e-9)
-        assert cached.objective == solved.objective
-
-    def test_artifact_hit_counters_distinguish_rehydration(self, small_timik_instance):
-        ctx = SolveContext(small_timik_instance)
-        ctx.fractional()
-        rehydrated = SolveContext.from_artifacts(
-            small_timik_instance, ctx.export_artifacts()
-        )
-        rehydrated.fractional()
-        rehydrated.fractional()
-        rehydrated.fractional(formulation="full")  # miss: solved in-process
-        rehydrated.fractional(formulation="full")  # in-process hit
-        stats = rehydrated.stats()
-        assert stats["lp_requests"] == 4
-        assert stats["lp_solves"] == 1
-        assert stats["lp_hits"] == 3
-        assert stats["lp_artifact_hits"] == 2
-        assert stats["lp_rehydrated_entries"] == 1
-
-    def test_fingerprint_mismatch_raises(self, small_timik_instance, tiny_instance):
-        artifacts = SolveContext(small_timik_instance).export_artifacts()
-        with pytest.raises(ValueError, match="fingerprint"):
-            SolveContext.from_artifacts(tiny_instance, artifacts)
-        relaxed = SolveContext.from_artifacts(
-            tiny_instance, artifacts, strict=False
-        )
-        assert relaxed.lp_requests == 0 and not relaxed._artifact_keys
-
+class TestLPReuse:
     def test_fingerprint_is_content_based(self):
         a = datasets.make_instance("timik", num_users=6, num_items=12, num_slots=2, seed=5)
         b = datasets.make_instance("timik", num_users=6, num_items=12, num_slots=2, seed=5)
@@ -285,19 +241,36 @@ class TestContextArtifacts:
         assert instance_fingerprint(a) == instance_fingerprint(b)
         assert instance_fingerprint(a) != instance_fingerprint(c)
 
-    def test_artifacts_reused_across_repetitions_sharing_an_instance(self):
-        """Reps rebuilding an identical instance skip the LP solve entirely."""
+    @pytest.mark.parametrize("backing", ["memory", "persistent"])
+    def test_artifacts_reused_across_repetitions_sharing_an_instance(
+        self, backing, tmp_path
+    ):
+        """Reps rebuilding an identical instance skip the LP solve entirely.
+
+        The executor's in-memory LP store and a persistent store serve the
+        reuse through the same ``load_lp``/``save_lp`` surface, so both
+        backings report the same counters.
+        """
         plan = compile_sweep(
             "shared", "d", [6], ConstantFactory(), build_runners(["AVG", "AVG-D"]),
             seed=0, repetitions=3,
         )
-        executor = SerialExecutor()
+        if backing == "memory":
+            executor = SerialExecutor()
+        else:
+            executor = SerialExecutor(store=ArtifactStore(tmp_path / "store"))
         results = executor.run(plan)
-        assert results[0].provenance["lp_solves"] == 1
-        for later in results[1:]:
-            assert later.provenance["lp_solves"] == 0
-            assert later.provenance["lp_artifact_hits"] >= 1
-        assert len(executor.artifact_store) == 1
+        counters = [
+            (p["lp_solves"], p["lp_requests"], p["lp_hits"], p["lp_store_hits"])
+            for p in (result.provenance for result in results)
+        ]
+        # AVG solves (or loads) the LP; AVG-D hits the same in-memory entry.
+        assert counters == [(1, 2, 1, 0), (0, 2, 2, 2), (0, 2, 2, 2)]
+        if backing == "memory":
+            assert len(executor.artifact_store) == 1
+        else:
+            assert len(executor.artifact_store) == 0
+            assert executor.store.index.count("lp") == 1
 
     def test_run_job_without_store_still_counts(self):
         plan = compile_sweep(
@@ -305,7 +278,7 @@ class TestContextArtifacts:
         )
         result = run_job(plan.instance_factory, plan.jobs[0], None)
         assert result.provenance["lp_solves"] == 1
-        assert result.provenance["lp_artifact_hits"] == 0
+        assert result.provenance["lp_store_hits"] == 0
 
 
 class TestLegacyRunners:

@@ -65,14 +65,6 @@ class TestSolveContext:
         second = ctx.candidate_item_ids()
         assert first is second
 
-    def test_weighted_tensors(self, tiny_instance):
-        ctx = SolveContext(tiny_instance)
-        lam = tiny_instance.social_weight
-        np.testing.assert_allclose(
-            ctx.preference_weight, (1 - lam) * tiny_instance.preference
-        )
-        np.testing.assert_allclose(ctx.pair_weight, lam * tiny_instance.pair_social)
-
 
 class TestBasicStages:
     def test_greedy_completion_fills_partial_configuration(self, tiny_instance):

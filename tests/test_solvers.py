@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
-from repro.solvers.linprog import LinearProgram, LPError, solve_linear_program
-from repro.solvers.milp import MILPError, MixedIntegerProgram, solve_milp
+from repro.solvers.linprog import LinearProgram, LPError
+from repro.solvers.milp import MixedIntegerProgram
 
 
 class TestLinearProgram:
@@ -53,10 +52,6 @@ class TestLinearProgram:
         lp.add_eq_constraint([(1, 1.0)], 0.5)
         assert lp.num_le_constraints == 1
         assert lp.num_eq_constraints == 1
-
-    def test_functional_interface(self):
-        result = solve_linear_program(np.array([1.0, 2.0]))
-        assert result.objective == pytest.approx(3.0)
 
     def test_rejects_zero_variables(self):
         with pytest.raises(ValueError):
@@ -210,40 +205,6 @@ class TestMixedIntegerProgram:
         # A tiny model always solves within any limit; just check the call path.
         result = self.build_knapsack().solve(time_limit=10.0)
         assert result.objective == pytest.approx(8.0)
-
-
-class TestSolveMilpFunctional:
-    """The one-shot ``solve_milp`` interface, including its shape validation."""
-
-    def knapsack_inputs(self):
-        matrix = sparse.coo_matrix(np.array([[2.0, 3.0, 1.0]]))
-        return np.array([5.0, 4.0, 3.0]), matrix, np.ones(3, dtype=np.int64)
-
-    def test_solves_knapsack(self):
-        objective, matrix, integrality = self.knapsack_inputs()
-        result = solve_milp(objective, matrix, None, np.array([4.0]), integrality)
-        assert result.objective == pytest.approx(8.0)
-
-    def test_no_constraints(self):
-        result = solve_milp(np.array([1.0, 2.0]), None, None, None, np.zeros(2))
-        assert result.objective == pytest.approx(3.0)
-
-    def test_rejects_constraint_lower_length_mismatch(self):
-        objective, matrix, integrality = self.knapsack_inputs()
-        # Regression: a 2-entry lower bound against a 1-row matrix used to be
-        # silently zipped away instead of raising.
-        with pytest.raises(MILPError, match="constraint_lower has 2 entries"):
-            solve_milp(objective, matrix, np.zeros(2), np.array([4.0]), integrality)
-
-    def test_rejects_constraint_upper_length_mismatch(self):
-        objective, matrix, integrality = self.knapsack_inputs()
-        with pytest.raises(MILPError, match="constraint_upper has 3 entries"):
-            solve_milp(objective, matrix, None, np.full(3, 4.0), integrality)
-
-    def test_rejects_integrality_length_mismatch(self):
-        objective, matrix, _ = self.knapsack_inputs()
-        with pytest.raises(MILPError, match="integrality has 2 entries"):
-            solve_milp(objective, matrix, None, np.array([4.0]), np.ones(2))
 
 
 class TestBranchAndBound:

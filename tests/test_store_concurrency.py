@@ -32,8 +32,7 @@ def _warm_hit_in_process(root: str, seed: int):
     """Open the store in a fresh process and solve from it (module-level for pickling)."""
     store = ArtifactStore(root)
     instance = make_instance(seed)
-    context = SolveContext(instance)
-    context.attach_store(store)
+    context = SolveContext(instance, store=store)
     solution = context.fractional()
     stats = context.stats()
     return float(solution.objective), stats["lp_solves"], stats["lp_store_hits"]
@@ -98,8 +97,7 @@ class TestMultiProcessStore:
         seed = 42
         store = ArtifactStore(root)
         instance = make_instance(seed)
-        warm_context = SolveContext(instance)
-        warm_context.attach_store(store)
+        warm_context = SolveContext(instance, store=store)
         expected = float(warm_context.fractional().objective)
         assert warm_context.stats()["lp_solves"] == 1
 
@@ -120,8 +118,7 @@ class TestMultiProcessStore:
 
         def hammer(instance) -> None:
             try:
-                context = SolveContext(instance)
-                context.attach_store(store)
+                context = SolveContext(instance, store=store)
                 for _ in range(3):
                     context.fractional()
             except Exception as exc:  # pragma: no cover - failure path
@@ -191,8 +188,7 @@ class TestCorruptionRecovery:
         """ArtifactStore.load_lp returns None (and evicts) for a bad blob."""
         store = ArtifactStore(tmp_path / "store")
         instance = make_instance(57)
-        context = SolveContext(instance)
-        context.attach_store(store)
+        context = SolveContext(instance, store=store)
         solution = context.fractional()
         fingerprint = instance_fingerprint(instance)
         key = LPParameters().cache_key()
