@@ -22,7 +22,7 @@ incrementally: changing a single ``(user, slot)`` cell costs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -272,168 +272,8 @@ def weighted_total_utility(
 
 
 # --------------------------------------------------------------------------- #
-# Sparse evaluation (CSR views; see repro.core.sparse)
-# --------------------------------------------------------------------------- #
-def _csr_cell_gather(csr, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Values of ``csr[rows[i], cols[i]]`` for parallel index arrays.
-
-    CSR with sorted indices is globally sorted under the scalar key
-    ``row * num_cols + col``, so a batch of cell lookups is one
-    ``searchsorted`` over the stored nonzeros — no densification, no
-    per-cell Python.  Missing cells gather as 0.
-    """
-    if rows.size == 0:
-        return np.zeros(0, dtype=float)
-    if not csr.has_sorted_indices:
-        csr.sort_indices()
-    num_cols = np.int64(csr.shape[1])
-    stored_rows = np.repeat(
-        np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr)
-    )
-    keys = stored_rows * num_cols + csr.indices
-    queries = rows.astype(np.int64) * num_cols + cols.astype(np.int64)
-    pos = np.searchsorted(keys, queries)
-    hit = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == queries)
-    values = np.zeros(rows.size, dtype=float)
-    values[hit] = csr.data[pos[hit]]
-    return values
-
-
-def evaluate_sparse(
-    instance: SVGICInstance, config: SAVGConfiguration, *, view=None
-) -> UtilityBreakdown:
-    """SAVG utility computed from a CSR view — iterates stored nonzeros only.
-
-    Equivalent to :func:`evaluate` (pinned at 1e-9 by the equivalence tests)
-    but never touches a dense ``(n, m)`` or ``(E, m)`` tensor: preference is
-    gathered per assigned display unit and social per directly matched edge
-    slot, each a single sorted-key lookup into the CSR arrays.  Pass a
-    truncated ``view`` to evaluate the truncated objective.
-    """
-    if view is None:
-        view = instance.sparse_view()
-    lam = view.social_weight
-    assignment = config.assignment
-    mask = assignment != UNASSIGNED
-    n, k = assignment.shape
-    user_rows = np.broadcast_to(np.arange(n)[:, None], (n, k))[mask]
-    pref_total = float(_csr_cell_gather(view.preference, user_rows, assignment[mask]).sum())
-    social_total = 0.0
-    if view.edges.shape[0]:
-        head = assignment[view.edges[:, 0]]
-        tail = assignment[view.edges[:, 1]]
-        same = (head == tail) & (head != UNASSIGNED)
-        edge_rows = np.broadcast_to(
-            np.arange(view.edges.shape[0])[:, None], same.shape
-        )[same]
-        social_total = float(_csr_cell_gather(view.social, edge_rows, head[same]).sum())
-    return UtilityBreakdown(preference=(1.0 - lam) * pref_total, social=lam * social_total)
-
-
-def evaluate_st_sparse(
-    instance: SVGICSTInstance, config: SAVGConfiguration, *, view=None
-) -> UtilityBreakdown:
-    """SVGIC-ST utility (Definition 5) from a CSR view.
-
-    Adds the discounted indirect (teleportation) term to
-    :func:`evaluate_sparse` without a membership matrix: per edge, the
-    ``(k, k)`` slot cross-comparison finds items displayed by both endpoints,
-    and an item contributes indirectly when it is shared with no same-slot
-    match.  Requires a duplicate-free configuration (the no-duplication
-    constraint every validated configuration satisfies).
-    """
-    if view is None:
-        view = instance.sparse_view()
-    base = evaluate_sparse(instance, config, view=view)
-    if view.edges.shape[0] == 0:
-        return base
-    assignment = config.assignment
-    head = assignment[view.edges[:, 0]]  # (E, k)
-    tail = assignment[view.edges[:, 1]]
-    valid = (head[:, :, None] != UNASSIGNED) & (tail[:, None, :] != UNASSIGNED)
-    shared = (head[:, :, None] == tail[:, None, :]) & valid  # (E, k, k)
-    shared_head_slot = shared.any(axis=2)  # head's slot-s item appears in tail's row
-    direct_head_slot = (head == tail) & (head != UNASSIGNED)
-    indirect = shared_head_slot & ~direct_head_slot
-    edge_rows = np.broadcast_to(
-        np.arange(view.edges.shape[0])[:, None], indirect.shape
-    )[indirect]
-    indirect_total = float(_csr_cell_gather(view.social, edge_rows, head[indirect]).sum())
-    lam = view.social_weight
-    return UtilityBreakdown(
-        preference=base.preference,
-        social=base.social,
-        indirect_social=lam * instance.teleport_discount * indirect_total,
-    )
-
-
-def total_utility_sparse(
-    instance: SVGICInstance, config: SAVGConfiguration, *, view=None
-) -> float:
-    """ST-aware shortcut for the sparse evaluators' ``.total``."""
-    if isinstance(instance, SVGICSTInstance):
-        return evaluate_st_sparse(instance, config, view=view).total
-    return evaluate_sparse(instance, config, view=view).total
-
-
-def fractional_upper_bound_gap(
-    instance: SVGICInstance, config: SAVGConfiguration, lp_optimum: float
-) -> float:
-    """Relative gap between the configuration's utility and an LP upper bound.
-
-    Returns ``(lp_optimum - achieved) / lp_optimum`` clipped at 0; a value of
-    0.25 or less certifies the 4-approximation empirically on that instance.
-    """
-    if lp_optimum <= 0:
-        return 0.0
-    achieved = total_utility(instance, config)
-    return max(0.0, (lp_optimum - achieved) / lp_optimum)
-
-
-# --------------------------------------------------------------------------- #
 # Incremental evaluation
 # --------------------------------------------------------------------------- #
-class _SparsePairWeights:
-    """CSR-backed ``(P, m)`` pair weights with batched cell gathers.
-
-    Precomputes the sorted global key array once so each lookup is a single
-    ``searchsorted`` — the access pattern :class:`DeltaEvaluator` needs,
-    without the dense ``(P, m)`` ``pair_social`` grid (~300 MB at n=50k).
-    """
-
-    def __init__(self, csr) -> None:
-        if not csr.has_sorted_indices:
-            csr.sort_indices()
-        self._csr = csr
-        self._m = np.int64(csr.shape[1])
-        self._keys = (
-            np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr))
-            * self._m
-            + csr.indices
-        )
-        self._data = csr.data
-
-    def cells(self, rows, cols) -> np.ndarray:
-        """Values at ``(rows[i], cols[i])`` (broadcasting scalars); missing = 0."""
-        rows, cols = np.broadcast_arrays(
-            np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        )
-        if rows.size == 0 or self._keys.size == 0:
-            return np.zeros(rows.shape, dtype=float)
-        queries = rows * self._m + cols
-        pos = np.searchsorted(self._keys, queries)
-        hit = (pos < self._keys.size) & (
-            self._keys[np.minimum(pos, self._keys.size - 1)] == queries
-        )
-        values = np.zeros(rows.shape, dtype=float)
-        values[hit] = self._data[pos[hit]]
-        return values
-
-    def rows_dense(self, rows: np.ndarray) -> np.ndarray:
-        """A handful of rows densified — ``(len(rows), m)``."""
-        return np.asarray(self._csr[rows].todense(), dtype=float)
-
-
 class DeltaEvaluator:
     """Incrementally maintained SAVG utility of a mutable configuration.
 
@@ -459,8 +299,6 @@ class DeltaEvaluator:
         self,
         instance: SVGICInstance,
         config: Optional[SAVGConfiguration] = None,
-        *,
-        sparse_pairs: bool = False,
     ) -> None:
         self.instance = instance
         self._is_st = isinstance(instance, SVGICSTInstance)
@@ -483,20 +321,8 @@ class DeltaEvaluator:
         # Pair structures (undirected, with both directed taus combined),
         # flattened to a CSR incidence so one mutation touches its incident
         # pairs with a handful of vectorized ops, and a batch of exchange
-        # probes expands many users' neighbourhoods in one gather.  With
-        # sparse_pairs=True the dense (P, m) grid is replaced by a CSR key
-        # lookup — required for the boundary-repair pass to fit in memory at
-        # n >= 10k.
-        if sparse_pairs:
-            from repro.core.sparse import pair_social_csr
-
-            self._pair_social = None
-            self._pair_lookup: Optional[_SparsePairWeights] = _SparsePairWeights(
-                pair_social_csr(instance)
-            )
-        else:
-            self._pair_social = instance.pair_social
-            self._pair_lookup = None
+        # probes expands many users' neighbourhoods in one gather.
+        self._pair_social = instance.pair_social
         # Row ``u`` of the incidence lists u's pairs in ascending pair id
         # (the order of ``instance.pair_ids_by_user``) with the other endpoint.
         pairs = instance.pairs
@@ -518,18 +344,6 @@ class DeltaEvaluator:
         self._indirect = initial.indirect_social
 
     # ------------------------------------------------------------------ #
-    def _w_cells(self, pids: np.ndarray, cols) -> np.ndarray:
-        """Pair weights ``w[pids[i], cols[i]]`` (scalar ``cols`` broadcasts)."""
-        if self._pair_lookup is not None:
-            return self._pair_lookup.cells(pids, cols)
-        return self._pair_social[pids, cols]
-
-    def _w_rows(self, pids: np.ndarray) -> np.ndarray:
-        """Dense ``(len(pids), m)`` pair-weight rows."""
-        if self._pair_lookup is not None:
-            return self._pair_lookup.rows_dense(pids)
-        return self._pair_social[pids]
-
     def _incident(self, user: int) -> Tuple[np.ndarray, np.ndarray]:
         """``user``'s pair ids and the other endpoints (views into the incidence)."""
         lo, hi = self._inc_ptr[user], self._inc_ptr[user + 1]
@@ -584,7 +398,7 @@ class DeltaEvaluator:
         rows_v = self.assignment[others]  # (deg, k)
         for item in items:
             direct_slots = ((row_u == item) & (rows_v == item)).sum(axis=1)  # (deg,)
-            weights = self._lam * self._w_cells(pids, item)
+            weights = self._lam * self._pair_social[pids, item]
             direct += float(direct_slots @ weights)
             if self._is_st and (row_u == item).any():
                 shared = (direct_slots == 0) & (rows_v == item).any(axis=1)
@@ -635,21 +449,6 @@ class DeltaEvaluator:
                 self.set_cell(user, slot, UNASSIGNED)
         return self.total
 
-    def set_row(self, user: int, items: Sequence[int]) -> float:
-        """Assign ``user``'s whole row (``UNASSIGNED`` entries clear cells).
-
-        The activation counterpart of :meth:`clear_row`; returns the new
-        total utility.
-        """
-        items = np.asarray(items, dtype=np.int64)
-        if items.shape != (self.instance.num_slots,):
-            raise ValueError(
-                f"items must have shape ({self.instance.num_slots},), got {items.shape}"
-            )
-        for slot in range(self.instance.num_slots):
-            self.set_cell(user, slot, int(items[slot]))
-        return self.total
-
     def update_preference_row(self, user: int, values: np.ndarray) -> float:
         """Drift ``user``'s preference row to ``values`` and update the total.
 
@@ -698,7 +497,7 @@ class DeltaEvaluator:
                 np.add.at(
                     gains,
                     shown[assigned],
-                    self._lam * self._w_cells(pids[assigned], shown[assigned]),
+                    self._lam * self._pair_social[pids[assigned], shown[assigned]],
                 )
         return gains
 
@@ -741,14 +540,14 @@ class DeltaEvaluator:
                 match_old = assigned & (shown == old)
                 if np.any(match_old):
                     loss = self._lam * float(
-                        self._w_cells(pids[match_old], old).sum()
+                        self._pair_social[pids[match_old], old].sum()
                     )
             gain = np.zeros(self.instance.num_items, dtype=float)
             if np.any(assigned):
                 np.add.at(
                     gain,
                     shown[assigned],
-                    self._lam * self._w_cells(pids[assigned], shown[assigned]),
+                    self._lam * self._pair_social[pids[assigned], shown[assigned]],
                 )
             deltas += gain[candidates] - loss
             if self._is_st:
@@ -783,7 +582,7 @@ class DeltaEvaluator:
         """
         instance = self.instance
         deg, m = pids.size, instance.num_items
-        weights = self._lam * self._d_tel * self._w_rows(pids)  # (deg, m)
+        weights = self._lam * self._d_tel * self._pair_social[pids]  # (deg, m)
         row_u = self.assignment[user]
         rows_v = self.assignment[others]  # (deg, k)
 
@@ -887,8 +686,8 @@ class DeltaEvaluator:
         touched = (moved_a != 0) | (moved_b != 0)
         pids, owner = pids[touched], owner[touched]
         terms = (
-            self._w_cells(pids, item_a[touched]) * moved_a[touched]
-            + self._w_cells(pids, item_b[touched]) * moved_b[touched]
+            self._pair_social[pids, item_a[touched]] * moved_a[touched]
+            + self._pair_social[pids, item_b[touched]] * moved_b[touched]
         )
         scale = self._lam * (1.0 - self._d_tel)
         return scale * np.bincount(owner, weights=terms, minlength=users.size)
@@ -975,8 +774,8 @@ class DeltaEvaluator:
         touched = (g_in != 0) | (g_out != 0)
         pids, owner = pids[touched], owner[touched]
         terms = (
-            self._w_cells(pids, item_in[touched]) * g_in[touched]
-            - self._w_cells(pids, item_out[touched]) * g_out[touched]
+            self._pair_social[pids, item_in[touched]] * g_in[touched]
+            - self._pair_social[pids, item_out[touched]] * g_out[touched]
         )
         return np.bincount(owner, weights=terms, minlength=users.size)
 
@@ -1034,13 +833,9 @@ __all__ = [
     "raw_indirect_social_total",
     "evaluate",
     "evaluate_st",
-    "evaluate_sparse",
-    "evaluate_st_sparse",
     "total_utility",
-    "total_utility_sparse",
     "scaled_total_utility",
     "per_user_utility",
     "optimistic_user_upper_bound",
     "weighted_total_utility",
-    "fractional_upper_bound_gap",
 ]

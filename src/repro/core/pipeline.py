@@ -495,9 +495,7 @@ class LocalSearchImprover:
     units are mutated (friend-pair exchanges require *both* endpoints in the
     subset), while gains are still evaluated against the full instance.  The
     sharding engine's boundary-repair pass uses this to polish cut-edge users
-    without re-opening shard interiors.  ``sparse_pairs`` forwards to
-    :class:`~repro.core.objective.DeltaEvaluator` so large instances skip the
-    dense ``(P, m)`` pair-weight grid.
+    without re-opening shard interiors.
     """
 
     name = "local_search"
@@ -510,7 +508,6 @@ class LocalSearchImprover:
         tolerance: float = 1e-9,
         max_items: Optional[int] = None,
         users: Optional[Sequence[int]] = None,
-        sparse_pairs: bool = False,
     ) -> None:
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
@@ -521,7 +518,6 @@ class LocalSearchImprover:
         self.tolerance = tolerance
         self.max_items = max_items
         self.users = None if users is None else np.unique(np.asarray(users, dtype=np.int64))
-        self.sparse_pairs = sparse_pairs
 
     # -- candidate items per instance ----------------------------------- #
     def _candidate_items(
@@ -679,9 +675,7 @@ class LocalSearchImprover:
             if evaluator.instance is not instance:
                 raise ValueError("in-place evaluator must wrap the same instance")
         else:
-            evaluator = DeltaEvaluator(
-                instance, configuration, sparse_pairs=self.sparse_pairs
-            )
+            evaluator = DeltaEvaluator(instance, configuration)
         size_limit = instance_size_limit(instance)
         if size_limit is not None and counts is None:
             counts = self._cell_counts(evaluator.assignment, instance.num_items)

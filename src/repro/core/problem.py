@@ -300,43 +300,6 @@ class SVGICInstance:
         return restricted, user_ids
 
     # ------------------------------------------------------------------ #
-    # Sparse views (CSR-backed; see :mod:`repro.core.sparse`)
-    # ------------------------------------------------------------------ #
-    def preference_csr(self, *, top_k: Optional[int] = None):
-        """CSR of the preference matrix, optionally top-K truncated per user."""
-        from repro.core import sparse as _sparse
-
-        if top_k is None:
-            return _sparse.csr_from_dense(self.preference)
-        return _sparse.top_k_csr(self.preference, top_k)
-
-    def social_csr(self):
-        """CSR of the ``(E, m)`` per-directed-edge social utility matrix."""
-        from repro.core import sparse as _sparse
-
-        return _sparse.csr_from_dense(self.social)
-
-    def adjacency_csr(self):
-        """``(n, n)`` symmetric CSR adjacency weighted by total pair social mass."""
-        from repro.core import sparse as _sparse
-
-        return _sparse.adjacency_csr(self)
-
-    def sparse_view(self, *, preference_top_k: Optional[int] = None):
-        """Read-only CSR snapshot (:class:`repro.core.sparse.SparseInstanceView`)."""
-        from repro.core import sparse as _sparse
-
-        return _sparse.SparseInstanceView.from_instance(
-            self, preference_top_k=preference_top_k
-        )
-
-    def memory_footprint(self, *, preference_top_k: Optional[int] = None) -> Dict[str, float]:
-        """Dense-vs-sparse byte estimates (:func:`repro.core.sparse.memory_report`)."""
-        from repro.core import sparse as _sparse
-
-        return _sparse.memory_report(self, preference_top_k=preference_top_k)
-
-    # ------------------------------------------------------------------ #
     # Factory helpers
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -154,11 +154,6 @@ def names_by_tag(*tags: str) -> List[str]:
     return sorted(name for name, spec in _REGISTRY.items() if wanted <= spec.tags)
 
 
-def specs_by_tag(*tags: str) -> List[AlgorithmSpec]:
-    """Specs carrying every one of ``tags`` (sorted by name)."""
-    return [_REGISTRY[name] for name in names_by_tag(*tags)]
-
-
 def run_registered(
     name: str,
     instance: SVGICInstance,
@@ -356,7 +351,6 @@ __all__ = [
     "get_algorithm",
     "algorithm_names",
     "names_by_tag",
-    "specs_by_tag",
     "run_registered",
     "build_runners",
     "runner_payloads",

@@ -1,10 +1,10 @@
 """Community-sharded solving for large SVGIC / SVGIC-ST instances.
 
-Monolithic solves hit two walls as ``n`` grows into the tens of thousands:
-the LP/MILP variable count scales with ``n * m`` and the dense instance
-tensors alone reach hundreds of megabytes.  This module trades a small,
-*measured* quality gap for near-linear scaling by exploiting the community
-structure of the friendship graph:
+Monolithic solves hit a wall as ``n`` grows into the tens of thousands: the
+LP/MILP variable count scales with ``n * m``, and HiGHS's time and memory
+with it.  This module trades a small, *measured* quality gap for
+near-linear scaling by exploiting the community structure of the
+friendship graph:
 
 1. **Partition** — users are split into balanced community shards via the
    deterministic social-aware BFS ordering of
@@ -27,13 +27,13 @@ structure of the friendship graph:
    polishes the users incident to cut pairs (plus any evicted users) to
    recover the social utility the independent shard solves could not see.
 
-The repair pass evaluates gains against the *full* instance with
-``sparse_pairs=True`` delta evaluation, so no dense ``(P, m)`` or ``(n, m)``
-auxiliary grid is ever materialized.  When the raw union is already feasible
-the repair is pure local search and the final utility is guaranteed not to
-drop below the union's; forced evictions (infeasible unions) may trade
-utility for feasibility, and both totals are reported so the trade is
-visible.
+The repair pass evaluates gains against the *full* instance through the
+same dense arrays every evaluator reads: the ``(n, m)`` preference matrix
+and the ``(P, m)`` pair-weight grid :attr:`SVGICInstance.pair_social`.  When
+the raw union is already feasible the repair is pure local search and the
+final utility is guaranteed not to drop below the union's; forced evictions
+(infeasible unions) may trade utility for feasibility, and both totals are
+reported so the trade is visible.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.configuration import SAVGConfiguration, UNASSIGNED
-from repro.core.objective import (
-    DeltaEvaluator,
-    UtilityBreakdown,
-    evaluate_sparse,
-    evaluate_st_sparse,
-)
+from repro.core.objective import DeltaEvaluator, UtilityBreakdown, evaluate, evaluate_st
 from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 
@@ -270,8 +265,8 @@ def _evict_overfull(
 
 def _breakdown(instance: SVGICInstance, config: SAVGConfiguration) -> UtilityBreakdown:
     if isinstance(instance, SVGICSTInstance):
-        return evaluate_st_sparse(instance, config)
-    return evaluate_sparse(instance, config)
+        return evaluate_st(instance, config)
+    return evaluate(instance, config)
 
 
 # --------------------------------------------------------------------------- #
@@ -321,7 +316,7 @@ def solve_sharded(
     repair: bool = True,
     repair_max_passes: int = 3,
     repair_max_items: Optional[int] = None,
-    sparse_pairs: bool = True,
+    sparse_pairs: Optional[bool] = None,
     algorithm_overrides: Optional[Mapping[str, Any]] = None,
 ) -> ShardedSolveResult:
     """Solve a large instance by community shards, then stitch and repair.
@@ -351,8 +346,8 @@ def solve_sharded(
         Forwarded to the boundary :class:`LocalSearchImprover` (sweep budget
         and optional candidate-item cap for very large ``m``).
     sparse_pairs:
-        Use CSR pair-weight lookups inside the repair evaluators instead of
-        the dense ``(P, m)`` grid; required to fit in memory at n >= 10k.
+        Ignored.  Accepted so existing callers keep working; the repair
+        always reads the instance's dense pair weights.
     """
     start = time.perf_counter()
     overrides = dict(algorithm_overrides or {})
@@ -438,7 +433,7 @@ def solve_sharded(
     if repair and is_st:
         counts = _subgroup_counts(merged.assignment, instance.num_items)
         if int((counts > instance.max_subgroup_size).sum()) > 0:
-            evaluator = DeltaEvaluator(instance, merged, sparse_pairs=sparse_pairs)
+            evaluator = DeltaEvaluator(instance, merged)
             moved, evictions = _evict_overfull(instance, evaluator)
             merged = SAVGConfiguration(
                 assignment=evaluator.assignment, num_items=instance.num_items
@@ -454,7 +449,6 @@ def solve_sharded(
             improver = LocalSearchImprover(
                 max_passes=repair_max_passes,
                 users=repair_users,
-                sparse_pairs=sparse_pairs,
                 max_items=repair_max_items,
             )
             outcome = improver.apply(instance, merged)

@@ -1,66 +1,36 @@
-"""Sparse-first instance representations: CSR views, truncation, memory model.
+"""Sparse-first helpers: top-K truncation, LP candidate lists, an LP size model.
 
-Everything in :mod:`repro.core.problem` is dense — an ``(n, m)`` preference
-matrix and an ``(E, m)`` social-utility matrix — which is the right call up
-to a few thousand users but blows up quadratically-ish beyond that.  Real
-users rate few items, so both matrices are naturally sparse once truncated
-to each user's (or edge's) top items.  This module provides:
+Every instance stores its utilities as dense arrays — an ``(n, m)``
+preference matrix and an ``(E, m)`` social matrix — and every evaluator in
+:mod:`repro.core.objective` reads them directly.  "Sparse" here means the
+two places where sparsity changes what gets built:
 
-* **Round-trip converters** between the dense instance arrays and
-  ``scipy.sparse`` CSR matrices (:func:`csr_from_dense` /
-  :func:`dense_from_csr`), plus :class:`SparseInstanceView`, a read-only
-  CSR-backed snapshot of one instance that
-  :func:`repro.core.objective.evaluate_sparse` and friends consume.
 * **Top-K truncation** (:func:`top_k_truncate`): keep each row's ``K``
   largest entries and zero the rest — the preference-sparsification the
   paper's datasets exhibit organically ("any user's top preferred items are
-  already contained in the top-100 items", Section 6.2).
+  already contained in the top-100 items", Section 6.2).  The dataset
+  generators' ``preference_top_k`` / ``social_top_k`` knobs use it.
 * **Candidate lists** (:func:`per_user_candidate_lists`,
-  :func:`uniform_candidate_lists`): the CSR index structure the LP_SIMP and
-  IP builders lay variables out over, so model size scales with ``nnz``
-  instead of ``n * m``.
-* **A memory model** (:func:`memory_report`, :func:`estimate_lp_bytes`):
-  cheap byte estimates of the dense tensors, their sparse counterparts and
-  the assembled LP — what the scalability benchmark and the sharding engine
-  consult to decide when the monolithic dense path stops being viable.
+  :func:`uniform_candidate_lists`): the CSR-style index structure the LP_SIMP
+  and IP builders lay variables out over, so model size scales with the
+  list lengths instead of ``n * m``.
+* **An LP size model** (:func:`estimate_lp_bytes`): a cheap byte estimate
+  of the assembled LP — what the scalability benchmark reports beside the
+  monolithic model it would otherwise have to build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 
-#: Bytes per stored nonzero of a float64 CSR matrix (value + int32 column
-#: index); indptr is negligible for the shapes used here.
-_CSR_BYTES_PER_NNZ = 8 + 4
-
 
 # --------------------------------------------------------------------------- #
-# Dense <-> CSR round trips
+# Top-K truncation
 # --------------------------------------------------------------------------- #
-def csr_from_dense(matrix: np.ndarray) -> sp.csr_matrix:
-    """Dense ``(rows, cols)`` array to CSR, dropping explicit zeros."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    csr = sp.csr_matrix(matrix)
-    csr.eliminate_zeros()
-    return csr
-
-
-def dense_from_csr(matrix: sp.spmatrix, shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """CSR (or any scipy sparse) matrix back to a dense float array."""
-    dense = np.asarray(matrix.todense(), dtype=float)
-    if shape is not None and dense.shape != tuple(shape):
-        raise ValueError(f"expected shape {tuple(shape)}, got {dense.shape}")
-    return dense
-
-
 def top_k_truncate(matrix: np.ndarray, top_k: int) -> np.ndarray:
     """Keep each row's ``top_k`` largest entries, zero the rest (dense output).
 
@@ -82,124 +52,6 @@ def top_k_truncate(matrix: np.ndarray, top_k: int) -> np.ndarray:
     row_idx = np.broadcast_to(np.arange(rows)[:, None], keep.shape)
     truncated[row_idx, keep] = matrix[row_idx, keep]
     return truncated
-
-
-def top_k_csr(matrix: np.ndarray, top_k: int) -> sp.csr_matrix:
-    """CSR of :func:`top_k_truncate` — the top-K-truncated row structure."""
-    return csr_from_dense(top_k_truncate(matrix, top_k))
-
-
-# --------------------------------------------------------------------------- #
-# CSR-backed instance view
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SparseInstanceView:
-    """Read-only CSR snapshot of one instance's utility tables.
-
-    ``preference`` is the ``(n, m)`` preference matrix (optionally top-K
-    truncated) and ``social`` the ``(E, m)`` per-directed-edge social matrix,
-    both CSR.  ``pair_social`` is the ``(P, m)`` combined undirected pair
-    weight (``w^c_e``), also CSR.  The view shares the instance's ``edges``
-    and ``pairs`` arrays; it never stores a dense ``(n, m)`` tensor.
-    """
-
-    num_users: int
-    num_items: int
-    num_slots: int
-    social_weight: float
-    preference: sp.csr_matrix
-    social: sp.csr_matrix
-    pair_social: sp.csr_matrix
-    edges: np.ndarray
-    pairs: np.ndarray
-    preference_top_k: Optional[int] = None
-
-    @staticmethod
-    def from_instance(
-        instance: SVGICInstance, *, preference_top_k: Optional[int] = None
-    ) -> "SparseInstanceView":
-        """CSR view of ``instance``; ``preference_top_k`` truncates per-user rows."""
-        if preference_top_k is None:
-            pref = csr_from_dense(instance.preference)
-        else:
-            pref = top_k_csr(instance.preference, preference_top_k)
-        return SparseInstanceView(
-            num_users=instance.num_users,
-            num_items=instance.num_items,
-            num_slots=instance.num_slots,
-            social_weight=instance.social_weight,
-            preference=pref,
-            social=csr_from_dense(instance.social),
-            pair_social=csr_from_dense(instance.pair_social),
-            edges=instance.edges,
-            pairs=instance.pairs,
-            preference_top_k=preference_top_k,
-        )
-
-    def to_instance(self, *, name: str = "svgic-from-sparse") -> SVGICInstance:
-        """Round-trip back to a dense :class:`SVGICInstance` (validating)."""
-        return SVGICInstance(
-            num_users=self.num_users,
-            num_items=self.num_items,
-            num_slots=self.num_slots,
-            social_weight=self.social_weight,
-            preference=dense_from_csr(self.preference, (self.num_users, self.num_items)),
-            edges=self.edges,
-            social=dense_from_csr(self.social, (self.edges.shape[0], self.num_items)),
-            name=name,
-        )
-
-    @property
-    def nnz(self) -> int:
-        """Total stored nonzeros across preference and social tables."""
-        return int(self.preference.nnz + self.social.nnz)
-
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the CSR tables."""
-        return int(
-            (self.preference.nnz + self.social.nnz + self.pair_social.nnz)
-            * _CSR_BYTES_PER_NNZ
-        )
-
-
-def pair_social_csr(instance: SVGICInstance) -> sp.csr_matrix:
-    """``(P, m)`` combined pair weights ``w^c_e`` as CSR, built edge-by-nonzero.
-
-    Unlike the dense :attr:`SVGICInstance.pair_social` cached property, this
-    never materializes a ``(P, m)`` array: the directed ``(E, m)`` social
-    nonzeros are scattered straight into COO with their pair row ids and the
-    CSR conversion sums the two directions.  The sparse
-    :class:`repro.core.objective.DeltaEvaluator` path consumes this.
-    """
-    num_pairs = instance.pairs.shape[0]
-    if num_pairs == 0 or instance.num_edges == 0:
-        return sp.csr_matrix((num_pairs, instance.num_items), dtype=float)
-    e_idx, c_idx = np.nonzero(instance.social)
-    csr = sp.coo_matrix(
-        (instance.social[e_idx, c_idx], (instance.edge_pair_ids[e_idx], c_idx)),
-        shape=(num_pairs, instance.num_items),
-    ).tocsr()
-    csr.sum_duplicates()
-    return csr
-
-
-def adjacency_csr(instance: SVGICInstance) -> sp.csr_matrix:
-    """``(n, n)`` symmetric CSR adjacency of the friendship graph.
-
-    Entry ``(u, v)`` is the total combined pair weight
-    ``sum_c w^c_{(u,v)}`` — the quantity community partitioning wants to
-    keep *inside* shards, since it is exactly the social utility at stake on
-    that pair.
-    """
-    n = instance.num_users
-    pairs = instance.pairs
-    if pairs.shape[0] == 0:
-        return sp.csr_matrix((n, n), dtype=float)
-    weights = np.asarray(pair_social_csr(instance).sum(axis=1)).ravel()
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    vals = np.concatenate([weights, weights])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # --------------------------------------------------------------------------- #
@@ -249,44 +101,8 @@ def uniform_candidate_lists(num_users: int, items: np.ndarray) -> Tuple[np.ndarr
 
 
 # --------------------------------------------------------------------------- #
-# Memory model
+# LP size model
 # --------------------------------------------------------------------------- #
-def memory_report(
-    instance: SVGICInstance, *, preference_top_k: Optional[int] = None
-) -> Dict[str, float]:
-    """Byte estimates of the dense tensors vs. their sparse counterparts.
-
-    Cheap — computed from shapes and nonzero counts without materializing
-    anything dense.  ``dense_bytes`` covers the ``(n, m)`` preference,
-    ``(E, m)`` social and ``(P, m)`` pair-social tensors; ``sparse_bytes``
-    is the CSR equivalent at the instance's actual (or top-K truncated)
-    density.  The rule of thumb the docs state: prefer the dense engine
-    while ``dense_bytes`` is small (tens of MB — it is faster per FLOP),
-    switch to the sparse/sharded path when it is not.
-    """
-    n, m = instance.num_users, instance.num_items
-    num_edges = instance.num_edges
-    num_pairs = instance.pairs.shape[0]
-    dense_bytes = float(8 * m * (n + num_edges + num_pairs))
-    pref_nnz = int(np.count_nonzero(instance.preference))
-    if preference_top_k is not None:
-        pref_nnz = min(pref_nnz, n * int(preference_top_k))
-    social_nnz = int(np.count_nonzero(instance.social))
-    pair_nnz = int(np.count_nonzero(instance.pair_social))
-    sparse_bytes = float(_CSR_BYTES_PER_NNZ * (pref_nnz + social_nnz + pair_nnz))
-    return {
-        "num_users": float(n),
-        "num_items": float(m),
-        "num_edges": float(num_edges),
-        "num_pairs": float(num_pairs),
-        "dense_bytes": dense_bytes,
-        "sparse_bytes": sparse_bytes,
-        "preference_nnz": float(pref_nnz),
-        "social_nnz": float(social_nnz),
-        "compression": dense_bytes / sparse_bytes if sparse_bytes else float("inf"),
-    }
-
-
 def estimate_lp_bytes(
     instance: SVGICInstance,
     *,
@@ -299,8 +115,8 @@ def estimate_lp_bytes(
     Counts variables and constraint-matrix nonzeros of the given formulation
     and charges ~28 bytes per nonzero (triplets + CSR handed to HiGHS, which
     keeps its own copy) plus 8 per variable column.  Deliberately an
-    *estimate* — it exists so benchmarks and the sharding engine can reason
-    about the monolithic model's footprint without paying for the assembly.
+    *estimate* — it exists so benchmarks can reason about the monolithic
+    model's footprint without paying for the assembly.
     """
     n, m, k = instance.num_users, instance.num_items, instance.num_slots
     num_pairs = int(instance.pairs.shape[0])
@@ -333,15 +149,8 @@ def estimate_lp_bytes(
 
 
 __all__ = [
-    "SparseInstanceView",
-    "adjacency_csr",
-    "csr_from_dense",
-    "dense_from_csr",
     "estimate_lp_bytes",
-    "memory_report",
-    "pair_social_csr",
     "per_user_candidate_lists",
-    "top_k_csr",
     "top_k_truncate",
     "uniform_candidate_lists",
 ]

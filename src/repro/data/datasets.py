@@ -65,12 +65,13 @@ def make_instance(
     preference_top_k:
         Keep only each user's ``top_k`` highest preference entries (ties by
         ascending item id), zeroing the rest — the sparse-first regime where
-        CSR views compress the ``(n, m)`` table to ``O(n * top_k)``.
+        real users rate few items.
     social_top_k:
         Same truncation applied per directed edge to the ``(E, m)`` social
         table: only the ``top_k`` items with the strongest discussion value
-        on each edge keep nonzero weight.  Without it the generated social
-        table is fully dense and CSR views cannot compress it.
+        on each edge keep nonzero weight.  LP_SIMP lays out no ``y`` column
+        on a zero-weight pair cell, so this shrinks the LP; without it the
+        generated social table is fully dense.
     edge_density:
         Thin the friendship graph to this fraction of its edges (``(0, 1]``)
         via :func:`repro.data.social_graphs.subsample_edges` before utilities

@@ -157,8 +157,8 @@ class ChurnEngine:
     store:
         Optional :class:`~repro.store.ArtifactStore` (anything with
         ``load_lp``/``save_lp``) warm-starting every re-solve's LP.
-    candidate_items / sparse_pairs:
-        Forwarded to the underlying :class:`DynamicSession`.
+    algorithm_options:
+        Extra keyword arguments for ``algorithm`` at every (re-)solve.
     """
 
     def __init__(
@@ -169,8 +169,6 @@ class ChurnEngine:
         algorithm: str = "AVG-D",
         policy: Optional[ResolvePolicy] = None,
         store: Optional[Any] = None,
-        candidate_items: Optional[int] = None,
-        sparse_pairs: bool = False,
         **algorithm_options: Any,
     ) -> None:
         self.instance = instance
@@ -178,10 +176,6 @@ class ChurnEngine:
         self.policy = policy or ResolvePolicy()
         self.store = store
         self._algorithm_options = dict(algorithm_options)
-        self._session_kwargs = {
-            "candidate_items": candidate_items,
-            "sparse_pairs": sparse_pairs,
-        }
         # Per-user optimistic bounds over the *undrifted* instance; drift
         # events re-rank only the affected user's row.
         self._user_bounds = optimistic_user_upper_bound(instance)
@@ -220,9 +214,7 @@ class ChurnEngine:
             if preference is None
             else replace(self.instance, preference=preference)
         )
-        session = DynamicSession(
-            base, config, active=active.copy(), **self._session_kwargs
-        )
+        session = DynamicSession(base, config, active=active.copy())
         # Reference state for the degradation trigger: the LP bound cached by
         # the solve (peeked, never re-solved) and the per-user bound mass it
         # corresponds to.

@@ -29,10 +29,6 @@ The original scalar implementation survives as
 :class:`repro.extensions.dynamic_reference.ReferenceDynamicSession`, demoted
 to a test oracle; ``tests/test_dynamic_incremental.py`` pins the two to 1e-9
 across join/leave/drift traces on SVGIC and SVGIC-ST instances.
-
-``candidate_items`` restricts probes to each user's top-ranked candidate
-list (:func:`repro.core.sparse.per_user_candidate_lists`) — a pruning knob
-for large ``m`` that trades exact reference parity for speed.
 """
 
 from __future__ import annotations
@@ -120,14 +116,6 @@ class DynamicSession:
         Initial assignment; rows of inactive users are ignored.
     active:
         Optional boolean mask of initially active users (default: all).
-    candidate_items:
-        ``None`` probes every item (exact reference parity).  An integer
-        restricts each user's join/exchange probes to her
-        ``max(candidate_items, k)`` top-scored items
-        (:func:`repro.core.sparse.per_user_candidate_lists`).
-    sparse_pairs:
-        Forwarded to :class:`~repro.core.objective.DeltaEvaluator`: replace
-        the dense ``(P, m)`` pair grid by CSR lookups for large instances.
     """
 
     def __init__(
@@ -136,8 +124,6 @@ class DynamicSession:
         configuration: SAVGConfiguration,
         *,
         active: Optional[np.ndarray] = None,
-        candidate_items: Optional[int] = None,
-        sparse_pairs: bool = False,
     ) -> None:
         active = check_session_inputs(instance, configuration, active)
         self.instance = instance
@@ -149,19 +135,9 @@ class DynamicSession:
         masked = self.configuration.assignment.copy()
         masked[~active] = UNASSIGNED
         self.evaluator = DeltaEvaluator(
-            instance,
-            SAVGConfiguration(assignment=masked, num_items=instance.num_items),
-            sparse_pairs=sparse_pairs,
+            instance, SAVGConfiguration(assignment=masked, num_items=instance.num_items)
         )
         self._counts = _active_cell_counts(self.evaluator.assignment, instance.num_items)
-
-        self._candidate_lists: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if candidate_items is not None:
-            from repro.core.sparse import per_user_candidate_lists
-
-            self._candidate_lists = per_user_candidate_lists(
-                instance, per_user_items=int(candidate_items)
-            )
 
     # ------------------------------------------------------------------ #
     @property
@@ -202,15 +178,6 @@ class DynamicSession:
         return total_utility(sub_instance, sub_config)
 
     # ------------------------------------------------------------------ #
-    def _candidate_mask(self, user: int) -> Optional[np.ndarray]:
-        """Boolean ``(m,)`` mask of the user's candidate items (None = all)."""
-        if self._candidate_lists is None:
-            return None
-        indptr, indices = self._candidate_lists
-        mask = np.zeros(self.instance.num_items, dtype=bool)
-        mask[indices[indptr[user]:indptr[user + 1]]] = True
-        return mask
-
     def _apply_cell(self, user: int, slot: int, item: int) -> None:
         """Write one cell through the evaluator, the counts and the configuration."""
         old = int(self.evaluator.assignment[user, slot])
@@ -250,15 +217,10 @@ class DynamicSession:
         self.active[user] = True
         self.configuration.assignment[user, :] = UNASSIGNED
         limit = self.size_limit
-        candidates = self._candidate_mask(user)
         used: List[int] = []
         skipped: List[int] = []
         for slot in range(self.instance.num_slots):
-            feasible = (
-                np.ones(self.instance.num_items, dtype=bool)
-                if candidates is None
-                else candidates.copy()
-            )
+            feasible = np.ones(self.instance.num_items, dtype=bool)
             if used:
                 feasible[used] = False
             if limit is not None:
@@ -314,7 +276,6 @@ class DynamicSession:
         if not self.active[user]:
             raise ValueError(f"user {user} is not active")
         limit = self.size_limit
-        candidates = self._candidate_mask(user)
         k = self.instance.num_slots
         gains_by_slot = [self.evaluator.direct_gains(user, s) for s in range(k)]
         improved_any = False
@@ -325,11 +286,7 @@ class DynamicSession:
                 row = self.evaluator.assignment[user]
                 current = int(row[slot])
                 current_gain = gains[current] if current != UNASSIGNED else -np.inf
-                feasible = (
-                    np.ones(self.instance.num_items, dtype=bool)
-                    if candidates is None
-                    else candidates.copy()
-                )
+                feasible = np.ones(self.instance.num_items, dtype=bool)
                 feasible[row[row != UNASSIGNED]] = False
                 if limit is not None:
                     feasible &= self._counts[:, slot] < limit

@@ -247,9 +247,5 @@ class SQLiteIndex:
             ).fetchall()
         return [str(row[0]) for row in rows]
 
-    def clear_timings(self) -> None:
-        with self._lock, self.connection as conn:
-            conn.execute("DELETE FROM timings")
-
 
 __all__ = ["SQLiteIndex"]

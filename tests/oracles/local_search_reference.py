@@ -45,7 +45,6 @@ class ReferenceLocalSearchImprover:
         tolerance: float = 1e-9,
         max_items: Optional[int] = None,
         users: Optional[Sequence[int]] = None,
-        sparse_pairs: bool = False,
     ) -> None:
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
@@ -56,7 +55,6 @@ class ReferenceLocalSearchImprover:
         self.tolerance = tolerance
         self.max_items = max_items
         self.users = None if users is None else np.unique(np.asarray(users, dtype=np.int64))
-        self.sparse_pairs = sparse_pairs
 
     # -- candidate items per instance ----------------------------------- #
     def _candidate_items(
@@ -155,9 +153,7 @@ class ReferenceLocalSearchImprover:
             if evaluator.instance is not instance:
                 raise ValueError("in-place evaluator must wrap the same instance")
         else:
-            evaluator = DeltaEvaluator(
-                instance, configuration, sparse_pairs=self.sparse_pairs
-            )
+            evaluator = DeltaEvaluator(instance, configuration)
         size_limit = instance_size_limit(instance)
         if size_limit is not None and counts is None:
             counts = self._cell_counts(evaluator.assignment, instance.num_items)

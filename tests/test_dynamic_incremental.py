@@ -292,20 +292,6 @@ class TestSessionInputsAndPruning:
         with pytest.raises(ValueError):
             check_session_inputs(small_timik_instance, config, None)
 
-    def test_candidate_pruning_session_stays_valid(self):
-        instance = datasets.make_instance(
-            "timik", num_users=12, num_items=40, num_slots=3, seed=8
-        )
-        config = run_avg_d(instance).configuration
-        session = DynamicSession(instance, config, candidate_items=10)
-        session.remove_user(0)
-        session.add_user(0)
-        session.local_search(0)
-        assert session.configuration.is_valid(instance)
-        assert session.current_utility() == pytest.approx(
-            session.recompute_utility(), abs=1e-9
-        )
-
 
 class TestInPlaceImprover:
     def test_apply_improver_requires_user_restriction(self):

@@ -5,7 +5,7 @@ per NumPy pass; the reference in ``tests/oracles`` probes each exchange by
 applying and reverting cells.  Both visit candidates in the same order and
 accept the same moves, so the final configuration, the move count and the
 pass count must be identical — in the default mode, restricted to a user
-subset over sparse pair weights (the sharding repair), in place on a dynamic
+subset with a capped item list (the sharding repair), in place on a dynamic
 session with live subgroup counts (the churn repair), and from partial rows.
 """
 
@@ -79,7 +79,7 @@ class TestMatchesReference:
         users = np.random.default_rng(seed).choice(
             instance.num_users, size=instance.num_users // 2, replace=False
         )
-        params = dict(max_passes=3, users=users, sparse_pairs=True, max_items=12)
+        params = dict(max_passes=3, users=users, max_items=12)
         for config in _starts(instance, seed):
             _assert_same_search(
                 LocalSearchImprover(**params).apply(instance, config),

@@ -339,23 +339,6 @@ class TestProbeMany:
         assert evaluator.breakdown == before_breakdown
         np.testing.assert_array_equal(evaluator.assignment, before_assignment)
 
-    def test_sparse_pairs_without_positive_weights(self, tiny_instance):
-        from dataclasses import replace
-
-        from repro.core.objective import DeltaEvaluator
-
-        instance = replace(tiny_instance, social=np.zeros_like(tiny_instance.social))
-        config = _random_valid_configuration(instance, np.random.default_rng(3))
-        sparse = DeltaEvaluator(instance, config, sparse_pairs=True)
-        dense = DeltaEvaluator(instance, config)
-        candidates = np.arange(instance.num_items)
-        for user in range(instance.num_users):
-            for slot in range(instance.num_slots):
-                np.testing.assert_array_equal(
-                    sparse.probe_many((user, slot), candidates),
-                    dense.probe_many((user, slot), candidates),
-                )
-
     def test_improver_batched_moves_match_scratch_evaluation(self, small_timik_instance):
         """End-to-end: the batched improver still only makes true improvements."""
         config = top_k_preference_configuration(small_timik_instance)

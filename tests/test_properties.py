@@ -310,10 +310,10 @@ class TestExchangeKernels:
     """The closed-form exchange gains equal set_cell apply/revert deltas."""
 
     @settings(**{**SETTINGS, "max_examples": 200})
-    @given(exchange_states(), st.booleans())
-    def test_slot_swap_gains_equal_applied_deltas(self, state, sparse_pairs):
+    @given(exchange_states())
+    def test_slot_swap_gains_equal_applied_deltas(self, state):
         instance, config = state
-        evaluator = DeltaEvaluator(instance, config, sparse_pairs=sparse_pairs)
+        evaluator = DeltaEvaluator(instance, config)
         A = config.assignment
         k = instance.num_slots
         swaps = np.array(
@@ -335,10 +335,10 @@ class TestExchangeKernels:
         np.testing.assert_allclose(gains, deltas, rtol=0, atol=1e-9)
 
     @settings(**{**SETTINGS, "max_examples": 200})
-    @given(exchange_states(), st.booleans())
-    def test_pair_exchange_gains_equal_applied_deltas(self, state, sparse_pairs):
+    @given(exchange_states())
+    def test_pair_exchange_gains_equal_applied_deltas(self, state):
         instance, config = state
-        evaluator = DeltaEvaluator(instance, config, sparse_pairs=sparse_pairs)
+        evaluator = DeltaEvaluator(instance, config)
         A = config.assignment
         exchanges = np.array(
             [
@@ -361,13 +361,11 @@ class TestExchangeKernels:
         np.testing.assert_allclose(gains, deltas, rtol=0, atol=1e-9)
 
     @settings(**SETTINGS)
-    @given(exchange_states(), st.booleans())
-    def test_improver_matches_apply_revert_reference(self, state, sparse_pairs):
+    @given(exchange_states())
+    def test_improver_matches_apply_revert_reference(self, state):
         instance, config = state
-        fast = LocalSearchImprover(sparse_pairs=sparse_pairs).apply(instance, config)
-        reference = ReferenceLocalSearchImprover(sparse_pairs=sparse_pairs).apply(
-            instance, config
-        )
+        fast = LocalSearchImprover().apply(instance, config)
+        reference = ReferenceLocalSearchImprover().apply(instance, config)
         np.testing.assert_array_equal(
             fast.configuration.assignment, reference.configuration.assignment
         )
