@@ -11,24 +11,27 @@ target subgroup now, ``OPT_LP`` is the LP-estimated utility still available
 from the remaining display units, and ``r`` is the balancing ratio (``r=1/4``
 gives the deterministic 4-approximation; Figure 12 studies other values).
 
-The implementation evaluates the candidates for one ``(c, s)`` with a single
-descending sweep over eligible users, maintaining ``ALG`` and the LP mass
-removed from ``S_cur`` incrementally, and maintains ``OPT_LP(S_cur)`` as a
-running value across iterations — the practical counterpart of the paper's
-"reordering the computation" remark.  The sweep itself is vectorized with
-cumulative sums over the ranked prefix (``_scan_prefixes``); the scalar
-per-member bookkeeping survives as ``_scan_prefixes_reference``, pinned by
+The rounder ranks each ``(c, s)`` cell's users by ``x*`` once; filtering that
+order by eligibility gives the cell's prefixes.  It caches every cell's ALG
+and removed-LP-mass prefix sums in padded ``(cells, W)`` arrays and keeps
+``OPT_LP(S_cur)`` as a running value — the practical counterpart of the
+paper's "reordering the computation" remark.  Co-displaying ``c*`` at ``s*``
+changes eligibility, partners' open slots and the size cap only in row
+``c*`` and column ``s*``, so each iteration rescans just those m + k − 1
+cells in one NumPy pass and then re-scores every cached prefix.  The choices
+are bit-identical to the per-cell rounder kept as a test oracle in
+``tests/oracles/avg_d_reference.py`` and pinned by
 ``tests/test_scan_prefix_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
 from repro.core.greedy import greedy_complete, top_k_preference_configuration
 from repro.core.lp import FractionalSolution, solve_lp_relaxation
 from repro.core.pipeline import LocalSearchImprover, SolveContext
@@ -38,8 +41,20 @@ from repro.core.result import AlgorithmResult
 from repro.utils.rng import SeedLike
 
 
+#: Incidence entries (plus one position-lookup row of ``num_users`` per cell)
+#: a single rescan pass may expand; dirty cells beyond it are scanned in chunks,
+#: which keeps a pass's temporary arrays to a few MB.
+_ENTRY_BUDGET = 1 << 14
+
+
 class _DeterministicRounder:
-    """State and incremental bookkeeping for one AVG-D run."""
+    """State and incremental bookkeeping for one AVG-D run.
+
+    Cells are the ``(item, slot)`` pairs of the candidate items, item-major.
+    Each keeps padded ``(cells, W)`` rows over its ranked eligible users: the
+    ALG prefix sums (``-inf`` at prefix lengths that are not evaluated) and
+    the removed-LP-mass prefix sums.
+    """
 
     def __init__(
         self,
@@ -57,8 +72,7 @@ class _DeterministicRounder:
 
         self.pref_weight = (1.0 - lam) * instance.preference  # (n, m)
         self.pair_weight = lam * instance.pair_social  # (P, m)
-        self.pairs = instance.pairs
-        self.pair_ids_by_user = instance.pair_ids_by_user
+        pairs = instance.pairs
 
         self.slot_independent = fractional.formulation in {"simplified", "sparse"}
         if self.slot_independent:
@@ -72,16 +86,16 @@ class _DeterministicRounder:
         if self.slot_independent:
             unit = np.einsum("um,um->u", self.pref_weight, self.x2)
             self.unit_mass = np.repeat(unit[:, None], k, axis=1)  # (n, k)
-            if self.pairs.shape[0]:
-                mins = np.minimum(self.x2[self.pairs[:, 0]], self.x2[self.pairs[:, 1]])
+            if pairs.shape[0]:
+                mins = np.minimum(self.x2[pairs[:, 0]], self.x2[pairs[:, 1]])
                 pair = np.einsum("pm,pm->p", self.pair_weight, mins)
                 self.pair_mass = np.repeat(pair[:, None], k, axis=1)  # (P, k)
             else:
                 self.pair_mass = np.zeros((0, k))
         else:
             self.unit_mass = np.einsum("um,ums->us", self.pref_weight, self.x3)
-            if self.pairs.shape[0]:
-                mins = np.minimum(self.x3[self.pairs[:, 0]], self.x3[self.pairs[:, 1]])
+            if pairs.shape[0]:
+                mins = np.minimum(self.x3[pairs[:, 0]], self.x3[pairs[:, 1]])
                 self.pair_mass = np.einsum("pm,pms->ps", self.pair_weight, mins)
             else:
                 self.pair_mass = np.zeros((0, k))
@@ -89,224 +103,179 @@ class _DeterministicRounder:
         self.opt_cur = float(self.unit_mass.sum() + self.pair_mass.sum())
 
         # Mutable configuration state.  ``items_used`` is a dense boolean
-        # mask so eligibility checks vectorize over all users at once.
+        # mask so eligibility checks vectorize over all users at once; a cell
+        # takes no members once its count reaches the size limit.
         self.config = SAVGConfiguration.for_instance(instance)
         self.items_used = np.zeros((n, m), dtype=bool)
         self.remaining_units = n * k
         self.size_limit = (
             instance.max_subgroup_size if isinstance(instance, SVGICSTInstance) else None
         )
-        self.cell_counts: Dict[Tuple[int, int], int] = {}
-        self.locked_cells: set = set()
+        self.counts = cell_counts(self.config.assignment, m)
         self.iterations = 0
 
+        items = np.arange(m)
         if advanced_sampling:
             mass_per_item = (
                 self.x2.sum(axis=0) if self.slot_independent else self.x3.sum(axis=(0, 2))
             )
-            self.candidate_items = [int(c) for c in np.nonzero(mass_per_item > 1e-12)[0]]
-            if not self.candidate_items:
-                self.candidate_items = list(range(m))
-        else:
-            self.candidate_items = list(range(m))
+            positive = np.nonzero(mass_per_item > 1e-12)[0]
+            if positive.size:
+                items = positive
+        self.cell_item = np.repeat(items, k)
+        self.cell_slot = np.tile(np.arange(k), items.size)
 
-    # ------------------------------------------------------------------ #
-    def factor(self, user: int, item: int, slot: int) -> float:
-        """Utility factor ``x*[u, c, s]``."""
+        # Users ranked once by decreasing x* (ties in ascending user order);
+        # filtering a rank row by eligibility gives each iteration's order.
         if self.slot_independent:
-            return float(self.x2[user, item])
-        return float(self.x3[user, item, slot])
+            self._rank = np.argsort(-self.x2[:, items].T, axis=1, kind="stable")
+            self._rank_row = np.arange(self.cell_item.size) // k
+        else:
+            factors = self.x3[:, items, :].transpose(1, 2, 0).reshape(-1, n)
+            self._rank = np.argsort(-factors, axis=1, kind="stable")
+            self._rank_row = np.arange(self.cell_item.size)
 
-    def slot_open(self, user: int, slot: int) -> bool:
-        return self.config.assignment[user, slot] == UNASSIGNED
-
-    def eligible_users(self, item: int, slot: int) -> np.ndarray:
-        """Users with ``slot`` open and ``item`` not yet shown to them (one mask op)."""
-        open_slots = self.config.assignment[:, slot] == UNASSIGNED
-        return np.nonzero(open_slots & ~self.items_used[:, item])[0]
+        cells = self.cell_item.size
+        self._width = n if self.size_limit is None else min(n, self.size_limit)
+        self._alg = np.full((cells, self._width), -np.inf)
+        self._removed = np.zeros((cells, self._width))
+        self._f = np.empty((cells, self._width))
+        self._dirty = np.ones(cells, dtype=bool)
+        degrees = np.diff(instance.pair_incidence[0])
+        entries = min(2 * pairs.shape[0], self._width * int(degrees.max(initial=0)))
+        self._chunk = max(1, _ENTRY_BUDGET // (n + entries))
 
     # ------------------------------------------------------------------ #
-    def best_candidate(self) -> Optional[Tuple[float, int, int, List[int]]]:
-        """Evaluate every focal candidate and return (f, item, slot, target members)."""
-        best: Optional[Tuple[float, int, int, List[int]]] = None
-        k = self.instance.num_slots
-        for item in self.candidate_items:
-            for slot in range(k):
-                key = (item, slot)
-                if key in self.locked_cells:
-                    continue
-                capacity = self.instance.num_users
-                if self.size_limit is not None:
-                    capacity = self.size_limit - self.cell_counts.get(key, 0)
-                    if capacity <= 0:
-                        continue
-                eligible = self.eligible_users(item, slot)
-                if eligible.size == 0:
-                    continue
-                factors = (
-                    self.x2[eligible, item]
-                    if self.slot_independent
-                    else self.x3[eligible, item, slot]
-                )
-                # Stable descending sort keeps ties in ascending user order,
-                # matching the previous ``sorted(..., key=-factor)``.
-                ranked = eligible[np.argsort(-factors, kind="stable")].tolist()
-                candidate = self._scan_prefixes(item, slot, ranked, capacity)
-                if candidate is not None and (best is None or candidate[0] > best[0]):
-                    best = candidate
-        return best
+    def _ranked_eligible(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each cell's users in rank order, and which of them are eligible."""
+        items, slots = self.cell_item[cells], self.cell_slot[cells]
+        ranked = self._rank[self._rank_row[cells]]  # (D, n)
+        eligible = (self.config.assignment[ranked, slots[:, None]] == UNASSIGNED) & ~(
+            self.items_used[ranked, items[:, None]]
+        )
+        return ranked, eligible
 
-    def _scan_prefixes(
-        self, item: int, slot: int, ranked: Sequence[int], capacity: int
-    ) -> Optional[Tuple[float, int, int, List[int]]]:
-        """Sweep thresholds for one (item, slot); return the best (f, item, slot, members).
+    def _scan(self, cells: np.ndarray) -> None:
+        """Recompute the cached rows of ``cells`` in one pass.
 
-        Vectorized with cumulative-sum sweeps over the ranked prefix: the
-        per-member pair bookkeeping of the scalar implementation (preserved
-        as :meth:`_scan_prefixes_reference` and pinned by an equivalence
-        test) becomes three gather/scatter passes over the flattened
-        incident-pair arrays.
+        A cell's members are its eligible users in rank order, cut at its
+        remaining capacity.  Every member's pair contributes an event:
 
-        * A pair's ALG contribution ``pair_weight[pid, item]`` lands at the
-          prefix position of its *later* endpoint (the co-display exists once
-          both members joined).
-        * A pair's removed LP mass ``pair_mass[pid, slot]`` lands at the
-          position of its *earlier* endpoint; pairs whose other endpoint is
-          outside the ranked prefix count only if that endpoint's slot is
-          still open (matching the scalar ``slot_open`` check — ranked users
-          always have the slot open).
+        * ALG gains ``pair_weight[pid, item]`` at the *later* endpoint's
+          position (the co-display exists once both members joined);
+        * the removed LP mass gains ``pair_mass[pid, slot]`` at the *earlier*
+          endpoint's position; a partner outside the prefix counts only while
+          its slot is open.
+
+        Events accumulate in (cell, position, pair id) order, so each row's
+        prefix sums equal a per-cell sweep bit for bit.
         """
-        L = min(len(ranked), capacity)
-        if L <= 0:
-            return None
-        users = np.asarray(ranked[:L], dtype=np.int64)
-        n = self.instance.num_users
-        position = np.full(n, -1, dtype=np.int64)
-        position[users] = np.arange(L)
+        n, width = self.instance.num_users, self._width
+        items, slots = self.cell_item[cells], self.cell_slot[cells]
+        assignment = self.config.assignment
+        ranked, eligible = self._ranked_eligible(cells)
+        position = np.cumsum(eligible, axis=1) - 1
+        if self.size_limit is not None:
+            capacity = self.size_limit - self.counts[items, slots]
+            eligible &= position < capacity[:, None]
+        rows, cols = np.nonzero(eligible)
+        pos = position[rows, cols]
+        users = ranked[rows, cols]
+        sizes = np.bincount(rows, minlength=cells.size)
 
-        alg_events = np.zeros(L)
-        removed_events = np.zeros(L)
-        pid_lists = [self.pair_ids_by_user[int(u)] for u in users]
-        lengths = np.array([len(p) for p in pid_lists], dtype=np.int64)
-        if lengths.sum():
-            pid_flat = np.concatenate(
-                [np.asarray(p, dtype=np.int64) for p in pid_lists if p]
-            )
-            owner = np.repeat(np.arange(L), lengths)
-            endpoints = self.pairs[pid_flat]
-            owner_user = users[owner]
-            other = np.where(endpoints[:, 0] == owner_user, endpoints[:, 1], endpoints[:, 0])
-            other_pos = position[other]
+        owner, pid, other = self.instance.incident_pairs(users)
+        row, at = rows[owner], pos[owner]
+        lookup = np.full((cells.size, n), -1, dtype=np.int64)
+        lookup[rows, users] = pos
+        other_at = lookup[row, other]
+        inside = other_at >= 0
+        alg_mask = inside & (other_at < at)
+        removed_mask = np.where(
+            inside, at < other_at, assignment[other, slots[row]] == UNASSIGNED
+        )
+        bins = row * width + at
+        alg_events = np.bincount(
+            bins[alg_mask],
+            self.pair_weight[pid[alg_mask], items[row[alg_mask]]],
+            cells.size * width,
+        )
+        removed_events = np.bincount(
+            bins[removed_mask],
+            self.pair_mass[pid[removed_mask], slots[row[removed_mask]]],
+            cells.size * width,
+        )
 
-            # ALG: counted once, when the later endpoint joins the prefix.
-            alg_mask = (other_pos >= 0) & (other_pos < owner)
-            if np.any(alg_mask):
-                np.add.at(
-                    alg_events,
-                    owner[alg_mask],
-                    self.pair_weight[pid_flat[alg_mask], item],
-                )
-            # Removed LP mass: counted once, when the first endpoint joins;
-            # for partners outside the prefix, only while their slot is open.
-            open_other = self.config.assignment[other, slot] == UNASSIGNED
-            removed_mask = ((other_pos >= 0) & (owner < other_pos)) | (
-                (other_pos < 0) & open_other
-            )
-            if np.any(removed_mask):
-                np.add.at(
-                    removed_events,
-                    owner[removed_mask],
-                    self.pair_mass[pid_flat[removed_mask], slot],
-                )
-
-        alg_prefix = np.cumsum(self.pref_weight[users, item] + alg_events)
-        removed_prefix = np.cumsum(self.unit_mass[users, slot] + removed_events)
-        f = alg_prefix + self.r * (self.opt_cur - removed_prefix)
-
-        evaluate = np.ones(L, dtype=bool)
-        if self.advanced_sampling and L > 1:
-            # Only evaluate at the end of a tie block: thresholds inside a
-            # block produce the same target subgroup.  The last processed
-            # position is always evaluated (capacity or list exhausted).
+        pref = np.zeros((cells.size, width))
+        pref[rows, pos] = self.pref_weight[users, items[rows]]
+        unit = np.zeros((cells.size, width))
+        unit[rows, pos] = self.unit_mass[users, slots[rows]]
+        ends = pos == sizes[rows] - 1  # the last member is always evaluated
+        if self.advanced_sampling:
+            # Otherwise only at the end of a tie block: thresholds inside a
+            # block produce the same target subgroup.
             factors = (
-                self.x2[users, item]
+                self.x2[users, items[rows]]
                 if self.slot_independent
-                else self.x3[users, item, slot]
+                else self.x3[users, items[rows], slots[rows]]
             )
-            evaluate[: L - 1] = factors[1:] < factors[: L - 1] - 1e-12
-        candidates = np.nonzero(evaluate)[0]
-        best = int(candidates[np.argmax(f[candidates])])
-        return float(f[best]), item, slot, [int(u) for u in users[: best + 1]]
+            ends[:-1] |= factors[1:] < factors[:-1] - 1e-12
+        else:
+            ends[:] = True
+        alg = np.cumsum(pref + alg_events.reshape(-1, width), axis=1)
+        scored = np.zeros((cells.size, width), dtype=bool)
+        scored[rows[ends], pos[ends]] = True
+        alg[~scored] = -np.inf  # f is then -inf there and never the maximum
+        self._alg[cells] = alg
+        self._removed[cells] = np.cumsum(unit + removed_events.reshape(-1, width), axis=1)
 
-    def _scan_prefixes_reference(
-        self, item: int, slot: int, ranked: Sequence[int], capacity: int
-    ) -> Optional[Tuple[float, int, int, List[int]]]:
-        """Scalar per-member prefix sweep — the pinned reference for ``_scan_prefixes``."""
-        alg_value = 0.0
-        removed_mass = 0.0
-        in_prefix: set = set()
-        prefix: List[int] = []
-        best_f = -np.inf
-        best_members: Optional[List[int]] = None
+    def best_candidate(self) -> Optional[Tuple[float, int, int, List[int]]]:
+        """Evaluate every focal candidate and return (f, item, slot, target members).
 
-        for idx, user in enumerate(ranked):
-            if len(prefix) >= capacity:
-                break
-            # ALG gain: preference of the new member plus social utility with
-            # members already in the target subgroup.
-            alg_value += self.pref_weight[user, item]
-            for pid in self.pair_ids_by_user[user]:
-                u0, v0 = int(self.pairs[pid, 0]), int(self.pairs[pid, 1])
-                other = v0 if u0 == user else u0
-                if other in in_prefix:
-                    alg_value += self.pair_weight[pid, item]
-            # LP mass leaving S_cur when this member moves to S_tar.
-            removed_mass += self.unit_mass[user, slot]
-            for pid in self.pair_ids_by_user[user]:
-                u0, v0 = int(self.pairs[pid, 0]), int(self.pairs[pid, 1])
-                other = v0 if u0 == user else u0
-                if other in in_prefix:
-                    continue  # already removed when `other` joined the prefix
-                if self.slot_open(other, slot):
-                    removed_mass += self.pair_mass[pid, slot]
-            in_prefix.add(user)
-            prefix.append(user)
+        Only the cells the last move touched are rescanned; ``f`` is then
+        recomputed for every cached prefix, and the first maximum in
+        ``(item, slot, prefix length)`` order wins.
+        """
+        dirty = np.nonzero(self._dirty)[0]
+        for begin in range(0, dirty.size, self._chunk):
+            self._scan(dirty[begin : begin + self._chunk])
+        self._dirty[:] = False
 
-            evaluate_here = True
-            if self.advanced_sampling and idx + 1 < len(ranked) and len(prefix) < capacity:
-                current = self.factor(user, item, slot)
-                nxt = self.factor(ranked[idx + 1], item, slot)
-                # Only evaluate at the end of a tie block: thresholds inside a
-                # block produce the same target subgroup.
-                evaluate_here = nxt < current - 1e-12
-            if evaluate_here:
-                f_value = alg_value + self.r * (self.opt_cur - removed_mass)
-                if f_value > best_f:
-                    best_f = f_value
-                    best_members = list(prefix)
-        if best_members is None:
+        f = np.subtract(self.opt_cur, self._removed, out=self._f)
+        f *= self.r
+        f += self._alg  # alg + r * (opt_cur - removed), elementwise as before
+        best = f.max(axis=1)
+        cell = int(best.argmax())
+        if best[cell] == -np.inf:
             return None
-        return best_f, item, slot, best_members
+        ranked, eligible = self._ranked_eligible(np.array([cell]))
+        members = ranked[eligible][: int(f[cell].argmax()) + 1].tolist()
+        return float(best[cell]), int(self.cell_item[cell]), int(self.cell_slot[cell]), members
 
-    # ------------------------------------------------------------------ #
     def execute(self, item: int, slot: int, members: Sequence[int]) -> None:
         """Co-display ``item`` at ``slot`` to ``members`` and update the running LP mass."""
-        for user in members:
-            self.config.assignment[user, slot] = item
-            self.items_used[user, item] = True
-            self.remaining_units -= 1
-            # The display unit (user, slot) leaves S_cur.
-            self.opt_cur -= float(self.unit_mass[user, slot])
-            for pid in self.pair_ids_by_user[user]:
-                u0, v0 = int(self.pairs[pid, 0]), int(self.pairs[pid, 1])
-                other = v0 if u0 == user else u0
-                if self.slot_open(other, slot):
-                    self.opt_cur -= float(self.pair_mass[pid, slot])
-            if self.size_limit is not None:
-                key = (item, slot)
-                self.cell_counts[key] = self.cell_counts.get(key, 0) + 1
-                if self.cell_counts[key] >= self.size_limit:
-                    self.locked_cells.add(key)
+        members = np.asarray(members, dtype=np.int64)
+        assignment = self.config.assignment
+        # The members' display units leave S_cur, each followed by its pairs
+        # whose other endpoint's slot is still open when it joins.  The
+        # subtractions run in that order, one member after another.
+        owner, pid, other = self.instance.incident_pairs(members)
+        order = np.full(self.instance.num_users, members.size)
+        order[members] = np.arange(members.size)
+        leaves = (assignment[other, slot] == UNASSIGNED) & (order[other] > owner)
+        owners = np.concatenate([np.arange(members.size), owner[leaves]])
+        masses = np.concatenate(
+            [self.unit_mass[members, slot], self.pair_mass[pid[leaves], slot]]
+        )
+        for mass in masses[np.argsort(owners, kind="stable")].tolist():
+            self.opt_cur -= mass
+
+        assignment[members, slot] = item
+        self.items_used[members, item] = True
+        self.remaining_units -= members.size
+        self.counts[item, slot] += members.size
+        # Eligibility, partners' open slots and the cap change only in the
+        # item's row and the slot's column of cells.
+        self._dirty |= (self.cell_item == item) | (self.cell_slot == slot)
 
     def run(self) -> SAVGConfiguration:
         """Main AVG-D loop: pick and execute the best focal candidate until complete."""

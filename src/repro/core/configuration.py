@@ -255,4 +255,16 @@ class SAVGConfiguration:
         return self.num_items == other.num_items and np.array_equal(self.assignment, other.assignment)
 
 
-__all__ = ["SAVGConfiguration", "UNASSIGNED"]
+def cell_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
+    """``(m, k)`` subgroup sizes: users displayed item ``c`` at slot ``s``.
+
+    Unassigned display units are skipped, so partial and active-masked
+    assignments count only their filled cells.
+    """
+    num_slots = assignment.shape[1]
+    flat = (assignment * num_slots + np.arange(num_slots))[assignment != UNASSIGNED]
+    counts = np.bincount(flat, minlength=num_items * num_slots)
+    return counts.reshape(num_items, num_slots)
+
+
+__all__ = ["SAVGConfiguration", "UNASSIGNED", "cell_counts"]

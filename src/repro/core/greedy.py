@@ -11,9 +11,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
 from repro.core.problem import SVGICInstance
 
 
@@ -39,19 +41,16 @@ def greedy_complete(
     """Fill every unassigned display unit with the user's best unused item (in place).
 
     With ``size_limit`` set (SVGIC-ST), an item is skipped at a slot whose
-    subgroup for that item is already full; feasibility is always possible
-    because instances guarantee ``size_limit * num_items >= num_users``.
-    Returns the same configuration object for chaining.
+    subgroup for that item is already full.  When every unused item of a
+    user is full at a slot, other users at that slot shift along full
+    subgroups to one with room (:func:`make_room`); if no such shift exists,
+    a :class:`RuntimeError` names the display unit.  Returns the same
+    configuration object for chaining.
     """
-    cell_counts: dict = {}
-    if size_limit is not None:
-        for slot in range(instance.num_slots):
-            for item, members in config.subgroups_at_slot(slot).items():
-                cell_counts[(item, slot)] = len(members)
-
     incomplete = np.nonzero(np.any(config.assignment == UNASSIGNED, axis=1))[0]
     if incomplete.size == 0:
         return config
+    counts = cell_counts(config.assignment, instance.num_items)
     # One stable argsort over the incomplete users' preference rows replaces
     # the former per-user lexsort calls.
     orders = np.argsort(-instance.preference[incomplete], axis=1, kind="stable")
@@ -68,20 +67,72 @@ def greedy_complete(
                 candidate = int(candidate)
                 if candidate in used:
                     continue
-                if (
-                    size_limit is not None
-                    and cell_counts.get((candidate, slot), 0) >= size_limit
-                ):
+                if size_limit is not None and counts[candidate, slot] >= size_limit:
                     continue
                 chosen = candidate
                 break
             if chosen is None:
-                raise RuntimeError("ran out of items while completing configuration")
+                chosen = make_room(instance, config.assignment, counts, user, slot, size_limit)
             config.assignment[user, slot] = chosen
             used.add(chosen)
-            if size_limit is not None:
-                cell_counts[(chosen, slot)] = cell_counts.get((chosen, slot), 0) + 1
+            counts[chosen, slot] += 1
     return config
 
 
-__all__ = ["top_k_preference_configuration", "greedy_complete"]
+def make_room(
+    instance: SVGICInstance,
+    assignment: np.ndarray,
+    counts: np.ndarray,
+    user: int,
+    slot: int,
+    size_limit: int,
+) -> int:
+    """Free a place for ``user`` at ``slot`` when every item it could take there is full.
+
+    Breadth-first search over the full subgroups at ``slot``, starting from
+    the items ``user`` could take, in its preference order: a member of a
+    reached subgroup may move to any item not already in its row, so reaching
+    a subgroup with room gives a path along which each member moves one
+    step.  The moves are applied to ``assignment`` and ``counts``, and the
+    item freed for ``user`` is returned.  Raises :class:`RuntimeError` when
+    no such path exists.
+    """
+    column = assignment[:, slot]
+    room = counts[:, slot] < size_limit
+    order = np.argsort(-instance.preference[user], kind="stable")
+    starts = [int(c) for c in order if c not in assignment[user]]
+    # parent[item] = (item the mover left, mover); None for a start item.
+    parent: dict = {c: None for c in starts}
+    queue = deque(starts)
+    end = None
+    while queue and end is None:
+        item = queue.popleft()
+        for mover in np.nonzero(column == item)[0]:
+            mover = int(mover)
+            row = assignment[mover]
+            targets = np.ones(instance.num_items, dtype=bool)
+            targets[row[row != UNASSIGNED]] = False
+            targets[list(parent)] = False
+            free = np.nonzero(targets & room)[0]
+            if free.size:
+                end = int(free[np.argmax(instance.preference[mover, free])])
+                parent[end] = (item, mover)
+                break
+            for target in np.nonzero(targets)[0]:
+                parent[int(target)] = (item, mover)
+                queue.append(int(target))
+    if end is None:
+        raise RuntimeError(
+            f"cannot complete display unit (user {user}, slot {slot}): every item "
+            f"it could take is full at this slot and no member can move to make room"
+        )
+    counts[end, slot] += 1
+    while parent[end] is not None:
+        left, mover = parent[end]
+        assignment[mover, slot] = end
+        end = left
+    counts[end, slot] -= 1
+    return end
+
+
+__all__ = ["top_k_preference_configuration", "greedy_complete", "make_room"]

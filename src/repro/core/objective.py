@@ -324,15 +324,8 @@ class DeltaEvaluator:
         # probes expands many users' neighbourhoods in one gather.
         self._pair_social = instance.pair_social
         # Row ``u`` of the incidence lists u's pairs in ascending pair id
-        # (the order of ``instance.pair_ids_by_user``) with the other endpoint.
-        pairs = instance.pairs
-        owners = pairs.T.reshape(-1)
-        pair_ids = np.tile(np.arange(pairs.shape[0], dtype=np.int64), 2)
-        order = np.lexsort((pair_ids, owners))
-        self._inc_ptr = np.zeros(instance.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=instance.num_users), out=self._inc_ptr[1:])
-        self._inc_pids = pair_ids[order]
-        self._inc_others = pairs[:, ::-1].T.reshape(-1)[order]
+        # with the other endpoint.
+        self._inc_ptr, self._inc_pids, self._inc_others = instance.pair_incidence
         # Per-user item counts are derived from the (n, k) assignment on
         # demand (a row holds at most k items) instead of materializing a
         # dense (n, m) count grid — that grid alone is ~100 MB at n=50k,
@@ -348,21 +341,6 @@ class DeltaEvaluator:
         """``user``'s pair ids and the other endpoints (views into the incidence)."""
         lo, hi = self._inc_ptr[user], self._inc_ptr[user + 1]
         return self._inc_pids[lo:hi], self._inc_others[lo:hi]
-
-    def _incident_entries(
-        self, users: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The incidence rows of ``users`` (repeats allowed), concatenated.
-
-        Returns ``(owner, pair ids, others)``: entry ``j`` belongs to
-        ``users[owner[j]]``, the segment id gains are summed by.
-        """
-        starts = self._inc_ptr[users]
-        lengths = self._inc_ptr[users + 1] - starts
-        owner = np.repeat(np.arange(users.size), lengths)
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        flat = np.arange(owner.size) + shift
-        return owner, self._inc_pids[flat], self._inc_others[flat]
 
     # ------------------------------------------------------------------ #
     def _full_breakdown(self) -> UtilityBreakdown:
@@ -677,7 +655,7 @@ class DeltaEvaluator:
                 f"slot swap for user {user} needs two assigned cells holding items "
                 "shown once in the row"
             )
-        owner, pids, others = self._incident_entries(users)
+        owner, pids, others = self.instance.incident_pairs(users)
         at_first = self.assignment[others, first_slots[owner]]
         at_second = self.assignment[others, second_slots[owner]]
         item_a, item_b = a[owner], b[owner]
@@ -755,7 +733,7 @@ class DeltaEvaluator:
         user's pairs ``q = (user, x)`` other than ``skip[i]``; see
         :meth:`pair_exchange_gains`.
         """
-        owner, pids, others = self._incident_entries(users)
+        owner, pids, others = self.instance.incident_pairs(users)
         keep = pids != skip[owner]
         owner, pids, others = owner[keep], pids[keep], others[keep]
         slot = slots[owner]

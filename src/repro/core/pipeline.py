@@ -47,8 +47,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
-from repro.core.greedy import greedy_complete
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
+from repro.core.greedy import greedy_complete, make_room
 from repro.core.lp import FractionalSolution, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -374,8 +374,11 @@ class DuplicateRepairStage:
 
     Keeps the first occurrence (lowest slot) of each duplicated item and
     reassigns later occurrences by decreasing preference, honouring the
-    SVGIC-ST size cap where possible.  A no-op on duplication-free
-    configurations, so it is safe to chain unconditionally.
+    SVGIC-ST size cap: when every usable item is full at the slot, other
+    members shift along full subgroups as in :func:`greedy_complete`
+    (:func:`~repro.core.greedy.make_room`, which raises a
+    :class:`RuntimeError` naming the unit if no shift exists).  A no-op on
+    duplication-free configurations, so it is safe to chain unconditionally.
     """
 
     name = "duplicate_repair"
@@ -392,11 +395,7 @@ class DuplicateRepairStage:
             return StageOutcome(configuration, {"repaired_units": 0})
         repaired = configuration.copy()
         size_limit = instance_size_limit(instance)
-        cell_counts: Dict[Tuple[int, int], int] = {}
-        if size_limit is not None:
-            for slot in range(repaired.num_slots):
-                for item, members in repaired.subgroups_at_slot(slot).items():
-                    cell_counts[(item, slot)] = len(members)
+        counts = cell_counts(repaired.assignment, instance.num_items)
         repairs = 0
         for user in range(repaired.num_users):
             row = repaired.assignment[user]
@@ -416,22 +415,17 @@ class DuplicateRepairStage:
                     candidate = int(candidate)
                     if candidate in seen:
                         continue
-                    if (
-                        size_limit is not None
-                        and cell_counts.get((candidate, slot), 0) >= size_limit
-                    ):
+                    if size_limit is not None and counts[candidate, slot] >= size_limit:
                         continue
                     replacement = candidate
                     break
-                if replacement is None:  # size cap saturated everywhere: relax it
-                    replacement = next(
-                        int(c) for c in order if int(c) not in seen
+                counts[item, slot] -= 1
+                if replacement is None:  # every usable item is full at this slot
+                    row[slot] = UNASSIGNED
+                    replacement = make_room(
+                        instance, repaired.assignment, counts, user, slot, size_limit
                     )
-                if size_limit is not None:
-                    cell_counts[(item, slot)] = cell_counts.get((item, slot), 1) - 1
-                    cell_counts[(replacement, slot)] = (
-                        cell_counts.get((replacement, slot), 0) + 1
-                    )
+                counts[replacement, slot] += 1
                 row[slot] = replacement
                 seen.add(replacement)
                 repairs += 1
@@ -530,16 +524,6 @@ class LocalSearchImprover:
         return candidate_items(instance, self.max_items)
 
     # -- move probes ----------------------------------------------------- #
-    @staticmethod
-    def _cell_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
-        """``(m, k)`` subgroup sizes: users displayed item ``c`` at slot ``s``."""
-        num_slots = assignment.shape[1]
-        counts = np.zeros((num_items, num_slots), dtype=np.int64)
-        mask = assignment != UNASSIGNED
-        slots = np.broadcast_to(np.arange(num_slots), assignment.shape)[mask]
-        np.add.at(counts, (assignment[mask], slots), 1)
-        return counts
-
     def _best_cell_move(
         self,
         evaluator: DeltaEvaluator,
@@ -678,7 +662,7 @@ class LocalSearchImprover:
             evaluator = DeltaEvaluator(instance, configuration)
         size_limit = instance_size_limit(instance)
         if size_limit is not None and counts is None:
-            counts = self._cell_counts(evaluator.assignment, instance.num_items)
+            counts = cell_counts(evaluator.assignment, instance.num_items)
         candidates = self._candidate_items(instance, context)
         n, k = instance.num_users, instance.num_slots
         pairs = instance.pairs

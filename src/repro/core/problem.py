@@ -187,13 +187,32 @@ class SVGICInstance:
         return tuple(tuple(sorted(adj)) for adj in adjacency)
 
     @cached_property
-    def pair_ids_by_user(self) -> Tuple[Tuple[int, ...], ...]:
-        """For each user, indices into ``pairs`` of the pairs containing that user."""
-        owned: List[List[int]] = [[] for _ in range(self.num_users)]
-        for pid, (u, v) in enumerate(self.pairs):
-            owned[int(u)].append(pid)
-            owned[int(v)].append(pid)
-        return tuple(tuple(ids) for ids in owned)
+    def pair_incidence(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR incidence of users and friend pairs: ``(ptr, pair_ids, others)``.
+
+        Row ``u`` is ``ptr[u]:ptr[u + 1]``: the rows of ``pairs`` containing
+        ``u`` in ascending pair id, and the other endpoint of each.
+        """
+        pairs = self.pairs
+        owners = pairs.T.reshape(-1)
+        pair_ids = np.tile(np.arange(pairs.shape[0], dtype=np.int64), 2)
+        order = np.lexsort((pair_ids, owners))
+        ptr = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=self.num_users), out=ptr[1:])
+        return ptr, pair_ids[order], pairs[:, ::-1].T.reshape(-1)[order]
+
+    def incident_pairs(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The :attr:`pair_incidence` rows of ``users`` (repeats allowed), concatenated.
+
+        Returns ``(owner, pair ids, others)``: entry ``j`` belongs to
+        ``users[owner[j]]``, and each user's entries keep ascending pair id.
+        """
+        ptr, pair_ids, others = self.pair_incidence
+        starts = ptr[users]
+        lengths = ptr[users + 1] - starts
+        owner = np.repeat(np.arange(users.size), lengths)
+        flat = np.arange(owner.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return owner, pair_ids[flat], others[flat]
 
     # ------------------------------------------------------------------ #
     # Scaling (Section 4.4, "Supporting Other Values of lambda")

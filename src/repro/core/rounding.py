@@ -118,11 +118,13 @@ def run_independent_rounding(
 ) -> AlgorithmResult:
     """End-to-end LP solve + independent rounding, packaged as an :class:`AlgorithmResult`."""
     start = time.perf_counter()
+    info: dict = {}
     if fractional is None:
         if context is not None:
             fractional = context.fractional(
                 prune_items=prune_items, max_candidate_items=max_candidate_items
             )
+            info["lp_cache_hit"] = context.last_fractional_was_hit
         else:
             fractional = solve_lp_relaxation(
                 instance, prune_items=prune_items, max_candidate_items=max_candidate_items
@@ -139,6 +141,7 @@ def run_independent_rounding(
             "lp_seconds": fractional.lp_seconds,
             "duplication_violations": outcome.duplication_violations,
             "repaired": repair,
+            **info,
         },
     )
 

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.configuration import SAVGConfiguration, UNASSIGNED
+from repro.core.configuration import SAVGConfiguration, cell_counts
 from repro.core.objective import DeltaEvaluator, UtilityBreakdown, evaluate, evaluate_st
 from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -181,16 +181,6 @@ def _shard_seed(seed: Optional[int], shard_id: int) -> Optional[np.random.SeedSe
 # --------------------------------------------------------------------------- #
 # Stitch + repair
 # --------------------------------------------------------------------------- #
-def _subgroup_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
-    """``(m, k)`` subgroup sizes of an assignment (users per item/slot cell)."""
-    num_slots = assignment.shape[1]
-    counts = np.zeros((num_items, num_slots), dtype=np.int64)
-    mask = assignment != UNASSIGNED
-    slots = np.broadcast_to(np.arange(num_slots), assignment.shape)[mask]
-    np.add.at(counts, (assignment[mask], slots), 1)
-    return counts
-
-
 def _evict_overfull(
     instance: SVGICSTInstance,
     evaluator: DeltaEvaluator,
@@ -219,7 +209,7 @@ def _evict_overfull(
     evictions = 0
     all_items = np.arange(instance.num_items, dtype=np.int64)
     for _sweep in range(max_sweeps):
-        counts = _subgroup_counts(evaluator.assignment, instance.num_items)
+        counts = cell_counts(evaluator.assignment, instance.num_items)
         overfull = np.argwhere(counts > cap)
         if overfull.size == 0:
             break
@@ -431,7 +421,7 @@ def solve_sharded(
     repair_start = time.perf_counter()
     post_eviction_total = union_total
     if repair and is_st:
-        counts = _subgroup_counts(merged.assignment, instance.num_items)
+        counts = cell_counts(merged.assignment, instance.num_items)
         if int((counts > instance.max_subgroup_size).sum()) > 0:
             evaluator = DeltaEvaluator(instance, merged)
             moved, evictions = _evict_overfull(instance, evaluator)
@@ -458,7 +448,7 @@ def solve_sharded(
 
     final_breakdown = _breakdown(instance, final)
     if is_st:
-        residual = _subgroup_counts(final.assignment, instance.num_items)
+        residual = cell_counts(final.assignment, instance.num_items)
         feasible = bool((residual <= instance.max_subgroup_size).all())
     else:
         feasible = True

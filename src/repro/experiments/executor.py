@@ -401,6 +401,11 @@ def run_algorithms(
     serial ≡ parallel sweep equivalence — so randomized algorithms return
     different, equally valid draws than they did under the old scheme.)
 
+    A report's ``seconds`` is the algorithm's standalone time: a runner
+    served the shared LP from the cache or the store is charged that LP's
+    solve seconds, as if it had solved it, so which row pays the LP does
+    not depend on line-up order or on which job reached the instance first.
+
     This is the single dispatch loop for the whole experiment layer:
     :func:`run_job` (and therefore every executor) routes through it, so
     serial and parallel sweeps cannot drift apart.
@@ -418,7 +423,10 @@ def run_algorithms(
             result = runner(instance, rng=generator, context=context)
         else:
             result = runner(instance, rng=generator)
-        reports[name] = evaluate_result(instance, result)
+        report = evaluate_result(instance, result)
+        if result.info.get("lp_cache_hit"):
+            report.seconds += float(result.info["lp_seconds"])
+        reports[name] = report
     return reports
 
 

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -95,16 +95,6 @@ def check_session_inputs(
     return active
 
 
-def _active_cell_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
-    """``(m, k)`` subgroup sizes of an (active-masked) assignment array."""
-    num_slots = assignment.shape[1]
-    counts = np.zeros((num_items, num_slots), dtype=np.int64)
-    mask = assignment != UNASSIGNED
-    slots = np.broadcast_to(np.arange(num_slots), assignment.shape)[mask]
-    np.add.at(counts, (assignment[mask], slots), 1)
-    return counts
-
-
 class DynamicSession:
     """Incremental maintenance of an SAVG configuration under user churn.
 
@@ -137,7 +127,7 @@ class DynamicSession:
         self.evaluator = DeltaEvaluator(
             instance, SAVGConfiguration(assignment=masked, num_items=instance.num_items)
         )
-        self._counts = _active_cell_counts(self.evaluator.assignment, instance.num_items)
+        self._counts = cell_counts(self.evaluator.assignment, instance.num_items)
 
     # ------------------------------------------------------------------ #
     @property

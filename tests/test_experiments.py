@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.avg_d import run_avg_d
+from repro.core.pipeline import SolveContext, lp_cache_key
 from repro.core.result import AlgorithmResult
 from repro.data import datasets
 from repro.experiments import figures
@@ -26,6 +29,19 @@ class TestHarness:
         assert set(reports) == {"AVG", "AVG-D", "PER", "FMG", "SDP", "GRF"}
         for report in reports.values():
             assert report.total_utility > 0
+
+    def test_rows_are_charged_for_a_shared_lp_solve(self, small_timik_instance):
+        # Every row that used the line-up's one LP reports that solve's
+        # seconds, whichever runner happened to pay for it.
+        context = SolveContext(small_timik_instance)
+        solution = replace(context.fractional(), lp_seconds=5.0)
+        context.install_lp_solution(lp_cache_key(), solution)
+        reports = run_algorithms(
+            small_timik_instance, default_algorithms(), seed=0, context=context
+        )
+        assert reports["AVG"].seconds >= 5.0
+        assert reports["AVG-D"].seconds >= 5.0
+        assert reports["PER"].seconds < 5.0
 
     def test_sweep_produces_rows_per_value_and_algorithm(self):
         algorithms = {"PER": lambda instance, rng=None: __import__("repro").run_per(instance)}

@@ -101,10 +101,17 @@ class TestDerivedStructures:
         assert 1 in tiny_instance.neighbors[2]
         assert 2 not in tiny_instance.neighbors[0]
 
-    def test_pair_ids_by_user(self, tiny_instance):
+    def test_pair_incidence(self, tiny_instance):
+        ptr, pair_ids, others = tiny_instance.pair_incidence
+        assert ptr[-1] == pair_ids.size == 2 * tiny_instance.pairs.shape[0]
         for user in range(tiny_instance.num_users):
-            for pid in tiny_instance.pair_ids_by_user[user]:
-                assert user in tiny_instance.pairs[pid]
+            row = slice(ptr[user], ptr[user + 1])
+            assert np.all(np.diff(pair_ids[row]) > 0)  # ascending pair id
+            for pid, other in zip(pair_ids[row], others[row]):
+                assert sorted(tiny_instance.pairs[pid]) == sorted((user, other))
+            # Every pair containing the user is listed.
+            expected = np.nonzero((tiny_instance.pairs == user).any(axis=1))[0]
+            assert np.array_equal(pair_ids[row], expected)
 
     def test_graph_matches_edges(self, tiny_instance):
         graph = tiny_instance.graph

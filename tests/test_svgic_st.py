@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core.configuration import SAVGConfiguration
+from repro.core.greedy import greedy_complete
+from repro.core.pipeline import DuplicateRepairStage
 from repro.core.problem import SVGICSTInstance
+from repro.core.registry import run_registered
 from repro.core.svgic_st import (
     co_display_events,
     is_feasible,
     size_violation_report,
     subgroup_size_histogram,
 )
+from repro.data import datasets
 from repro.data.example_paper import group_configuration, optimal_configuration, paper_example_instance
 
 
@@ -71,3 +75,62 @@ class TestHistogram:
         histogram = subgroup_size_histogram(config)
         total_users = sum(size * count for size, count in histogram.items())
         assert total_users == st_instance.num_users * st_instance.num_slots
+
+
+class TestTightCapCompletion:
+    """``make_st_instance`` accepts ``M * m == n``; completion must still fit the cap."""
+
+    @pytest.mark.parametrize("algorithm", ["AVG-D", "AVG"])
+    @pytest.mark.parametrize(
+        "num_users,num_items,cap,seed", [(40, 10, 4, 1), (60, 12, 5, 1), (30, 10, 3, 4)]
+    )
+    def test_rounding_completes_within_cap(
+        self, algorithm, num_users, num_items, cap, seed
+    ):
+        instance = datasets.make_st_instance(
+            "timik", num_users=num_users, num_items=num_items, num_slots=3,
+            max_subgroup_size=cap, seed=seed,
+        )
+        result = run_registered(algorithm, instance, rng=0)
+        result.configuration.validate(instance)
+        assert result.configuration.max_subgroup_size() <= cap
+
+    def test_greedy_complete_moves_a_member_to_free_a_place(self):
+        """User 2 can take only items 1 and 2 at slot 1, both full; item 0 has room."""
+        instance = datasets.make_st_instance(
+            "timik", num_users=3, num_items=3, num_slots=2, max_subgroup_size=1, seed=0
+        )
+        config = SAVGConfiguration(
+            assignment=np.array([[2, 1], [1, 2], [0, -1]]), num_items=3
+        )
+        greedy_complete(instance, config, size_limit=1)
+        config.validate(instance)
+        assert config.max_subgroup_size() <= 1
+        assert config.assignment[:, 0].tolist() == [2, 1, 0]  # only slot 1 moved
+        assert sorted(config.assignment[:, 1].tolist()) == [0, 1, 2]
+
+    def test_duplicate_repair_moves_a_member_instead_of_breaking_the_cap(self):
+        """User 2's repeated item 0 at slot 1 must go; items 1 and 2 are full there."""
+        instance = datasets.make_st_instance(
+            "timik", num_users=3, num_items=3, num_slots=2, max_subgroup_size=1, seed=0
+        )
+        config = SAVGConfiguration(
+            assignment=np.array([[2, 1], [1, 2], [0, 0]]), num_items=3
+        )
+        outcome = DuplicateRepairStage().apply(instance, config)
+        repaired = outcome.configuration
+        repaired.validate(instance)
+        assert repaired.max_subgroup_size() <= 1
+        assert repaired.assignment[:, 0].tolist() == [2, 1, 0]  # only slot 1 moved
+        assert outcome.info["repaired_units"] == 1
+
+    def test_greedy_complete_names_the_unit_when_no_move_helps(self):
+        """User 1 can take only item 2 at slot 2, and its holder has every other item."""
+        instance = datasets.make_st_instance(
+            "timik", num_users=3, num_items=3, num_slots=3, max_subgroup_size=1, seed=0
+        )
+        config = SAVGConfiguration(
+            assignment=np.array([[1, 0, 2], [0, 1, -1], [-1, -1, -1]]), num_items=3
+        )
+        with pytest.raises(RuntimeError, match=r"user 1, slot 2"):
+            greedy_complete(instance, config, size_limit=1)
