@@ -17,27 +17,47 @@ The implementation includes the two efficiency enhancements of Section 4.4:
 
 It also supports the SVGIC-ST extension: when the instance carries a
 subgroup-size constraint ``M``, CSF adds eligible users in decreasing
-utility-factor order and locks the (item, slot) cell once ``M`` users share
+utility-factor order and closes the (item, slot) cell once ``M`` users share
 it (Section 4.4, "Extending AVG for SVGIC-ST").
+
+AVG and AVG-D (:mod:`repro.core.avg_d`) round on one :class:`CSFState`: the
+assignment, a dense ``(n, m)`` shown-items mask, the ``(m, k)`` subgroup
+counts and each ``(c, s)`` cell's users ranked once by ``x*``.  A cell's
+*head* is its first eligible ranked user, and the head's factor is the cell's
+sampling weight.  Eligibility only shrinks, so after a move AVG recomputes the
+head only for the cells in the chosen item's row and the chosen slot's column
+whose head just joined.  A move's members are the eligible users with
+``x* >= α`` in rank order, cut at the cell's remaining capacity.  The
+configurations, statistics and random draws are those of the per-user
+rounding kept as a test oracle in ``tests/oracles/avg_reference.py``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
 from repro.core.greedy import greedy_complete, top_k_preference_configuration
-from repro.core.lp import FractionalSolution, solve_lp_relaxation
+from repro.core.lp import FractionalSolution
 from repro.core.objective import total_utility
-from repro.core.pipeline import LocalSearchImprover, SolveContext
-from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.core.pipeline import (
+    LocalSearchImprover,
+    SolveContext,
+    instance_size_limit,
+    rounding_lp,
+)
+from repro.core.problem import SVGICInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
 from repro.utils.rng import SeedLike, ensure_rng
+
+#: The plain Algorithm-2 scheme draws at most this many focal parameters per
+#: display unit before the pass finishes with the advanced scheme.
+_UNIFORM_DRAWS_PER_UNIT = 200
 
 
 @dataclass
@@ -48,78 +68,171 @@ class CSFStatistics:
     idle_iterations: int = 0
     subgroups_formed: int = 0
     fallback_assignments: int = 0
-    locked_cells: int = 0
 
 
-class _RoundingState:
-    """Mutable state shared by the CSF iterations of a single rounding pass."""
+class CSFState:
+    """The state a CSF rounding pass mutates, shared by AVG and AVG-D.
 
-    def __init__(self, instance: SVGICInstance, size_limit: Optional[int]) -> None:
+    Cells are the ``(item, slot)`` pairs of ``items``, item-major.  Cell ``i``
+    reads row ``rank_row[i]`` of ``factors``, the users' utility factors for
+    it: one row per item when the LP is slot-independent, one per cell
+    otherwise.  ``ranking`` maps ``factors`` to each row's users in rank
+    order; the two rounders break ties differently, so each passes its own.
+    A user is eligible for a cell while its slot is open and its item is
+    unshown; a cell takes no members once its count reaches ``size_limit``.
+    """
+
+    def __init__(
+        self,
+        instance: SVGICInstance,
+        fractional: FractionalSolution,
+        items: np.ndarray,
+        ranking: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        n, m, k = instance.num_users, instance.num_items, instance.num_slots
         self.instance = instance
         self.config = SAVGConfiguration.for_instance(instance)
-        self.items_used: List[set] = [set() for _ in range(instance.num_users)]
-        self.unfilled_per_user = np.full(instance.num_users, instance.num_slots, dtype=np.int64)
-        self.size_limit = size_limit
-        self.cell_counts: Dict[Tuple[int, int], int] = {}
-        self.locked_cells: set = set()
+        self.items_used = np.zeros((n, m), dtype=bool)
+        self.counts = cell_counts(self.config.assignment, m)
+        self.remaining_units = n * k
+        self.size_limit = instance_size_limit(instance)
 
-    def slot_open(self, user: int, slot: int) -> bool:
-        return self.config.assignment[user, slot] == UNASSIGNED
-
-    def eligible(self, user: int, item: int, slot: int) -> bool:
-        """User is eligible for (item, slot): slot open and item not yet shown to user."""
-        return self.slot_open(user, slot) and item not in self.items_used[user]
-
-    def assign(self, user: int, item: int, slot: int) -> None:
-        self.config.assignment[user, slot] = item
-        self.items_used[user].add(item)
-        self.unfilled_per_user[user] -= 1
-        if self.size_limit is not None:
-            key = (item, slot)
-            self.cell_counts[key] = self.cell_counts.get(key, 0) + 1
-            if self.cell_counts[key] >= self.size_limit:
-                self.locked_cells.add(key)
-
-    def complete(self) -> bool:
-        return bool(np.all(self.unfilled_per_user == 0))
-
-
-def _ranked_users(values: np.ndarray) -> List[Tuple[float, int]]:
-    """Users with positive LP mass as ``(value, user)`` pairs, decreasing.
-
-    Ties are ordered by decreasing user id, matching the tuple comparison the
-    previous ``sorted(..., reverse=True)`` implementation performed, so
-    seeded rounding outcomes are unchanged.
-    """
-    users = np.nonzero(values > 1e-12)[0]
-    if users.size == 0:
-        return []
-    order = np.lexsort((-users, -values[users]))
-    selected = users[order]
-    return list(zip(values[selected].tolist(), selected.tolist()))
-
-
-def _sorted_user_lists(
-    instance: SVGICInstance, fractional: FractionalSolution
-) -> Dict[Tuple[int, int], List[Tuple[float, int]]]:
-    """For each (item, slot) with positive LP mass, users sorted by decreasing x*."""
-    lists: Dict[Tuple[int, int], List[Tuple[float, int]]] = {}
-    compact = fractional.compact_factors
-    k = instance.num_slots
-    positive_items = np.nonzero(compact.sum(axis=0) > 1e-12)[0]
-    slot_independent = fractional.formulation in {"simplified", "sparse"}
-    for item in positive_items:
-        item = int(item)
-        if slot_independent:
-            ranked = _ranked_users(compact[:, item] / k)
-            for slot in range(k):
-                lists[(item, slot)] = ranked
+        self.cell_item = np.repeat(items, k)
+        self.cell_slot = np.tile(np.arange(k), items.size)
+        if fractional.slot_independent:
+            self.factors = (fractional.compact_factors / k)[:, items].T
+            self.rank_row = np.arange(self.cell_item.size) // k
         else:
-            for slot in range(k):
-                ranked = _ranked_users(fractional.slot_factors[:, item, slot])
-                if ranked:
-                    lists[(item, slot)] = ranked
-    return lists
+            slot_factors = np.asarray(fractional.slot_factors)[:, items, :]
+            self.factors = slot_factors.transpose(1, 2, 0).reshape(-1, n)
+            self.rank_row = np.arange(self.cell_item.size)
+        self.rank = ranking(self.factors)
+
+    def eligible(self, users: np.ndarray, items: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Whether each user may join the cell ``(item, slot)`` (broadcasting)."""
+        shown = self.items_used[users, items]
+        return (self.config.assignment[users, slots] == UNASSIGNED) & ~shown
+
+    def ranked_eligible(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each cell's users in rank order, and which of them are eligible."""
+        ranked = self.rank[self.rank_row[cells]]  # (D, n)
+        items, slots = self.cell_item[cells], self.cell_slot[cells]
+        return ranked, self.eligible(ranked, items[:, None], slots[:, None])
+
+    def co_display(self, item: int, slot: int, members: np.ndarray) -> None:
+        """Show ``item`` at ``slot`` to ``members``."""
+        self.config.assignment[members, slot] = item
+        self.items_used[members, item] = True
+        self.remaining_units -= members.size
+        self.counts[item, slot] += members.size
+
+    def touched(self, item: int, slot: int) -> np.ndarray:
+        """Mask of the cells a co-display of ``item`` at ``slot`` can change.
+
+        Eligibility, partners' open slots and the cap change only in the
+        item's row and the slot's column of cells.
+        """
+        return (self.cell_item == item) | (self.cell_slot == slot)
+
+    def complete_greedily(self) -> int:
+        """Fill every open display unit greedily; return how many there were."""
+        filled = self.remaining_units
+        greedy_complete(self.instance, self.config, size_limit=self.size_limit)
+        self.remaining_units = 0
+        return filled
+
+
+def _rank_ties_by_decreasing_id(factors: np.ndarray) -> np.ndarray:
+    """Users by decreasing factor, ties by decreasing user id, per row."""
+    users = np.broadcast_to(-np.arange(factors.shape[1]), factors.shape)
+    return np.lexsort((users, -factors), axis=1)
+
+
+class _RandomizedRounder(CSFState):
+    """AVG's rounding pass: the shared state plus each cell's head.
+
+    Only users with ``x* > 1e-12`` may join a cell: the first ``length`` of
+    its rank row.  ``head`` holds each cell's head position, ``n`` for none.
+    """
+
+    def __init__(self, instance: SVGICInstance, fractional: FractionalSolution) -> None:
+        items = np.nonzero(fractional.compact_factors.sum(axis=0) > 1e-12)[0]
+        super().__init__(instance, fractional, items, _rank_ties_by_decreasing_id)
+        n, m, k = instance.num_users, instance.num_items, instance.num_slots
+        cells = self.cell_item.size
+        self.values = np.take_along_axis(self.factors, self.rank, axis=1)
+        self.length = np.count_nonzero(self.values > 1e-12, axis=1)
+        self.cell_index = np.full((m, k), -1)
+        self.cell_index[self.cell_item, self.cell_slot] = np.arange(cells)
+        self.head = np.full(cells, n)
+        self._find_heads(np.arange(cells))
+
+    def _find_heads(self, cells: np.ndarray) -> None:
+        """Set each cell's head: its first eligible position, if below ``length``."""
+        _, eligible = self.ranked_eligible(cells)
+        first = eligible.argmax(axis=1)
+        found = eligible[np.arange(cells.size), first] & (
+            first < self.length[self.rank_row[cells]]
+        )
+        self.head[cells] = np.where(found, first, self.instance.num_users)
+
+    def form_subgroup(self, cell: int, alpha: float, stats: CSFStatistics) -> None:
+        """Co-display cell ``cell``'s item to its eligible users with ``x* >= alpha``.
+
+        ``cell`` is ``-1`` for an item without LP mass, which forms nothing.
+        """
+        members = np.empty(0, dtype=np.int64)
+        if cell >= 0:
+            item, slot = int(self.cell_item[cell]), int(self.cell_slot[cell])
+            row = self.rank_row[cell]
+            end = np.count_nonzero(self.values[row, : self.length[row]] >= alpha)
+            # Positions before the head are ineligible.
+            members = self.rank[row, self.head[cell] : end]
+            members = members[self.eligible(members, item, slot)]
+            if self.size_limit is not None:
+                members = members[: self.size_limit - self.counts[item, slot]]
+        if members.size == 0:
+            stats.idle_iterations += 1
+            return
+        stats.subgroups_formed += 1
+        self.co_display(item, slot, members)
+
+        # Eligibility only shrinks, and only for the members, so the heads to
+        # move are the members' in the touched cells.
+        joined = np.zeros(self.instance.num_users, dtype=bool)
+        joined[members] = True
+        cells = np.nonzero(self.touched(item, slot) & (self.head < self.instance.num_users))[0]
+        self._find_heads(cells[joined[self.rank[self.rank_row[cells], self.head[cells]]]])
+
+    def advanced_loop(self, generator: np.random.Generator, stats: CSFStatistics) -> None:
+        while self.remaining_units > 0:
+            # Sample among cells with an eligible user and room left, each
+            # weighted by its head's utility factor.
+            open_ = self.head < self.instance.num_users
+            if self.size_limit is not None:
+                open_ &= self.counts[self.cell_item, self.cell_slot] < self.size_limit
+            cells = np.nonzero(open_)[0]
+            if cells.size == 0:
+                # No cell with positive mass can make progress; the greedy
+                # completion in the caller handles the remaining units.
+                return
+            weights = self.values[self.rank_row[cells], self.head[cells]]
+            choice = int(generator.choice(cells.size, p=weights / weights.sum()))
+            alpha = float(generator.uniform(0.0, weights[choice]))
+            # Guard against alpha == 0 exactly (open interval in the paper).
+            alpha = max(alpha, 1e-15)
+            stats.iterations += 1
+            self.form_subgroup(int(cells[choice]), alpha, stats)
+
+    def uniform_loop(self, generator: np.random.Generator, stats: CSFStatistics) -> None:
+        m, k = self.instance.num_items, self.instance.num_slots
+        limit = _UNIFORM_DRAWS_PER_UNIT * self.instance.num_users * k
+        while self.remaining_units > 0 and stats.iterations < limit:
+            stats.iterations += 1
+            item = int(generator.integers(0, m))
+            slot = int(generator.integers(0, k))
+            alpha = max(float(generator.uniform(0.0, 1.0)), 1e-15)
+            self.form_subgroup(int(self.cell_index[item, slot]), alpha, stats)
 
 
 def csf_rounding(
@@ -128,10 +241,10 @@ def csf_rounding(
     *,
     rng: SeedLike = None,
     advanced_sampling: bool = True,
-    size_limit: Optional[int] = None,
-    max_iterations: Optional[int] = None,
 ) -> Tuple[SAVGConfiguration, CSFStatistics]:
     """One randomized CSF rounding pass over the fractional solution ``X*``.
+
+    On an SVGIC-ST instance every cell is capped at the instance's ``M``.
 
     Parameters
     ----------
@@ -140,141 +253,33 @@ def csf_rounding(
         the maximum eligible factor, ``α ~ U(0, max]``); every iteration makes
         progress.  ``False`` — the plain Algorithm-2 scheme (uniform ``(c, s)``,
         ``α ~ U(0, 1]``) with idle iterations, used by the Figure-9(b)
-        ablation; after ``max_iterations`` idle-heavy iterations the pass
-        falls back to the advanced scheme so that it always terminates.
-    size_limit:
-        Optional subgroup-size cap ``M`` (SVGIC-ST).
+        ablation; after ``200 · n · k`` iterations the pass falls back to the
+        advanced scheme so that it always terminates.
     """
     generator = ensure_rng(rng)
     stats = CSFStatistics()
-    state = _RoundingState(instance, size_limit)
-    user_lists = _sorted_user_lists(instance, fractional)
-    if max_iterations is None:
-        max_iterations = 200 * instance.num_users * instance.num_slots
-
-    if advanced_sampling:
-        _advanced_sampling_loop(state, user_lists, generator, stats)
-    else:
-        _uniform_sampling_loop(state, user_lists, generator, stats, max_iterations)
-        if not state.complete():
-            # Safety net: finish with the advanced scheme (identical outcome
-            # distribution, Observation 3), so the ablation never hangs.
-            _advanced_sampling_loop(state, user_lists, generator, stats)
-
-    if not state.complete():
-        before = int(np.count_nonzero(state.config.assignment == UNASSIGNED))
-        greedy_complete(instance, state.config, size_limit=size_limit)
-        stats.fallback_assignments += before
-    stats.locked_cells = len(state.locked_cells)
-    return state.config, stats
+    rounder = _RandomizedRounder(instance, fractional)
+    if not advanced_sampling:
+        rounder.uniform_loop(generator, stats)
+    # Also the uniform scheme's safety net (identical outcome distribution,
+    # Observation 3), so the ablation never hangs.
+    rounder.advanced_loop(generator, stats)
+    if rounder.remaining_units > 0:
+        stats.fallback_assignments += rounder.complete_greedily()
+    return rounder.config, stats
 
 
-def _current_head(
-    state: _RoundingState,
-    key: Tuple[int, int],
-    ranked: List[Tuple[float, int]],
-    pointers: Dict[Tuple[int, int], int],
-) -> Optional[float]:
-    """Largest utility factor among users still eligible for ``key``; None if none."""
-    item, slot = key
-    ptr = pointers.get(key, 0)
-    while ptr < len(ranked) and not state.eligible(ranked[ptr][1], item, slot):
-        ptr += 1
-    pointers[key] = ptr
-    if ptr >= len(ranked):
+def lambda_zero_result(
+    instance: SVGICInstance, algorithm_name: str, start: float
+) -> Optional[AlgorithmResult]:
+    """The optimum of the trivial ``λ = 0`` case (each user's top-k), else ``None``."""
+    if instance.social_weight != 0:
         return None
-    return ranked[ptr][0]
-
-
-def _apply_csf(
-    state: _RoundingState,
-    key: Tuple[int, int],
-    ranked: List[Tuple[float, int]],
-    alpha: float,
-    stats: CSFStatistics,
-) -> int:
-    """Co-display the focal item to every eligible user with x* >= alpha; return #assigned."""
-    item, slot = key
-    assigned = 0
-    for value, user in ranked:
-        if value < alpha:
-            break
-        if key in state.locked_cells:
-            break
-        if not state.eligible(user, item, slot):
-            continue
-        state.assign(user, item, slot)
-        assigned += 1
-    if assigned:
-        stats.subgroups_formed += 1
-    return assigned
-
-
-def _advanced_sampling_loop(
-    state: _RoundingState,
-    user_lists: Dict[Tuple[int, int], List[Tuple[float, int]]],
-    generator: np.random.Generator,
-    stats: CSFStatistics,
-) -> None:
-    pointers: Dict[Tuple[int, int], int] = {}
-    active_keys = [key for key in user_lists if key not in state.locked_cells]
-
-    while not state.complete():
-        keys: List[Tuple[int, int]] = []
-        weights: List[float] = []
-        still_active: List[Tuple[int, int]] = []
-        for key in active_keys:
-            if key in state.locked_cells:
-                continue
-            head = _current_head(state, key, user_lists[key], pointers)
-            if head is None:
-                continue
-            still_active.append(key)
-            keys.append(key)
-            weights.append(head)
-        active_keys = still_active
-        if not keys:
-            # No (item, slot) with positive mass can make progress; the greedy
-            # completion in the caller handles the remaining units.
-            return
-        weight_arr = np.asarray(weights, dtype=float)
-        probabilities = weight_arr / weight_arr.sum()
-        choice = int(generator.choice(len(keys), p=probabilities))
-        key = keys[choice]
-        alpha = float(generator.uniform(0.0, weight_arr[choice]))
-        # Guard against alpha == 0 exactly (open interval in the paper).
-        alpha = max(alpha, 1e-15)
-        stats.iterations += 1
-        assigned = _apply_csf(state, key, user_lists[key], alpha, stats)
-        if assigned == 0:
-            stats.idle_iterations += 1
-
-
-def _uniform_sampling_loop(
-    state: _RoundingState,
-    user_lists: Dict[Tuple[int, int], List[Tuple[float, int]]],
-    generator: np.random.Generator,
-    stats: CSFStatistics,
-    max_iterations: int,
-) -> None:
-    instance = state.instance
-    keys = list(user_lists.keys())
-    if not keys:
-        return
-    while not state.complete() and stats.iterations < max_iterations:
-        stats.iterations += 1
-        item = int(generator.integers(0, instance.num_items))
-        slot = int(generator.integers(0, instance.num_slots))
-        alpha = float(generator.uniform(0.0, 1.0))
-        alpha = max(alpha, 1e-15)
-        key = (item, slot)
-        ranked = user_lists.get(key)
-        if ranked is None or key in state.locked_cells:
-            stats.idle_iterations += 1
-            continue
-        assigned = _apply_csf(state, key, ranked, alpha, stats)
-        if assigned == 0:
-            stats.idle_iterations += 1
+    config = top_k_preference_configuration(instance)
+    return AlgorithmResult.from_configuration(
+        algorithm_name, instance, config, time.perf_counter() - start,
+        optimal=True, info={"special_case": "lambda=0"},
+    )
 
 
 @register_algorithm(
@@ -318,34 +323,14 @@ def run_avg(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     generator = ensure_rng(rng)
     start = time.perf_counter()
-
-    # λ = 0 is the trivial special case: the optimum is each user's top-k.
-    if instance.social_weight == 0:
-        config = top_k_preference_configuration(instance)
-        return AlgorithmResult.from_configuration(
-            algorithm_name, instance, config, time.perf_counter() - start,
-            optimal=True, info={"special_case": "lambda=0"},
-        )
-
-    lp_cache_hit: Optional[bool] = None
-    if fractional is None:
-        if context is not None:
-            fractional = context.fractional(
-                formulation=lp_formulation,
-                prune_items=prune_items,
-                max_candidate_items=max_candidate_items,
-            )
-            lp_cache_hit = context.last_fractional_was_hit
-        else:
-            fractional = solve_lp_relaxation(
-                instance,
-                formulation=lp_formulation,
-                prune_items=prune_items,
-                max_candidate_items=max_candidate_items,
-            )
-
-    size_limit = (
-        instance.max_subgroup_size if isinstance(instance, SVGICSTInstance) else None
+    shortcut = lambda_zero_result(instance, algorithm_name, start)
+    if shortcut is not None:
+        return shortcut
+    fractional, lp_info = rounding_lp(
+        instance, fractional, context,
+        formulation=lp_formulation,
+        prune_items=prune_items,
+        max_candidate_items=max_candidate_items,
     )
 
     best_config: Optional[SAVGConfiguration] = None
@@ -353,17 +338,11 @@ def run_avg(
     total_stats = CSFStatistics()
     for _ in range(repetitions):
         config, stats = csf_rounding(
-            instance,
-            fractional,
-            rng=generator,
-            advanced_sampling=advanced_sampling,
-            size_limit=size_limit,
+            instance, fractional, rng=generator, advanced_sampling=advanced_sampling
         )
-        total_stats.iterations += stats.iterations
-        total_stats.idle_iterations += stats.idle_iterations
-        total_stats.subgroups_formed += stats.subgroups_formed
-        total_stats.fallback_assignments += stats.fallback_assignments
-        total_stats.locked_cells += stats.locked_cells
+        for stat in fields(CSFStatistics):
+            total = getattr(total_stats, stat.name) + getattr(stats, stat.name)
+            setattr(total_stats, stat.name, total)
         value = total_utility(instance, config)
         if value > best_value:
             best_value = value
@@ -377,14 +356,10 @@ def run_avg(
         "lp_seconds": fractional.lp_seconds,
         "lp_formulation": fractional.formulation,
         "repetitions": repetitions,
-        "iterations": total_stats.iterations,
-        "idle_iterations": total_stats.idle_iterations,
-        "subgroups_formed": total_stats.subgroups_formed,
-        "fallback_assignments": total_stats.fallback_assignments,
+        **asdict(total_stats),
         "advanced_sampling": advanced_sampling,
+        **lp_info,
     }
-    if lp_cache_hit is not None:
-        info["lp_cache_hit"] = lp_cache_hit
     return AlgorithmResult.from_configuration(
         algorithm_name, instance, best_config, elapsed, info=info,
     )
@@ -407,4 +382,4 @@ def _run_avg_with_local_search(
     return run_avg(instance, rng=rng, context=context, algorithm_name="AVG+LS", **options)
 
 
-__all__ = ["CSFStatistics", "csf_rounding", "run_avg"]
+__all__ = ["CSFState", "CSFStatistics", "csf_rounding", "run_avg"]

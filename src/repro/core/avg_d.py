@@ -11,15 +11,18 @@ target subgroup now, ``OPT_LP`` is the LP-estimated utility still available
 from the remaining display units, and ``r`` is the balancing ratio (``r=1/4``
 gives the deterministic 4-approximation; Figure 12 studies other values).
 
-The rounder ranks each ``(c, s)`` cell's users by ``x*`` once; filtering that
-order by eligibility gives the cell's prefixes.  It caches every cell's ALG
-and removed-LP-mass prefix sums in padded ``(cells, W)`` arrays and keeps
-``OPT_LP(S_cur)`` as a running value — the practical counterpart of the
-paper's "reordering the computation" remark.  Co-displaying ``c*`` at ``s*``
-changes eligibility, partners' open slots and the size cap only in row
-``c*`` and column ``s*``, so each iteration rescans just those m + k − 1
-cells in one NumPy pass and then re-scores every cached prefix.  The choices
-are bit-identical to the per-cell rounder kept as a test oracle in
+The rounder builds on AVG's CSF state (:class:`repro.core.avg.CSFState`:
+the assignment, the dense shown-items mask, the ``(m, k)`` subgroup counts
+and each ``(c, s)`` cell's users ranked once by ``x*``, ties in ascending
+user order); filtering a cell's rank row by eligibility gives its
+prefixes.  It caches every cell's ALG and removed-LP-mass prefix sums in
+padded ``(cells, W)`` arrays and keeps ``OPT_LP(S_cur)`` as a running value
+— the practical counterpart of the paper's "reordering the computation"
+remark.  Co-displaying ``c*`` at ``s*`` changes eligibility, partners' open
+slots and the size cap only in row ``c*`` and column ``s*``, so each
+iteration rescans just those m + k − 1 cells in one NumPy pass and then
+re-scores every cached prefix.  The choices are bit-identical to the
+per-cell rounder kept as a test oracle in
 ``tests/oracles/avg_d_reference.py`` and pinned by
 ``tests/test_scan_prefix_equivalence.py``.
 """
@@ -31,11 +34,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
-from repro.core.greedy import greedy_complete, top_k_preference_configuration
-from repro.core.lp import FractionalSolution, solve_lp_relaxation
-from repro.core.pipeline import LocalSearchImprover, SolveContext
-from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.core.avg import CSFState, lambda_zero_result
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.lp import FractionalSolution
+from repro.core.pipeline import LocalSearchImprover, SolveContext, rounding_lp
+from repro.core.problem import SVGICInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
 from repro.utils.rng import SeedLike
@@ -47,8 +50,8 @@ from repro.utils.rng import SeedLike
 _ENTRY_BUDGET = 1 << 14
 
 
-class _DeterministicRounder:
-    """State and incremental bookkeeping for one AVG-D run.
+class _DeterministicRounder(CSFState):
+    """AVG-D's rounding pass: the shared CSF state plus cached prefix sums.
 
     Cells are the ``(item, slot)`` pairs of the candidate items, item-major.
     Each keeps padded ``(cells, W)`` rows over its ranked eligible users: the
@@ -63,8 +66,6 @@ class _DeterministicRounder:
         balancing_ratio: float,
         advanced_sampling: bool,
     ) -> None:
-        self.instance = instance
-        self.fractional = fractional
         self.r = float(balancing_ratio)
         self.advanced_sampling = advanced_sampling
         n, m, k = instance.num_users, instance.num_items, instance.num_slots
@@ -74,66 +75,42 @@ class _DeterministicRounder:
         self.pair_weight = lam * instance.pair_social  # (P, m)
         pairs = instance.pairs
 
-        self.slot_independent = fractional.formulation in {"simplified", "sparse"}
-        if self.slot_independent:
-            self.x2 = fractional.compact_factors / k  # (n, m)
-            self.x3 = None
-        else:
-            self.x2 = None
-            self.x3 = np.asarray(fractional.slot_factors)  # (n, m, k)
-
         # Per-display-unit preference LP mass and per-(pair, slot) social LP mass.
-        if self.slot_independent:
-            unit = np.einsum("um,um->u", self.pref_weight, self.x2)
+        if fractional.slot_independent:
+            x2 = fractional.compact_factors / k  # (n, m)
+            unit = np.einsum("um,um->u", self.pref_weight, x2)
             self.unit_mass = np.repeat(unit[:, None], k, axis=1)  # (n, k)
             if pairs.shape[0]:
-                mins = np.minimum(self.x2[pairs[:, 0]], self.x2[pairs[:, 1]])
+                mins = np.minimum(x2[pairs[:, 0]], x2[pairs[:, 1]])
                 pair = np.einsum("pm,pm->p", self.pair_weight, mins)
                 self.pair_mass = np.repeat(pair[:, None], k, axis=1)  # (P, k)
             else:
                 self.pair_mass = np.zeros((0, k))
+            mass_per_item = x2.sum(axis=0)
         else:
-            self.unit_mass = np.einsum("um,ums->us", self.pref_weight, self.x3)
+            x3 = np.asarray(fractional.slot_factors)  # (n, m, k)
+            self.unit_mass = np.einsum("um,ums->us", self.pref_weight, x3)
             if pairs.shape[0]:
-                mins = np.minimum(self.x3[pairs[:, 0]], self.x3[pairs[:, 1]])
+                mins = np.minimum(x3[pairs[:, 0]], x3[pairs[:, 1]])
                 self.pair_mass = np.einsum("pm,pms->ps", self.pair_weight, mins)
             else:
                 self.pair_mass = np.zeros((0, k))
+            mass_per_item = x3.sum(axis=(0, 2))
 
         self.opt_cur = float(self.unit_mass.sum() + self.pair_mass.sum())
-
-        # Mutable configuration state.  ``items_used`` is a dense boolean
-        # mask so eligibility checks vectorize over all users at once; a cell
-        # takes no members once its count reaches the size limit.
-        self.config = SAVGConfiguration.for_instance(instance)
-        self.items_used = np.zeros((n, m), dtype=bool)
-        self.remaining_units = n * k
-        self.size_limit = (
-            instance.max_subgroup_size if isinstance(instance, SVGICSTInstance) else None
-        )
-        self.counts = cell_counts(self.config.assignment, m)
         self.iterations = 0
 
         items = np.arange(m)
         if advanced_sampling:
-            mass_per_item = (
-                self.x2.sum(axis=0) if self.slot_independent else self.x3.sum(axis=(0, 2))
-            )
             positive = np.nonzero(mass_per_item > 1e-12)[0]
             if positive.size:
                 items = positive
-        self.cell_item = np.repeat(items, k)
-        self.cell_slot = np.tile(np.arange(k), items.size)
-
         # Users ranked once by decreasing x* (ties in ascending user order);
         # filtering a rank row by eligibility gives each iteration's order.
-        if self.slot_independent:
-            self._rank = np.argsort(-self.x2[:, items].T, axis=1, kind="stable")
-            self._rank_row = np.arange(self.cell_item.size) // k
-        else:
-            factors = self.x3[:, items, :].transpose(1, 2, 0).reshape(-1, n)
-            self._rank = np.argsort(-factors, axis=1, kind="stable")
-            self._rank_row = np.arange(self.cell_item.size)
+        super().__init__(
+            instance, fractional, items,
+            lambda factors: np.argsort(-factors, axis=1, kind="stable"),
+        )
 
         cells = self.cell_item.size
         self._width = n if self.size_limit is None else min(n, self.size_limit)
@@ -146,15 +123,6 @@ class _DeterministicRounder:
         self._chunk = max(1, _ENTRY_BUDGET // (n + entries))
 
     # ------------------------------------------------------------------ #
-    def _ranked_eligible(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each cell's users in rank order, and which of them are eligible."""
-        items, slots = self.cell_item[cells], self.cell_slot[cells]
-        ranked = self._rank[self._rank_row[cells]]  # (D, n)
-        eligible = (self.config.assignment[ranked, slots[:, None]] == UNASSIGNED) & ~(
-            self.items_used[ranked, items[:, None]]
-        )
-        return ranked, eligible
-
     def _scan(self, cells: np.ndarray) -> None:
         """Recompute the cached rows of ``cells`` in one pass.
 
@@ -173,7 +141,7 @@ class _DeterministicRounder:
         n, width = self.instance.num_users, self._width
         items, slots = self.cell_item[cells], self.cell_slot[cells]
         assignment = self.config.assignment
-        ranked, eligible = self._ranked_eligible(cells)
+        ranked, eligible = self.ranked_eligible(cells)
         position = np.cumsum(eligible, axis=1) - 1
         if self.size_limit is not None:
             capacity = self.size_limit - self.counts[items, slots]
@@ -213,11 +181,7 @@ class _DeterministicRounder:
         if self.advanced_sampling:
             # Otherwise only at the end of a tie block: thresholds inside a
             # block produce the same target subgroup.
-            factors = (
-                self.x2[users, items[rows]]
-                if self.slot_independent
-                else self.x3[users, items[rows], slots[rows]]
-            )
+            factors = self.factors[self.rank_row[cells][rows], users]
             ends[:-1] |= factors[1:] < factors[:-1] - 1e-12
         else:
             ends[:] = True
@@ -247,7 +211,7 @@ class _DeterministicRounder:
         cell = int(best.argmax())
         if best[cell] == -np.inf:
             return None
-        ranked, eligible = self._ranked_eligible(np.array([cell]))
+        ranked, eligible = self.ranked_eligible(np.array([cell]))
         members = ranked[eligible][: int(f[cell].argmax()) + 1].tolist()
         return float(best[cell]), int(self.cell_item[cell]), int(self.cell_slot[cell]), members
 
@@ -269,21 +233,15 @@ class _DeterministicRounder:
         for mass in masses[np.argsort(owners, kind="stable")].tolist():
             self.opt_cur -= mass
 
-        assignment[members, slot] = item
-        self.items_used[members, item] = True
-        self.remaining_units -= members.size
-        self.counts[item, slot] += members.size
-        # Eligibility, partners' open slots and the cap change only in the
-        # item's row and the slot's column of cells.
-        self._dirty |= (self.cell_item == item) | (self.cell_slot == slot)
+        self.co_display(item, slot, members)
+        self._dirty |= self.touched(item, slot)
 
     def run(self) -> SAVGConfiguration:
         """Main AVG-D loop: pick and execute the best focal candidate until complete."""
         while self.remaining_units > 0:
             candidate = self.best_candidate()
             if candidate is None:
-                greedy_complete(self.instance, self.config, size_limit=self.size_limit)
-                self.remaining_units = 0
+                self.complete_greedily()
                 break
             _, item, slot, members = candidate
             self.execute(item, slot, members)
@@ -325,30 +283,15 @@ def run_avg_d(
     if balancing_ratio < 0:
         raise ValueError(f"balancing_ratio must be non-negative, got {balancing_ratio}")
     start = time.perf_counter()
-
-    if instance.social_weight == 0:
-        config = top_k_preference_configuration(instance)
-        return AlgorithmResult.from_configuration(
-            algorithm_name, instance, config, time.perf_counter() - start,
-            optimal=True, info={"special_case": "lambda=0"},
-        )
-
-    lp_cache_hit: Optional[bool] = None
-    if fractional is None:
-        if context is not None:
-            fractional = context.fractional(
-                formulation=lp_formulation,
-                prune_items=prune_items,
-                max_candidate_items=max_candidate_items,
-            )
-            lp_cache_hit = context.last_fractional_was_hit
-        else:
-            fractional = solve_lp_relaxation(
-                instance,
-                formulation=lp_formulation,
-                prune_items=prune_items,
-                max_candidate_items=max_candidate_items,
-            )
+    shortcut = lambda_zero_result(instance, algorithm_name, start)
+    if shortcut is not None:
+        return shortcut
+    fractional, lp_info = rounding_lp(
+        instance, fractional, context,
+        formulation=lp_formulation,
+        prune_items=prune_items,
+        max_candidate_items=max_candidate_items,
+    )
 
     rounder = _DeterministicRounder(instance, fractional, balancing_ratio, advanced_sampling)
     config = rounder.run()
@@ -361,9 +304,8 @@ def run_avg_d(
         "balancing_ratio": balancing_ratio,
         "iterations": rounder.iterations,
         "advanced_sampling": advanced_sampling,
+        **lp_info,
     }
-    if lp_cache_hit is not None:
-        info["lp_cache_hit"] = lp_cache_hit
     return AlgorithmResult.from_configuration(
         algorithm_name, instance, config, elapsed, info=info,
     )

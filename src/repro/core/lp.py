@@ -15,7 +15,9 @@ per-slot relaxation, whose slot utility factors are recovered as
 * ``"simplified"`` (default) — every user's list is the global candidate
   set of :func:`candidate_items` (all items when unpruned);
 * ``"sparse"`` — each user's list holds that user's top items by
-  :func:`candidate_scores` (:func:`repro.core.sparse.per_user_candidate_lists`).
+  :func:`candidate_scores` (:func:`repro.core.sparse.per_user_candidate_lists`),
+  padded under an enforced SVGIC-ST cap only where the cap rows would
+  otherwise be infeasible (:func:`repro.core.sparse.cap_feasible_lists`).
 
 With ``prune_items=False`` both give every user the full item list and so
 return bit-identical solutions.
@@ -44,7 +46,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.problem import SVGICInstance, SVGICSTInstance
-from repro.core.sparse import per_user_candidate_lists, uniform_candidate_lists
+from repro.core.sparse import (
+    cap_feasible_lists,
+    per_user_candidate_lists,
+    uniform_candidate_lists,
+)
 from repro.solvers.linprog import LinearProgram, solve_block_diagonal
 
 
@@ -89,6 +95,11 @@ class FractionalSolution:
     @property
     def num_slots(self) -> int:
         return int(self.slot_factors.shape[2])
+
+    @property
+    def slot_independent(self) -> bool:
+        """Whether ``x*[u, c, s]`` is the same for every slot (the LP_SIMP forms)."""
+        return self.formulation in {"simplified", "sparse"}
 
     def scaled_objective(self, instance: SVGICInstance) -> float:
         """LP optimum on the scaled (lambda=1/2 x2) objective scale."""
@@ -207,6 +218,7 @@ def _candidate_lists(
     formulation: str,
     prune_items: bool,
     max_candidate_items: Optional[int],
+    enforce_size_constraint: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` candidate lists under ``formulation``'s list policy."""
     if formulation == "simplified":
@@ -218,7 +230,19 @@ def _candidate_lists(
         per_user = int(max_candidate_items)
     else:
         per_user = instance.num_slots + 2
-    return per_user_candidate_lists(instance, per_user_items=per_user)
+    indptr, indices = per_user_candidate_lists(instance, per_user_items=per_user)
+    if _cap_binds(instance, enforce_size_constraint):
+        return cap_feasible_lists(instance, indptr, indices)
+    return indptr, indices
+
+
+def _cap_binds(instance: SVGICInstance, enforce_size_constraint: bool) -> bool:
+    """Whether LP_SIMP gets the aggregate cap rows ``sum_u x̄[u, c] <= M·k``."""
+    return (
+        enforce_size_constraint
+        and isinstance(instance, SVGICSTInstance)
+        and instance.max_subgroup_size * instance.num_slots < instance.num_users
+    )
 
 
 def _assemble(
@@ -236,7 +260,9 @@ def _assemble(
             items,
             lambda values: _decode_full(instance, items, values),
         )
-    indptr, indices = _candidate_lists(instance, formulation, prune_items, max_candidate_items)
+    indptr, indices = _candidate_lists(
+        instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
+    )
     return (
         _build_sparse(instance, indptr, indices, enforce_size_constraint),
         np.unique(indices),
@@ -418,16 +444,14 @@ def _build_sparse(
         )
 
     # Aggregate subgroup-size relaxation per item actually carrying variables.
-    if enforce_size_constraint and isinstance(instance, SVGICSTInstance):
-        cap = float(instance.max_subgroup_size * k)
-        if cap < n * 1.0:
-            _, item_row = np.unique(indices, return_inverse=True)
-            lp.add_le_constraints_batch(
-                rows=item_row,
-                cols=np.arange(num_x),
-                vals=np.ones(num_x),
-                rhs=np.full(int(item_row.max()) + 1, cap),
-            )
+    if _cap_binds(instance, enforce_size_constraint):
+        _, item_row = np.unique(indices, return_inverse=True)
+        lp.add_le_constraints_batch(
+            rows=item_row,
+            cols=np.arange(num_x),
+            vals=np.ones(num_x),
+            rhs=np.full(int(item_row.max()) + 1, float(instance.max_subgroup_size * k)),
+        )
     return lp
 
 

@@ -310,6 +310,26 @@ class SolveContext:
         }
 
 
+def rounding_lp(
+    instance: SVGICInstance,
+    fractional: Optional[FractionalSolution],
+    context: Optional[SolveContext],
+    **lp_options: Any,
+) -> Tuple[FractionalSolution, Dict[str, Any]]:
+    """The LP solution an LP-rounding algorithm rounds, and its ``info`` entries.
+
+    That is ``fractional`` when given, else the caller's ``context``'s
+    (``info`` then records ``lp_cache_hit``), else a throwaway context's.
+    ``lp_options`` are :meth:`SolveContext.fractional`'s keywords.
+    """
+    if fractional is not None:
+        return fractional, {}
+    if context is None:
+        return SolveContext(instance).fractional(**lp_options), {}
+    fractional = context.fractional(**lp_options)
+    return fractional, {"lp_cache_hit": context.last_fractional_was_hit}
+
+
 # --------------------------------------------------------------------------- #
 # Stage protocol and basic stages
 # --------------------------------------------------------------------------- #
@@ -798,4 +818,5 @@ __all__ = [
     "LocalSearchImprover",
     "apply_stages",
     "instance_size_limit",
+    "rounding_lp",
 ]

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
-from repro.core.lp import FractionalSolution, solve_lp_relaxation
-from repro.core.pipeline import SolveContext
+from repro.core.lp import FractionalSolution
+from repro.core.pipeline import SolveContext, rounding_lp
 from repro.core.problem import SVGICInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
@@ -118,17 +118,10 @@ def run_independent_rounding(
 ) -> AlgorithmResult:
     """End-to-end LP solve + independent rounding, packaged as an :class:`AlgorithmResult`."""
     start = time.perf_counter()
-    info: dict = {}
-    if fractional is None:
-        if context is not None:
-            fractional = context.fractional(
-                prune_items=prune_items, max_candidate_items=max_candidate_items
-            )
-            info["lp_cache_hit"] = context.last_fractional_was_hit
-        else:
-            fractional = solve_lp_relaxation(
-                instance, prune_items=prune_items, max_candidate_items=max_candidate_items
-            )
+    fractional, info = rounding_lp(
+        instance, fractional, context,
+        prune_items=prune_items, max_candidate_items=max_candidate_items,
+    )
     outcome = independent_rounding(instance, fractional, rng=rng, repair=repair)
     elapsed = time.perf_counter() - start
     return AlgorithmResult.from_configuration(

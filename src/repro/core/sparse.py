@@ -11,9 +11,9 @@ two places where sparsity changes what gets built:
   already contained in the top-100 items", Section 6.2).  The dataset
   generators' ``preference_top_k`` / ``social_top_k`` knobs use it.
 * **Candidate lists** (:func:`per_user_candidate_lists`,
-  :func:`uniform_candidate_lists`): the CSR-style index structure the LP_SIMP
-  and IP builders lay variables out over, so model size scales with the
-  list lengths instead of ``n * m``.
+  :func:`cap_feasible_lists`, :func:`uniform_candidate_lists`): the
+  CSR-style index structure the LP_SIMP and IP builders lay variables out
+  over, so model size scales with the list lengths instead of ``n * m``.
 * **An LP size model** (:func:`estimate_lp_bytes`): a cheap byte estimate
   of the assembled LP — what the scalability benchmark reports beside the
   monolithic model it would otherwise have to build.
@@ -71,7 +71,8 @@ def per_user_candidate_lists(
     ``max(per_user_items, k)`` top items ranked by ``scores`` (default: the
     shared :func:`repro.core.lp.candidate_scores`), ties broken toward lower
     item ids; lists are sorted ascending.  Lists always have at least ``k``
-    entries so the per-user assignment constraint stays feasible.
+    entries so the per-user assignment constraint stays feasible; under an
+    SVGIC-ST cap they may not be, which :func:`cap_feasible_lists` repairs.
     """
     n, m, k = instance.num_users, instance.num_items, instance.num_slots
     if per_user_items is None or per_user_items >= m:
@@ -87,6 +88,46 @@ def per_user_candidate_lists(
     keep = np.sort(order[:, :per_user], axis=1)  # (n, per_user), ascending ids
     indptr = np.arange(0, (n + 1) * per_user, per_user, dtype=np.int64)
     return indptr, keep.ravel().astype(np.int64)
+
+
+def cap_feasible_lists(
+    instance: SVGICSTInstance, indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate lists under which LP_SIMP's cap rows ``sum_u x̄[u, c] <= M·k`` are feasible.
+
+    The lists are feasible iff a maximum flow reaches ``n·k`` in the network
+    source → user (capacity ``k``) → listed item (capacity 1) → sink
+    (capacity ``M·k``); lists that pass are returned unchanged.  Otherwise
+    every list gains the shared set ``F`` of the top ``max(k, ceil(n / M))``
+    items by global candidate score (the floor of
+    :func:`repro.core.lp.candidate_items`), on which ``x̄ = k / |F|`` is
+    feasible.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    from repro.core.lp import candidate_scores  # local import: lp imports this module
+
+    n, m, k = instance.num_users, instance.num_items, instance.num_slots
+    cap = instance.max_subgroup_size
+    users = np.repeat(np.arange(n), np.diff(indptr))
+    sink = n + m + 1
+    tails = np.concatenate([np.zeros(n, dtype=np.int64), 1 + users, 1 + n + np.arange(m)])
+    heads = np.concatenate([1 + np.arange(n), 1 + n + indices, np.full(m, sink)])
+    capacity = np.concatenate(
+        [np.full(n, k), np.ones(indices.size, dtype=np.int64), np.full(m, cap * k)]
+    ).astype(np.int32)
+    network = csr_matrix((capacity, (tails, heads)), shape=(sink + 1, sink + 1))
+    if maximum_flow(network, 0, sink).flow_value == n * k:
+        return indptr, indices
+
+    floor = min(m, max(k, -(-n // cap)))
+    shared = np.argsort(-candidate_scores(instance).sum(axis=0), kind="stable")[:floor]
+    member = np.zeros((n, m), dtype=bool)
+    member[users, indices] = True
+    member[:, shared] = True
+    padded_indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))]).astype(np.int64)
+    return padded_indptr, np.nonzero(member)[1].astype(np.int64)
 
 
 def uniform_candidate_lists(num_users: int, items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,6 +190,7 @@ def estimate_lp_bytes(
 
 
 __all__ = [
+    "cap_feasible_lists",
     "estimate_lp_bytes",
     "per_user_candidate_lists",
     "top_k_truncate",

@@ -41,10 +41,7 @@ class TestCSFRounding:
 
     def test_size_limit_respected(self, small_st_instance):
         fractional = solve_lp_relaxation(small_st_instance)
-        config, _stats = csf_rounding(
-            small_st_instance, fractional, rng=3,
-            size_limit=small_st_instance.max_subgroup_size,
-        )
+        config, _stats = csf_rounding(small_st_instance, fractional, rng=3)
         assert config.max_subgroup_size() <= small_st_instance.max_subgroup_size
 
     def test_seeded_reproducibility(self, instance, fractional):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import sparse
 from repro.core.assembly_reference import build_ip_reference
+from repro.core.avg_d import run_avg_d
 from repro.core.ip import solve_exact
 from repro.core.lp import _build_sparse, solve_lp_relaxation
 from repro.data import datasets
@@ -98,6 +99,41 @@ def test_sparse_lp_pruned_stays_feasible(small_timik_instance):
         small_timik_instance.num_users,
         small_timik_instance.num_items,
     )
+
+
+@pytest.mark.parametrize(
+    "num_users,num_items,seed",
+    [(80, 16, 0), (100, 40, 3)],
+    ids=["tight-cap", "loose-cap"],
+)
+def test_sparse_lp_stays_feasible_under_st_cap(num_users, num_items, seed):
+    """Per-user top-(k+2) lists can crowd more than ``M·k`` users onto an item.
+
+    On these shapes every user's own list alone leaves the cap rows
+    infeasible; the padded lists solve, below the unpruned LP.
+    """
+    instance = datasets.make_st_instance(
+        "timik", num_users=num_users, num_items=num_items, num_slots=3,
+        max_subgroup_size=5, seed=seed,
+    )
+    solution = solve_lp_relaxation(instance, formulation="sparse")
+    unpruned = solve_lp_relaxation(instance, formulation="sparse", prune_items=False)
+    assert solution.objective <= unpruned.objective + 1e-6
+    result = run_avg_d(instance, solution)
+    assert result.configuration.max_subgroup_size() <= instance.max_subgroup_size
+
+
+@pytest.mark.parametrize("num_items", [60, 100])
+def test_cap_feasible_lists_pads_only_infeasible_lists(num_items):
+    """n=300, M=5: the top-(k+2) lists fail the max-flow check; the padded ones pass."""
+    instance = datasets.make_st_instance(
+        "timik", num_users=300, num_items=num_items, num_slots=3, max_subgroup_size=5, seed=1
+    )
+    indptr, indices = sparse.per_user_candidate_lists(instance, per_user_items=5)
+    padded = sparse.cap_feasible_lists(instance, indptr, indices)
+    assert padded[1].size > indices.size
+    again = sparse.cap_feasible_lists(instance, *padded)
+    assert all(a is b for a, b in zip(again, padded))  # feasible lists come back unchanged
 
 
 @pytest.mark.parametrize("seed", [11, 12])
