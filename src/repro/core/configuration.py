@@ -267,4 +267,17 @@ def cell_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
     return counts.reshape(num_items, num_slots)
 
 
-__all__ = ["SAVGConfiguration", "UNASSIGNED", "cell_counts"]
+def shown_items(rows: np.ndarray, num_items: int) -> np.ndarray:
+    """Boolean ``(len(rows), m)`` mask: row ``r`` shows item ``c`` at some slot.
+
+    ``rows`` is any ``(r, k)`` slice of an assignment; unassigned cells are
+    skipped.
+    """
+    num_rows, num_slots = rows.shape
+    flat = (np.arange(num_rows)[:, None] * num_items + rows)[rows != UNASSIGNED]
+    mask = np.zeros(num_rows * num_items, dtype=bool)
+    mask[flat] = True
+    return mask.reshape(num_rows, num_items)
+
+
+__all__ = ["SAVGConfiguration", "UNASSIGNED", "cell_counts", "shown_items"]

@@ -22,11 +22,11 @@ incrementally: changing a single ``(user, slot)`` cell costs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, shown_items
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 
 
@@ -97,16 +97,6 @@ def _edge_slot_matches(
     return same, np.where(same, head, 0)
 
 
-def _membership_matrix(assignment: np.ndarray, num_items: int) -> np.ndarray:
-    """Boolean ``(n, m)`` matrix: user ``u`` is displayed item ``c`` at some slot."""
-    n, k = assignment.shape
-    member = np.zeros((n, num_items), dtype=bool)
-    mask = assignment != UNASSIGNED
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, k))[mask]
-    member[rows, assignment[mask]] = True
-    return member
-
-
 def raw_preference_total(instance: SVGICInstance, config: SAVGConfiguration) -> float:
     """Unweighted ``sum_u sum_{c in A(u,.)} p(u, c)`` over assigned display units."""
     values, _ = _masked_gather(instance.preference, config.assignment)
@@ -124,7 +114,7 @@ def _raw_social_components(
     direct_total = float(values[same].sum())
     if not with_indirect:
         return direct_total, 0.0
-    member = _membership_matrix(assignment, instance.num_items)
+    member = shown_items(assignment, instance.num_items)
     both = member[instance.edges[:, 0]] & member[instance.edges[:, 1]]  # (E, m)
     direct = np.zeros_like(both)
     edge_rows = np.broadcast_to(np.arange(instance.num_edges)[:, None], same.shape)[same]
@@ -274,6 +264,13 @@ def weighted_total_utility(
 # --------------------------------------------------------------------------- #
 # Incremental evaluation
 # --------------------------------------------------------------------------- #
+#: Work entries one :meth:`DeltaEvaluator.probe_many` pass may expand: per
+#: unit its ``m`` item columns, its candidate columns and its incident pairs
+#: (times ``k**2`` on SVGIC-ST).  Larger batches are scored in chunks, which
+#: keeps a pass's temporary arrays to a few MB.
+_PROBE_ENTRY_BUDGET = 1 << 16
+
+
 class DeltaEvaluator:
     """Incrementally maintained SAVG utility of a mutable configuration.
 
@@ -291,8 +288,9 @@ class DeltaEvaluator:
     search moves need no special casing.
 
     Read-only probes score moves without writing cells: :meth:`probe_many`
-    every candidate item of one display unit, :meth:`slot_swap_gains` and
-    :meth:`pair_exchange_gains` batches of pairwise exchanges in closed form.
+    every candidate item of a batch of display units, :meth:`slot_swap_gains`
+    and :meth:`pair_exchange_gains` batches of pairwise exchanges in closed
+    form.
     """
 
     def __init__(
@@ -326,6 +324,12 @@ class DeltaEvaluator:
         # Row ``u`` of the incidence lists u's pairs in ascending pair id
         # with the other endpoint.
         self._inc_ptr, self._inc_pids, self._inc_others = instance.pair_incidence
+        # earlier_slot[t, t']: slot t' comes before slot t.
+        self._earlier_slot = np.tri(instance.num_slots, k=-1, dtype=bool)
+        # Probe work entries of the largest incidence row (see probe_many).
+        self._pair_entries = int(np.diff(self._inc_ptr).max(initial=0)) * (
+            instance.num_slots**2 if self._is_st else 1
+        )
         # Per-user item counts are derived from the (n, k) assignment on
         # demand (a row holds at most k items) instead of materializing a
         # dense (n, m) count grid — that grid alone is ~100 MB at n=50k,
@@ -390,6 +394,10 @@ class DeltaEvaluator:
 
         Returns the new total utility.
         """
+        if not 0 <= user < self.instance.num_users:
+            raise ValueError(f"user {user} outside [0, {self.instance.num_users})")
+        if not 0 <= slot < self.instance.num_slots:
+            raise ValueError(f"slot {slot} outside [0, {self.instance.num_slots})")
         if item != UNASSIGNED and not 0 <= item < self.instance.num_items:
             raise ValueError(f"item index {item} outside [0, {self.instance.num_items})")
         old = int(self.assignment[user, slot])
@@ -479,141 +487,134 @@ class DeltaEvaluator:
                 )
         return gains
 
-    def probe_many(self, unit: Tuple[int, int], candidates: np.ndarray) -> np.ndarray:
-        """Utility deltas of assigning each of ``candidates`` to display unit ``unit``.
+    def probe_many(
+        self, units: Union[Tuple[int, int], np.ndarray], candidates: np.ndarray
+    ) -> np.ndarray:
+        """Utility deltas of assigning each of ``candidates`` to display units.
 
-        ``unit`` is a ``(user, slot)`` pair; the return value is a float array
-        of ``candidates``'s length whose entry ``i`` equals
-        ``set_cell(user, slot, candidates[i]) - total`` — without mutating the
-        evaluator.  Entries for candidates equal to the currently displayed
-        item are 0.  This batches the single-cell candidate loop of the local
-        search improver into one vectorized pass: the cost is
-        ``O(deg(user) + m + |candidates|)`` for plain SVGIC instances and
-        ``O(deg(user) * m)`` for SVGIC-ST (the teleportation term couples a
-        move to the item counts of both endpoints across all slots) instead
-        of ``O(deg(user) * k)`` per candidate.  Both paths are pinned
-        bit-for-bit to the scalar probe/revert loop by the equivalence tests
-        in ``tests/test_pipeline.py``.
+        ``units`` is one ``(user, slot)`` pair, or a ``(U, 2)`` array of
+        them.  For a pair the result is a float array of ``candidates``'s
+        length whose entry ``i`` equals
+        ``set_cell(user, slot, candidates[i]) - total``, computed without
+        mutating the evaluator; a ``(U, 2)`` array gives one such row per
+        unit, ``(U, len(candidates))``.  Entries for the item a unit
+        currently displays are 0.
+
+        Every row is scored against the current assignment, independently of
+        the rest of the batch.  One NumPy pass covers the batch: the units'
+        incident pairs are expanded with
+        :meth:`~repro.core.problem.SVGICInstance.incident_pairs`, and every
+        per-item sum accumulates in incidence order.  A unit costs
+        ``O(deg(user) + m)`` on SVGIC and ``O(deg(user) * k^2 + m)`` on
+        SVGIC-ST, where the teleportation term couples a move to both
+        endpoints' whole rows.  Batches beyond ``_PROBE_ENTRY_BUDGET`` work
+        entries (counted at the largest incidence) are scored in chunks.
+        ``tests/test_pipeline.py`` pins the deltas to the scalar
+        ``set_cell``/revert loop (to 1e-9), and the ``(U, 2)`` form to
+        stacked single-unit calls (bit for bit).
         """
-        user, slot = int(unit[0]), int(unit[1])
+        batch = np.asarray(units, dtype=np.int64)
+        single = batch.ndim == 1
+        users, slots = batch.reshape(-1, 2).T
+        n, m, k = self.instance.num_users, self.instance.num_items, self.instance.num_slots
+        for values, bound, what in ((users, n, "user"), (slots, k, "slot")):
+            if values.size and (values.min() < 0 or values.max() >= bound):
+                bad = values[(values < 0) | (values >= bound)][0]
+                raise ValueError(f"{what} {bad} outside [0, {bound})")
         candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return np.zeros(0, dtype=float)
-        if np.any((candidates < 0) | (candidates >= self.instance.num_items)):
-            raise ValueError(
-                f"candidate item outside [0, {self.instance.num_items})"
-            )
-        old = int(self.assignment[user, slot])
+        if candidates.size and (candidates.min() < 0 or candidates.max() >= m):
+            raise ValueError(f"candidate item outside [0, {m})")
 
-        pref = self._pref[user]
-        old_pref = float(pref[old]) if old != UNASSIGNED else 0.0
-        deltas = (1.0 - self._lam) * (pref[candidates] - old_pref)
+        deltas = np.zeros((users.size, candidates.size))
+        if candidates.size:
+            step = max(1, _PROBE_ENTRY_BUDGET // (m + candidates.size + self._pair_entries))
+            for lo in range(0, users.size, step):
+                hi = lo + step
+                deltas[lo:hi] = self._probe_rows(users[lo:hi], slots[lo:hi], candidates)
+        return deltas[0] if single else deltas
 
-        pids, others = self._incident(user)
+    def _probe_rows(
+        self, users: np.ndarray, slots: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`probe_many`'s deltas for one chunk of validated units."""
+        size, m = users.size, self.instance.num_items
+        lam = self._lam
+        old = self.assignment[users, slots]
+        has_old = old != UNASSIGNED
+        old_pref = np.where(has_old, self._pref[users, np.where(has_old, old, 0)], 0.0)
+        deltas = (1.0 - lam) * (self._pref[users[:, None], candidates] - old_pref[:, None])
+
+        owner, pids, others = self.instance.incident_pairs(users)
         if pids.size:
-            shown = self.assignment[others, slot]  # neighbours' items at this slot
+            shown = self.assignment[others, slots[owner]]  # neighbours' items at the slot
             assigned = shown != UNASSIGNED
-            loss = 0.0
-            if old != UNASSIGNED:
-                match_old = assigned & (shown == old)
-                if np.any(match_old):
-                    loss = self._lam * float(
-                        self._pair_social[pids[match_old], old].sum()
-                    )
-            gain = np.zeros(self.instance.num_items, dtype=float)
-            if np.any(assigned):
-                np.add.at(
-                    gain,
-                    shown[assigned],
-                    self._lam * self._pair_social[pids[assigned], shown[assigned]],
-                )
-            deltas += gain[candidates] - loss
+            own, pid, item = owner[assigned], pids[assigned], shown[assigned]
+            gain = np.bincount(
+                own * m + item, weights=lam * self._pair_social[pid, item], minlength=size * m
+            )
+            lost = item == old[own]
+            loss = lam * np.bincount(
+                own[lost], weights=self._pair_social[pid[lost], item[lost]], minlength=size
+            )
+            deltas += gain.reshape(size, m)[:, candidates] - loss[:, None]
             if self._is_st:
-                deltas += self._st_indirect_deltas(
-                    user, slot, candidates, old, pids, others, shown, assigned
+                deltas += self._st_indirect_rows(
+                    users, old, owner, pids, others, shown, candidates
                 )
-        deltas[candidates == old] = 0.0
+        deltas[candidates == old[:, None]] = 0.0
         return deltas
 
-    def _st_indirect_deltas(
+    def _st_indirect_rows(
         self,
-        user: int,
-        slot: int,
-        candidates: np.ndarray,
-        old: int,
+        users: np.ndarray,
+        old: np.ndarray,
+        owner: np.ndarray,
         pids: np.ndarray,
         others: np.ndarray,
         shown: np.ndarray,
-        assigned: np.ndarray,
+        candidates: np.ndarray,
     ) -> np.ndarray:
-        """Teleportation (indirect co-display) part of :meth:`probe_many`'s deltas.
+        """Teleportation (indirect co-display) part of :meth:`_probe_rows`'s deltas.
 
-        For every pair ``(user, v)`` and item ``c``, the discounted indirect
-        term ``d_tel * lambda * w^c`` applies exactly when both endpoints
-        display ``c`` somewhere but share *no* direct (same-slot) match.
-        Changing the cell ``(user, slot)`` from ``old`` to a candidate ``c``
-        moves both indicators; this computes the difference for every item at
-        once from three ``(deg, m)`` Boolean structures — the per-pair direct
-        match counts ``D``, the probed-slot matches, and the neighbours' item
-        memberships — mirroring the scalar bookkeeping of
-        :meth:`_social_around` term for term.
+        For a pair ``(u, v)`` and an item ``c``, the discounted indirect term
+        ``d_tel * lambda * w^c`` applies exactly when both endpoints display
+        ``c`` somewhere but at no common slot.  Only items ``v`` displays can
+        hold it, so each incidence entry contributes at most one term per
+        distinct item of ``v``'s row.  Placing ``c`` at ``(u, s)`` makes the
+        pair indirect on ``c`` unless ``v`` shows ``c`` at ``s`` or some slot
+        already matches directly; before the move it was indirect iff ``u``
+        already showed ``c``.  Removing the old item ends its indirect term,
+        or starts one where the probed slot was the pair's only direct match
+        and ``u`` still shows the item elsewhere.  Row ``r`` of the result is
+        added to the deltas of ``users[r]``.
         """
-        instance = self.instance
-        deg, m = pids.size, instance.num_items
-        weights = self._lam * self._d_tel * self._pair_social[pids]  # (deg, m)
-        row_u = self.assignment[user]
-        rows_v = self.assignment[others]  # (deg, k)
+        size, m = users.size, self.instance.num_items
+        coef = self._lam * self._d_tel
+        rows = self.assignment[users]
+        own = rows[owner]  # (E, k): the probing user's row, per incident pair
+        theirs = self.assignment[others]  # (E, k)
+        same_item = theirs[:, :, None] == theirs[:, None, :]  # (E, k, k)
+        # Each item of v's row is counted once, at its first slot, with its
+        # number of direct matches.
+        first = (theirs != UNASSIGNED) & ~(same_item & self._earlier_slot).any(axis=2)
+        matched = (theirs == own) & (own != UNASSIGNED)
+        direct = (same_item & matched[:, None, :]).sum(axis=2)
+        at_slot = theirs == shown[:, None]
+        user_has = (theirs[:, :, None] == own[:, None, :]).any(axis=2)
 
-        # D[p, c]: slots where both endpoints of pair p currently display c.
-        direct_counts = np.zeros((deg, m), dtype=np.int64)
-        matches = (rows_v == row_u[None, :]) & (row_u[None, :] != UNASSIGNED)
-        if np.any(matches):
-            pair_rows = np.broadcast_to(np.arange(deg)[:, None], matches.shape)[matches]
-            matched_items = np.broadcast_to(row_u[None, :], matches.shape)[matches]
-            np.add.at(direct_counts, (pair_rows, matched_items), 1)
+        change = (~at_slot).astype(float) - user_has
+        entry, at = np.nonzero(first & (direct == 0) & (change != 0))
+        item = theirs[entry, at]
+        terms = coef * self._pair_social[pids[entry], item] * change[entry, at]
+        placed = np.bincount(owner[entry] * m + item, weights=terms, minlength=size * m)
 
-        # One-hot of each neighbour's item at the probed slot.
-        slot_match = np.zeros((deg, m), dtype=bool)
-        slot_match[np.arange(deg)[assigned], shown[assigned]] = True
-
-        # Membership derived from the (deg, k) / (k,) assignment rows — the
-        # dense (n, m) count grid this used to read no longer exists.
-        other_has = np.zeros((deg, m), dtype=bool)  # (deg, m)
-        v_mask = rows_v != UNASSIGNED
-        if np.any(v_mask):
-            v_rows = np.broadcast_to(np.arange(deg)[:, None], rows_v.shape)[v_mask]
-            other_has[v_rows, rows_v[v_mask]] = True
-        user_has = np.zeros(m, dtype=bool)  # (m,)
-        user_has[row_u[row_u != UNASSIGNED]] = True
-        no_direct = direct_counts == 0
-
-        # Placing c: afterwards user surely displays c; a pair is indirect on
-        # c iff the neighbour has c and no slot (old D plus the new probed
-        # slot) matches directly.  Before, it required the user to already
-        # display c with no direct match.
-        after_item = no_direct & ~slot_match & other_has
-        before_item = user_has[None, :] & no_direct & other_has
-        item_delta = (
-            weights * (after_item.astype(float) - before_item.astype(float))
-        ).sum(axis=0)
-
-        # Removing old from the probed slot: its direct matches there vanish
-        # and the user's copy count drops by one.
-        old_delta = 0.0
-        if old != UNASSIGNED:
-            match_old = assigned & (shown == old)
-            before_old = no_direct[:, old] & other_has[:, old]  # user_has[old] is True
-            counts_after = direct_counts[:, old] - match_old.astype(np.int64)
-            after_old = (
-                (int((row_u == old).sum()) > 1)
-                & (counts_after == 0)
-                & other_has[:, old]
-            )
-            old_delta = float(
-                (weights[:, old] * (after_old.astype(float) - before_old.astype(float))).sum()
-            )
-
-        return item_delta[candidates] + old_delta
+        kept = ((rows == old[:, None]).sum(axis=1) > 1)[owner]
+        change = (kept[:, None] & (direct == at_slot)).astype(float) - (direct == 0)
+        is_old = first & (theirs == old[owner][:, None])
+        entry, at = np.nonzero(is_old & (change != 0))
+        terms = coef * self._pair_social[pids[entry], theirs[entry, at]] * change[entry, at]
+        removed = np.bincount(owner[entry], weights=terms, minlength=size)
+        return placed.reshape(size, m)[:, candidates] + removed[:, None]
 
     # ------------------------------------------------------------------ #
     def slot_swap_gains(

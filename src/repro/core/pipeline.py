@@ -47,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts, shown_items
 from repro.core.greedy import greedy_complete, make_room
 from repro.core.lp import FractionalSolution, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, total_utility
@@ -471,6 +471,119 @@ class _Exchanges(NamedTuple):
     pair_ids: Optional[np.ndarray]
 
 
+#: Display units one worklist scoring call hands to
+#: :meth:`~repro.core.objective.DeltaEvaluator.probe_many`.  A unit that a
+#: move dirties after it was scored is scored again, so smaller chunks waste
+#: less work on busy passes and larger ones make fewer calls on quiet ones.
+_SCORE_CHUNK = 64
+
+
+class _CellWorklist:
+    """The single-cell phase's don't-look worklist: one cached best move per unit.
+
+    Units are the searched users' display units in scan order (users, then
+    slots).  A clean unit's cached item and gain are what probing it now
+    would give: the best candidate its row does not show and, under a size
+    cap, whose ``(item, slot)`` subgroup has room (ties keep the lowest
+    candidate index; ``-inf`` when no candidate is feasible).
+    :meth:`wrote` and :meth:`shift` mark dirty every unit a write can
+    change, and :meth:`next_move` re-scores dirty units lazily, a chunk at a
+    time from the scan cursor.
+    """
+
+    def __init__(
+        self,
+        evaluator: DeltaEvaluator,
+        users: np.ndarray,
+        candidates: np.ndarray,
+        counts: Optional[np.ndarray],
+        size_limit: Optional[int],
+        tolerance: float,
+    ) -> None:
+        instance = evaluator.instance
+        k = instance.num_slots
+        self.evaluator = evaluator
+        self.candidates = candidates
+        self.counts = counts
+        self.size_limit = size_limit
+        self.tolerance = tolerance
+        self.units = np.stack([np.repeat(users, k), np.tile(np.arange(k), users.size)], axis=1)
+        self.best = np.zeros(users.size * k, dtype=np.int64)
+        self.gain = np.full(users.size * k, -np.inf)
+        self.dirty = np.ones(users.size * k, dtype=bool)
+        self._k = k
+        self._position = np.full(instance.num_users, -1, dtype=np.int64)
+        self._position[users] = np.arange(users.size)
+        self._ptr, _, self._friends = instance.pair_incidence
+        # The teleportation term reads the friends' whole rows.
+        self._every_slot = isinstance(instance, SVGICSTInstance)
+
+    def next_move(self, start: int) -> Optional[int]:
+        """First unit at or after ``start`` whose best move gains more than the tolerance."""
+        while start < self.dirty.size:
+            open_units = self.dirty[start:] | (self.gain[start:] > self.tolerance)
+            unit = start + int(np.argmax(open_units))
+            if not open_units[unit - start]:
+                return None
+            if not self.dirty[unit]:
+                return unit
+            self._score(unit + np.flatnonzero(self.dirty[unit:])[:_SCORE_CHUNK])
+            start = unit
+        return None
+
+    def _score(self, units: np.ndarray) -> None:
+        """Cache the best feasible move of ``units`` from one probe pass."""
+        evaluator, candidates = self.evaluator, self.candidates
+        gains = evaluator.probe_many(self.units[units], candidates)
+        users, slots = self.units[units, 0], self.units[units, 1]
+        usable = ~shown_items(evaluator.assignment[users], evaluator.instance.num_items)[
+            :, candidates
+        ]
+        if self.size_limit is not None:
+            usable &= self.counts[candidates[None, :], slots[:, None]] < self.size_limit
+        gains = np.where(usable, gains, -np.inf)
+        best = np.argmax(gains, axis=1)
+        self.best[units] = candidates[best]
+        self.gain[units] = gains[np.arange(units.size), best]
+        self.dirty[units] = False
+
+    def wrote(self, user: int, slot: int) -> None:
+        """Mark dirty the units a write of cell ``(user, slot)`` can change.
+
+        Those are the user's own units, whose row changed, and the searched
+        friends' units at ``slot`` (at every slot on SVGIC-ST).
+        """
+        k = self._k
+        position = self._position[user]
+        if position >= 0:
+            self.dirty[position * k : (position + 1) * k] = True
+        friends = self._position[self._friends[self._ptr[user] : self._ptr[user + 1]]]
+        first_units = friends[friends >= 0] * k
+        if self._every_slot:
+            self.dirty[(first_units[:, None] + np.arange(k)).ravel()] = True
+        else:
+            self.dirty[first_units + slot] = True
+
+    def shift(self, old: int, new: int, slot: int) -> None:
+        """Count one member of ``slot`` moving from ``old`` to ``new``, waking units.
+
+        A count that drops from the cap frees ``old`` for every unit at
+        ``slot``; a count that reaches it takes ``new`` from the units whose
+        cached best item it is.
+        """
+        counts, cap, k = self.counts, self.size_limit, self._k
+        if counts is None:
+            return
+        if old != UNASSIGNED:
+            counts[old, slot] -= 1
+            if cap is not None and counts[old, slot] == cap - 1:
+                self.dirty[slot::k] = True
+        counts[new, slot] += 1
+        if cap is not None and counts[new, slot] >= cap:
+            at_slot = np.arange(slot, self.dirty.size, k)
+            self.dirty[at_slot[self.best[at_slot] == new]] = True
+
+
 class LocalSearchImprover:
     """2-opt local search over display units with delta-based move evaluation.
 
@@ -478,9 +591,20 @@ class LocalSearchImprover:
 
     * **single-cell swaps** — replace the item at one display unit
       ``(user, slot)`` by any item not yet displayed to that user
-      (best-improvement: all candidate items are delta-evaluated in one
-      :meth:`DeltaEvaluator.probe_many` NumPy pass and the arg-max gain is
-      executed);
+      (best-improvement: the units are visited in order, users then slots,
+      and each executes its arg-max gain).  A don't-look worklist caches
+      every unit's best feasible item and gain.  Only units a write marked
+      dirty are re-scored: lazily, a chunk at a time from the scan cursor,
+      all candidates of many units in one
+      :meth:`~repro.core.objective.DeltaEvaluator.probe_many` NumPy pass.
+      The next move is the first unit at or after the cursor whose cached
+      gain beats ``tolerance``, so the moves are exactly those of a
+      one-unit-at-a-time scan.  Every cell write, by any move family, marks
+      dirty the writer's units, its friends' units at the written slot (at
+      every slot on SVGIC-ST, where the teleportation term couples slots),
+      and on capped instances every unit at that slot when an
+      ``(item, slot)`` count drops from ``M`` to ``M - 1``, plus the units
+      whose cached best item just reached ``M``;
     * **pairwise exchanges** — swap the items of two display units, either
       the two slots of one user (changing the co-display pattern) or the
       same slot of a friend pair (size-cap neutral by construction).
@@ -544,37 +668,6 @@ class LocalSearchImprover:
         return candidate_items(instance, self.max_items)
 
     # -- move probes ----------------------------------------------------- #
-    def _best_cell_move(
-        self,
-        evaluator: DeltaEvaluator,
-        user: int,
-        slot: int,
-        candidates: np.ndarray,
-        counts: Optional[np.ndarray],
-        size_limit: Optional[int],
-    ) -> Tuple[Optional[int], float]:
-        """Best single-cell replacement for ``(user, slot)``; (None, 0) if no gain.
-
-        All feasible candidates are delta-evaluated in one
-        :meth:`~repro.core.objective.DeltaEvaluator.probe_many` call and the
-        arg-max is returned — the former per-candidate Python probe loop,
-        batched.  Ties keep the first (lowest-index) candidate, matching the
-        scalar loop's strict-improvement scan.
-        """
-        row = evaluator.assignment[user]
-        shown = np.zeros(evaluator.instance.num_items, dtype=bool)
-        shown[row[row != UNASSIGNED]] = True
-        valid = candidates[~shown[candidates]]
-        if size_limit is not None and counts is not None:
-            valid = valid[counts[valid, slot] < size_limit]
-        if valid.size == 0:
-            return None, 0.0
-        gains = evaluator.probe_many((user, slot), valid)
-        best = int(np.argmax(gains))
-        if gains[best] > self.tolerance:
-            return int(valid[best]), float(gains[best])
-        return None, 0.0
-
     def _try_swap(
         self,
         evaluator: DeltaEvaluator,
@@ -625,11 +718,11 @@ class LocalSearchImprover:
         self,
         evaluator: DeltaEvaluator,
         exchanges: _Exchanges,
-        counts: Optional[np.ndarray],
-        size_limit: Optional[int],
+        worklist: _CellWorklist,
         trace: List[float],
     ) -> int:
         """Scan ``exchanges`` in order, executing each gaining one; returns the moves."""
+        counts, size_limit = worklist.counts, worklist.size_limit
         moves = 0
         hit = self._try_swap(evaluator, exchanges, 0, counts, size_limit)
         while hit is not None:
@@ -638,11 +731,11 @@ class LocalSearchImprover:
             a, b = int(evaluator.assignment[u1, s1]), int(evaluator.assignment[u2, s2])
             evaluator.set_cell(u1, s1, b)
             evaluator.set_cell(u2, s2, a)
-            if counts is not None:  # nets to zero for same-slot exchanges
-                counts[a, s1] -= 1
-                counts[b, s2] -= 1
-                counts[b, s1] += 1
-                counts[a, s2] += 1
+            worklist.wrote(u1, s1)
+            worklist.wrote(u2, s2)
+            if exchanges.pair_ids is None:  # same-slot exchanges leave the counts alone
+                worklist.shift(a, b, s1)
+                worklist.shift(b, a, s2)
             moves += 1
             trace.append(evaluator.total)
             hit = self._try_swap(evaluator, exchanges, hit + 1, counts, size_limit)
@@ -688,22 +781,20 @@ class LocalSearchImprover:
         pairs = instance.pairs
 
         if self.users is None:
-            user_iter: Sequence[int] = range(n)
-            pair_iter: Sequence[int] = range(pairs.shape[0])
+            searched = np.arange(n, dtype=np.int64)
+            pair_iter = np.arange(pairs.shape[0], dtype=np.int64)
         else:
             if self.users.size and (self.users.min() < 0 or self.users.max() >= n):
                 raise ValueError("users outside [0, num_users)")
-            user_iter = [int(u) for u in self.users]
+            searched = self.users
             member = np.zeros(n, dtype=bool)
             member[self.users] = True
-            pair_iter = (
-                np.nonzero(member[pairs[:, 0]] & member[pairs[:, 1]])[0].tolist()
-                if pairs.shape[0]
-                else []
-            )
+            pair_iter = np.flatnonzero(member[pairs[:, 0]] & member[pairs[:, 1]])
+        worklist = _CellWorklist(
+            evaluator, searched, candidates, counts, size_limit, self.tolerance
+        )
 
         if self.pairwise:
-            searched = np.asarray(user_iter, dtype=np.int64)
             # The exchange kernels' closed forms need rows that show each
             # item once; no move creates a repeat, so one check suffices.
             rows = np.sort(evaluator.assignment[searched], axis=1)
@@ -724,8 +815,8 @@ class LocalSearchImprover:
                 np.tile(slot_b, searched.size),
                 None,
             )
-            pair_ids = np.repeat(np.asarray(pair_iter, dtype=np.int64), k)
-            pair_slots = np.tile(np.arange(k), len(pair_iter))
+            pair_ids = np.repeat(pair_iter, k)
+            pair_slots = np.tile(np.arange(k), pair_iter.size)
             pair_swaps = _Exchanges(
                 pairs[pair_ids, 0], pair_slots, pairs[pair_ids, 1], pair_slots, pair_ids
             )
@@ -738,29 +829,23 @@ class LocalSearchImprover:
             improved = False
 
             # Single-cell swaps, best-improvement per display unit.
-            for user in user_iter:
-                for slot in range(k):
-                    item, _gain = self._best_cell_move(
-                        evaluator, user, slot, candidates, counts, size_limit
-                    )
-                    if item is None:
-                        continue
-                    old = int(evaluator.assignment[user, slot])
-                    evaluator.set_cell(user, slot, item)
-                    if counts is not None:
-                        if old != UNASSIGNED:
-                            counts[old, slot] -= 1
-                        counts[item, slot] += 1
-                    moves += 1
-                    improved = True
-                    trace.append(evaluator.total)
+            unit = worklist.next_move(0)
+            while unit is not None:
+                user, slot = (int(value) for value in worklist.units[unit])
+                item = int(worklist.best[unit])
+                old = int(evaluator.assignment[user, slot])
+                evaluator.set_cell(user, slot, item)
+                worklist.wrote(user, slot)
+                worklist.shift(old, item, slot)
+                moves += 1
+                improved = True
+                trace.append(evaluator.total)
+                unit = worklist.next_move(unit + 1)
 
             if self.pairwise:
                 # Intra-user slot swaps, then friend-pair exchanges at one slot.
                 for exchanges in (slot_swaps, pair_swaps):
-                    accepted = self._exchange_phase(
-                        evaluator, exchanges, counts, size_limit, trace
-                    )
+                    accepted = self._exchange_phase(evaluator, exchanges, worklist, trace)
                     moves += accepted
                     improved = improved or accepted > 0
 

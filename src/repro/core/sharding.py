@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.configuration import SAVGConfiguration, cell_counts
+from repro.core.configuration import SAVGConfiguration, cell_counts, shown_items
 from repro.core.objective import DeltaEvaluator, UtilityBreakdown, evaluate, evaluate_st
 from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -190,26 +190,30 @@ def _evict_overfull(
     """Restore the subgroup-size cap by moving members of overfull cells.
 
     For every overfull ``(item, slot)`` cell, members are relocated one at a
-    time: each remaining member's best *under-cap* alternative item is
-    delta-evaluated (:meth:`DeltaEvaluator.probe_many` against the full
-    instance) and the member/alternative pair with the largest utility delta
-    moves.  This greedy max-delta order makes the forced feasibility
-    repair lose as little utility as possible per step and is fully
-    deterministic (ties keep the lowest candidate index).
+    time.  Each step scores every item for every remaining member in one
+    :meth:`DeltaEvaluator.probe_many` call against the full instance, takes
+    each member's best *under-cap* item outside its row, and moves the
+    member/item pair with the largest utility delta.  This greedy max-delta
+    order makes the forced feasibility repair lose as little utility as
+    possible per step and is fully deterministic (ties keep the lowest user,
+    then the lowest item).
 
-    When a member has *no* under-cap alternative (pathologically tight caps)
-    it falls back to the least-loaded non-row item, which may leave a smaller
-    violation for the next sweep; ``max_sweeps`` bounds the effort and any
-    residual excess is reported by the caller's feasibility check.
+    A member with *no* under-cap alternative (pathologically tight caps)
+    offers the least-loaded item outside its row instead, which may leave a
+    smaller violation for the next sweep; ``max_sweeps`` bounds the effort
+    and any residual excess is reported by the caller's feasibility check.
+    ``tests/oracles/sharding_reference.py`` keeps the per-member loop this
+    replaced; the two make the same moves.
 
     Returns ``(moved user ids, eviction count)``.
     """
     cap = instance.max_subgroup_size
+    num_items = instance.num_items
+    all_items = np.arange(num_items, dtype=np.int64)
     moved: List[int] = []
     evictions = 0
-    all_items = np.arange(instance.num_items, dtype=np.int64)
     for _sweep in range(max_sweeps):
-        counts = cell_counts(evaluator.assignment, instance.num_items)
+        counts = cell_counts(evaluator.assignment, num_items)
         overfull = np.argwhere(counts > cap)
         if overfull.size == 0:
             break
@@ -217,35 +221,28 @@ def _evict_overfull(
         for item, slot in overfull:
             item, slot = int(item), int(slot)
             while counts[item, slot] > cap:
-                members = np.nonzero(evaluator.assignment[:, slot] == item)[0]
-                best_user = -1
-                best_item = -1
-                best_delta = -np.inf
-                for user in members:
-                    user = int(user)
-                    row = evaluator.assignment[user]
-                    candidates = np.nonzero(counts[:, slot] < cap)[0]
-                    candidates = candidates[~np.isin(candidates, row)]
-                    if candidates.size == 0:
-                        # Pathological: every non-row item at this slot is at
-                        # cap.  Move to the least-loaded one anyway; later
-                        # sweeps (or the feasibility report) pick it up.
-                        fallback = all_items[~np.isin(all_items, row)]
-                        if fallback.size == 0:
-                            continue
-                        candidates = fallback[
-                            counts[fallback, slot] == counts[fallback, slot].min()
-                        ][:1]
-                    deltas = evaluator.probe_many((user, slot), candidates)
-                    j = int(np.argmax(deltas))
-                    if deltas[j] > best_delta:
-                        best_user, best_item, best_delta = user, int(candidates[j]), deltas[j]
-                if best_user < 0:
+                members = np.flatnonzero(evaluator.assignment[:, slot] == item)
+                units = np.stack([members, np.full(members.size, slot)], axis=1)
+                deltas = evaluator.probe_many(units, all_items)
+                outside = ~shown_items(evaluator.assignment[members], num_items)
+                usable = outside & (counts[:, slot] < cap)
+                for row in np.flatnonzero(~usable.any(axis=1)):
+                    # Every item outside the row is at cap: offer the first
+                    # least-loaded one.
+                    free = np.flatnonzero(outside[row])
+                    if free.size:
+                        usable[row, free[np.argmin(counts[free, slot])]] = True
+                offers = np.where(usable, deltas, -np.inf)
+                choice = np.argmax(offers, axis=1)
+                best = offers[np.arange(members.size), choice]
+                mover = int(np.argmax(best))
+                if best[mover] == -np.inf:
                     break  # nobody can move; give up on this cell
-                evaluator.set_cell(best_user, slot, best_item)
+                user, target = int(members[mover]), int(choice[mover])
+                evaluator.set_cell(user, slot, target)
                 counts[item, slot] -= 1
-                counts[best_item, slot] += 1
-                moved.append(best_user)
+                counts[target, slot] += 1
+                moved.append(user)
                 evictions += 1
                 progressed = True
         if not progressed:

@@ -1,11 +1,14 @@
 """The apply/revert local-search improver, kept as a test oracle.
 
-This is the pairwise-exchange improver as it was before the closed-form
-batch kernels (:meth:`repro.core.objective.DeltaEvaluator.slot_swap_gains`,
-:meth:`~repro.core.objective.DeltaEvaluator.pair_exchange_gains`): every
-exchange probe applies its cells with :meth:`DeltaEvaluator.set_cell` and
-reverts them when the gain is too small.  It visits candidates in the same
-order and accepts the same moves as :class:`repro.core.pipeline.LocalSearchImprover`,
+This is the improver as it was before the closed-form exchange kernels
+(:meth:`repro.core.objective.DeltaEvaluator.slot_swap_gains`,
+:meth:`~repro.core.objective.DeltaEvaluator.pair_exchange_gains`) and the
+single-cell don't-look worklist: every exchange probe applies its cells with
+:meth:`DeltaEvaluator.set_cell` and reverts them when the gain is too small,
+and every display unit is probed afresh, one
+:meth:`~repro.core.objective.DeltaEvaluator.probe_many` call per unit, each
+time the scan reaches it.  It visits candidates in the same order and
+accepts the same moves as :class:`repro.core.pipeline.LocalSearchImprover`,
 so ``tests/test_local_search_equivalence.py`` pins the two to identical
 final configurations, move counts and pass counts.
 """

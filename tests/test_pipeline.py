@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,27 @@ def _random_valid_configuration(instance, rng) -> SAVGConfiguration:
         items = rng.choice(instance.num_items, size=instance.num_slots, replace=False)
         config.assignment[user, :] = items
     return config
+
+
+def _instance_with_friendless_users(teleport_discount, friendless):
+    """Timik n=14, m=20, k=3 (SVGIC-ST when ``teleport_discount`` is set),
+    with every edge at the ``friendless`` users dropped."""
+    if teleport_discount is None:
+        instance = datasets.make_instance(
+            "timik", num_users=14, num_items=20, num_slots=3, seed=31
+        )
+    else:
+        instance = datasets.make_st_instance(
+            "timik", num_users=14, num_items=20, num_slots=3, max_subgroup_size=4,
+            teleport_discount=teleport_discount, seed=31,
+        )
+    keep = ~np.isin(instance.edges, friendless).any(axis=1)
+    instance = dataclasses.replace(
+        instance, edges=instance.edges[keep], social=instance.social[keep]
+    )
+    degrees = np.diff(instance.pair_incidence[0])
+    assert (degrees[list(friendless)] == 0).all() and degrees.sum() > 0
+    return instance
 
 
 class TestSolveContext:
@@ -338,6 +361,79 @@ class TestProbeMany:
         assert evaluator.total == before_total
         assert evaluator.breakdown == before_breakdown
         np.testing.assert_array_equal(evaluator.assignment, before_assignment)
+
+    @pytest.mark.parametrize("rows", ["complete", "partial", "duplicate"])
+    @pytest.mark.parametrize("teleport_discount", [None, 0.0, 0.3, 0.9])
+    def test_batch_equals_stacked_single_units(self, teleport_discount, rows):
+        """Every row of a ``(U, 2)`` batch is the single-unit probe, bit for bit.
+
+        The batch holds every unit (slots mixed, units repeated) of an
+        instance where users 0 and 1 have no friends, on SVGIC
+        (``teleport_discount=None``) and SVGIC-ST, from complete rows, rows
+        with cleared cells and rows that show an item twice.
+        """
+        from repro.core.objective import DeltaEvaluator
+
+        instance = _instance_with_friendless_users(teleport_discount, friendless=(0, 1))
+        rng = np.random.default_rng(23)
+        config = _random_valid_configuration(instance, rng)
+        if rows == "partial":
+            config.assignment[rng.random(config.assignment.shape) < 0.3] = UNASSIGNED
+        elif rows == "duplicate":
+            config.assignment[::2, 0] = config.assignment[::2, 1]
+        evaluator = DeltaEvaluator(instance, config)
+        units = np.argwhere(np.ones(config.assignment.shape, dtype=bool))
+        units = np.concatenate([units, units[rng.permutation(len(units))]])
+        for candidates in (
+            np.arange(instance.num_items),
+            rng.choice(instance.num_items, size=7, replace=False),
+        ):
+            batched = evaluator.probe_many(units, candidates)
+            stacked = np.stack([evaluator.probe_many(tuple(unit), candidates) for unit in units])
+            assert batched.shape == (len(units), candidates.size)
+            assert np.array_equal(batched, stacked)
+
+    @pytest.mark.parametrize("teleport_discount", [None, 0.5])
+    def test_batch_beyond_the_entry_budget_is_chunked_per_row(self, teleport_discount):
+        from repro.core import objective
+
+        instance = _instance_with_friendless_users(teleport_discount, friendless=(0,))
+        config = _random_valid_configuration(instance, np.random.default_rng(4))
+        evaluator = objective.DeltaEvaluator(instance, config)
+        every_unit = np.argwhere(np.ones(config.assignment.shape, dtype=bool))
+        units = np.tile(every_unit, (100, 1))
+        candidates = np.arange(instance.num_items)
+        assert len(units) * instance.num_items > objective._PROBE_ENTRY_BUDGET
+        batched = evaluator.probe_many(units, candidates)
+        stacked = np.stack([evaluator.probe_many(tuple(unit), candidates) for unit in every_unit])
+        assert np.array_equal(batched, np.tile(stacked, (100, 1)))
+
+    def test_empty_batch(self, small_st_instance):
+        from repro.core.objective import DeltaEvaluator
+
+        evaluator = DeltaEvaluator(small_st_instance)
+        assert evaluator.probe_many(np.zeros((0, 2), dtype=np.int64), np.arange(4)).shape == (0, 4)
+
+    def test_rejects_units_outside_the_instance(self):
+        """Negative users or slots used to wrap around and corrupt the total."""
+        from repro.core.objective import DeltaEvaluator
+
+        instance = datasets.make_instance(
+            "timik", num_users=8, num_items=10, num_slots=2, seed=0
+        )
+        config = _random_valid_configuration(instance, np.random.default_rng(0))
+        evaluator = DeltaEvaluator(instance, config)
+        before = evaluator.assignment.copy()
+        item = int(np.setdiff1d(np.arange(10), before[-1])[0])
+        for user, slot in ((-1, 0), (8, 0), (0, -1), (0, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                evaluator.set_cell(user, slot, item)
+            with pytest.raises(ValueError, match="outside"):
+                evaluator.probe_many((user, slot), np.arange(10))
+            with pytest.raises(ValueError, match="outside"):
+                evaluator.probe_many(np.array([[0, 0], [user, slot]]), np.arange(10))
+        np.testing.assert_array_equal(evaluator.assignment, before)
+        assert evaluator.total == pytest.approx(total_utility(instance, config), abs=1e-12)
 
     def test_improver_batched_moves_match_scratch_evaluation(self, small_timik_instance):
         """End-to-end: the batched improver still only makes true improvements."""

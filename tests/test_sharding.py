@@ -10,7 +10,9 @@ Covers the satellite guarantees of the sharding engine:
 * repair never decreases total utility relative to the raw shard union when
   the union is already feasible (pure local-search path), and never
   decreases it relative to the post-eviction total otherwise;
-* per-shard solves reuse LP artifacts through a shared persistent store.
+* per-shard solves reuse LP artifacts through a shared persistent store;
+* the batched cap eviction makes the moves of the per-member loop kept in
+  ``tests/oracles/sharding_reference.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.sharding_reference import evict_overfull_reference
 from repro.baselines.prepartition import balanced_prepartition, social_bfs_order
+from repro.core.configuration import SAVGConfiguration, cell_counts
+from repro.core.objective import DeltaEvaluator
+from repro.core.problem import SVGICSTInstance
 from repro.core.sharding import (
+    _evict_overfull,
     boundary_users,
     community_shards,
     cut_pair_ids,
@@ -138,6 +145,76 @@ def test_sharded_solve_st_reports_raw_union_when_repair_off(medium_st_instance):
     # The raw union overfills subgroups (that is what repair exists for).
     if not raw.feasible:
         assert repaired.evictions > 0
+
+
+def _assert_same_eviction(instance, configuration):
+    fast = DeltaEvaluator(instance, configuration)
+    reference = DeltaEvaluator(instance, configuration)
+    moved, evictions = _evict_overfull(instance, fast)
+    assert (moved, evictions) == evict_overfull_reference(instance, reference)
+    np.testing.assert_array_equal(fast.assignment, reference.assignment)
+    return moved, evictions, fast
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", [(45, 18, 3, 5), (40, 8, 3, 5)])
+def test_eviction_matches_the_per_member_oracle(shape, seed):
+    """Seeded SVGIC-ST shard unions; the second shape is tight (``M * m = n``),
+    where the sweep budget may run out before every cell fits."""
+    n, m, k, cap = shape
+    instance = datasets.make_st_instance(
+        "timik", num_users=n, num_items=m, num_slots=k, max_subgroup_size=cap, seed=seed
+    )
+    union = solve_sharded(instance, max_shard_users=12, seed=seed, repair=False).configuration
+    assert (cell_counts(union.assignment, m) > cap).any()
+    _moved, evictions, _evaluator = _assert_same_eviction(instance, union)
+    assert evictions > 0
+
+
+def test_eviction_falls_back_to_the_least_loaded_item_like_the_oracle():
+    """Every item outside users 0 and 1's rows is full at slot 0.
+
+    Item 0 holds users 0-2 at slot 0 under a cap of 2.  Users 0 and 1 show
+    item 3 at slot 1, so items 1 and 2, both full, are all they could take:
+    each offers item 1, the first least-loaded, though it prefers item 2.
+    Their offers tie exactly (same preferences, no friends), so the lower
+    user moves; user 2's under-cap item 3 loses.
+    """
+    preference = np.array(
+        [
+            [0.5, 0.6, 0.9, 0.1],
+            [0.5, 0.6, 0.9, 0.1],
+            [0.5, 0.1, 0.2, 0.0],
+            [0.3, 0.6, 0.5, 0.2],
+            [0.3, 0.6, 0.2, 0.5],
+            [0.2, 0.3, 0.7, 0.4],
+            [0.2, 0.3, 0.6, 0.1],
+            [0.1, 0.2, 0.3, 0.8],
+        ]
+    )
+    edges = np.array([[2, 6], [6, 2], [3, 5], [5, 3], [4, 7], [7, 4]])
+    instance = SVGICSTInstance(
+        num_users=8,
+        num_items=4,
+        num_slots=2,
+        social_weight=0.5,
+        preference=preference,
+        edges=edges,
+        social=np.full((edges.shape[0], 4), 0.05),
+        teleport_discount=0.5,
+        max_subgroup_size=2,
+    )
+    union = SAVGConfiguration(
+        assignment=np.array(
+            [[0, 3], [0, 3], [0, 1], [1, 0], [1, 2], [2, 0], [2, 1], [3, 2]]
+        ),
+        num_items=4,
+    )
+    first = DeltaEvaluator(instance, union)
+    assert _evict_overfull(instance, first, max_sweeps=1) == ([0], 1)
+    assert first.assignment[0, 0] == 1
+    moved, evictions, _evaluator = _assert_same_eviction(instance, union)
+    assert moved[0] == 0 and evictions > 1
 
 
 def test_sharded_solve_deterministic(medium_st_instance):
