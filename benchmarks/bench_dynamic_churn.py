@@ -6,7 +6,7 @@ gates the incremental path's acceptance properties:
 
 * **Incremental vs scalar session** — the same trace through the vectorized
   :class:`repro.extensions.dynamic.DynamicSession` and the preserved scalar
-  :class:`~repro.extensions.dynamic_reference.ReferenceDynamicSession`.
+  ``ReferenceDynamicSession`` (``tests/oracles/dynamic_reference.py``).
   Utilities must agree to 1e-6 on the compared prefix and the per-event
   speedup must clear **10x** in ``--quick`` mode (**50x** in full mode,
   where the scalar session replays a prefix and the comparison is
@@ -33,6 +33,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -46,8 +47,11 @@ from repro.data import datasets, make_churn_trace
 from repro.data.churn import DRIFT, JOIN, LEAVE
 from repro.extensions.churn import ChurnEngine, ResolvePolicy, replay_incremental, solve_active
 from repro.extensions.dynamic import DynamicSession
-from repro.extensions.dynamic_reference import ReferenceDynamicSession
 from repro.serving import SolverService
+
+# The scalar session is a test oracle and lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.dynamic_reference import ReferenceDynamicSession  # noqa: E402
 
 
 def session_speedup_leg(

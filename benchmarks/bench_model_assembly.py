@@ -9,7 +9,7 @@ Measures, on synthetic Timik-like instances (m = 120, k = 4), the time to
 * the exact MILP over the same lists (:func:`repro.core.ip._build_program_sparse`),
 
 each against its original per-(pair, item, slot) Python-loop builder
-preserved in :mod:`repro.core.assembly_reference`.  Before timing, the
+preserved in ``tests/oracles/assembly_reference.py``.  Before timing, the
 batched and loop-built models are checked for identical sparse matrices on
 the smallest size — for LP_SIMP and the IP after dropping the oracle's empty
 columns, which the CSR builders never lay out — so the benchmark cannot
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -40,11 +41,14 @@ try:
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
-from repro.core import assembly_reference as oracle
 from repro.core.ip import _build_program_sparse
 from repro.core.lp import _build_full, _build_sparse
 from repro.core.sparse import uniform_candidate_lists
 from repro.data import datasets
+
+# The loop builders are test oracles and live with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import assembly_reference as oracle  # noqa: E402
 
 M_ITEMS = 120
 K_SLOTS = 4

@@ -5,7 +5,7 @@ Measures, on synthetic Timik-like instances at n ∈ {50, 200, 800}
 
 * full-evaluation throughput of the vectorized engine
   (:func:`repro.core.objective.evaluate` / ``evaluate_st``) against the
-  scalar reference oracle (:mod:`repro.core.objective_reference`), and
+  scalar reference oracle (``tests/oracles/objective_reference.py``), and
 * incremental-evaluation throughput of
   :class:`repro.core.objective.DeltaEvaluator` (single-cell mutations)
   against a from-scratch vectorized re-evaluation after every mutation.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -36,10 +37,13 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
 from repro.core import objective as engine
-from repro.core import objective_reference as oracle
 from repro.core.configuration import SAVGConfiguration
 from repro.core.objective import DeltaEvaluator
 from repro.data import datasets
+
+# The scalar evaluation is a test oracle and lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import objective_reference as oracle  # noqa: E402
 
 M_ITEMS = 120
 K_SLOTS = 4

@@ -12,7 +12,7 @@ peak memory during the solve, shard/cut-pair statistics and utility totals.
 Two acceptance gates make this script a CI smoke check (``--quick``):
 
 * **Objective equivalence** — the sharded solve's reported total matches
-  the scalar oracle :func:`repro.core.objective_reference.total_utility` to
+  the scalar oracle ``total_utility`` of ``tests/oracles/objective_reference.py`` to
   1e-9 on the sharded configuration of the smallest size.
 * **Memory headroom** — at the largest size the monolith runs, the sharded
   solve's measured peak memory stays under half the measured peak of the
@@ -36,6 +36,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -45,13 +46,16 @@ try:
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
-from repro.core import objective_reference
 from repro.core.objective import evaluate
 from repro.core.pipeline import LocalSearchImprover
 from repro.core.registry import run_registered
 from repro.core.sharding import solve_sharded
 from repro.core.sparse import estimate_lp_bytes
 from repro.data import datasets
+
+# The scalar evaluation is a test oracle and lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import objective_reference  # noqa: E402
 
 EQUIVALENCE_TOL = 1e-9
 

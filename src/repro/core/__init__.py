@@ -19,10 +19,9 @@ Module map
     :class:`~repro.core.objective.DeltaEvaluator` for ``O(degree)``
     incremental re-evaluation after single-cell changes.  This is the
     central API every solver, baseline, metric and benchmark consumes.
-``objective_reference``
-    The original scalar (per-user/per-slot/per-edge loop) evaluation,
-    demoted to a test oracle.  Property tests pin the engine to it within
-    1e-9; do not call it from production code.
+    Its scalar (per-user/per-slot/per-edge loop) oracle ships with the
+    tests, ``tests/oracles/objective_reference.py``; property tests pin
+    the engine to it within 1e-9.
 ``lp`` / ``ip``
     The LP relaxations (compact ``LP_SIMP`` and full form) and the exact
     integer program solved with HiGHS MILP or the in-repo branch and bound.

@@ -132,12 +132,7 @@ class SAVGConfiguration:
 
     def satisfies_no_duplication(self) -> bool:
         """Whether no user sees the same item at two different slots."""
-        for user in range(self.num_users):
-            items = self.assignment[user]
-            items = items[items != UNASSIGNED]
-            if len(np.unique(items)) != len(items):
-                return False
-        return True
+        return not repeated_rows(self.assignment).any()
 
     def is_valid(self, instance: Optional[SVGICInstance] = None) -> bool:
         """Complete, duplication-free, and shape-compatible with ``instance``."""
@@ -212,13 +207,13 @@ class SAVGConfiguration:
         return u_has and v_has and not self.co_displayed(u, v, item)
 
     def subgroup_sizes(self) -> List[int]:
-        """Sizes of all subgroups across all slots (used by the ST size metrics)."""
-        return [len(members) for _slot, _item, members in self.iter_subgroups()]
+        """Sizes of all subgroups across all slots, slot by slot (item order within a slot)."""
+        counts = cell_counts(self.assignment, self.num_items).T
+        return counts[counts > 0].tolist()
 
     def max_subgroup_size(self) -> int:
         """Largest subgroup over all slots (0 for an empty configuration)."""
-        sizes = self.subgroup_sizes()
-        return max(sizes) if sizes else 0
+        return int(cell_counts(self.assignment, self.num_items).max(initial=0))
 
     # ------------------------------------------------------------------ #
     # Presentation
@@ -267,6 +262,16 @@ def cell_counts(assignment: np.ndarray, num_items: int) -> np.ndarray:
     return counts.reshape(num_items, num_slots)
 
 
+def repeated_rows(rows: np.ndarray) -> np.ndarray:
+    """Boolean ``(r,)`` mask: row ``r`` shows some item at two slots.
+
+    ``rows`` is any ``(r, k)`` slice of an assignment; unassigned cells are
+    skipped, so two ``UNASSIGNED`` cells are no repeat.
+    """
+    ordered = np.sort(rows, axis=1)
+    return ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != UNASSIGNED)).any(axis=1)
+
+
 def shown_items(rows: np.ndarray, num_items: int) -> np.ndarray:
     """Boolean ``(len(rows), m)`` mask: row ``r`` shows item ``c`` at some slot.
 
@@ -280,4 +285,4 @@ def shown_items(rows: np.ndarray, num_items: int) -> np.ndarray:
     return mask.reshape(num_rows, num_items)
 
 
-__all__ = ["SAVGConfiguration", "UNASSIGNED", "cell_counts", "shown_items"]
+__all__ = ["SAVGConfiguration", "UNASSIGNED", "cell_counts", "repeated_rows", "shown_items"]

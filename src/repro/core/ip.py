@@ -27,7 +27,7 @@ from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
 from repro.core.sparse import uniform_candidate_lists
-from repro.solvers.assembly import csr_row_ids
+from repro.solvers.assembly import csr_row_ids, stack_rows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
 from repro.solvers.milp import MixedIntegerProgram
 
@@ -43,9 +43,10 @@ def _build_program_sparse(
     list — layout ``x[xi, s] -> xi * k + s`` for the ``xi``-th stored cell —
     and ``y`` / ``z`` only for positive-weight pair-item cells present in both
     endpoints' lists (:func:`repro.core.lp.sparse_pair_cells`), so variable
-    and triplet counts scale with stored nonzeros rather than ``n·m``.  All
-    constraint rows are appended as NumPy triplet batches, in the row order
-    of the loop-built reference (:mod:`repro.core.assembly_reference`).
+    and triplet counts scale with stored nonzeros rather than ``n·m``.  The
+    constraint rows are NumPy triplet blocks laid out by
+    :func:`repro.solvers.assembly.stack_rows`, in the row order of the
+    loop-built reference (``tests/oracles/assembly_reference.py``).
     """
     n, k = instance.num_users, instance.num_slots
     lam = instance.social_weight
@@ -64,11 +65,12 @@ def _build_program_sparse(
     num_x = nnz_x * k
     num_y = npos * k
     num_z = npos if is_st else 0
-    program = MixedIntegerProgram(num_x + num_y + num_z)
+    num_variables = num_x + num_y + num_z
     # x variables are binary; y / z are continuous in [0,1] (they take binary
     # values at the optimum because their objective coefficients are >= 0 and
     # they are only upper-bounded by x variables).
-    program.mark_integer_block(np.arange(num_x))
+    integrality = np.zeros(num_variables, dtype=np.int64)
+    integrality[:num_x] = 1
 
     w_cells = lam * instance.pair_social[p_idx, c_idx]
     objective_parts = [
@@ -77,26 +79,20 @@ def _build_program_sparse(
     ]
     if is_st:
         objective_parts.append(w_cells * d_tel)
-    program.set_objective_coefficients(
-        np.arange(program.num_variables), np.concatenate(objective_parts)
-    )
 
     s_idx = np.arange(k)
 
-    # (1) no-duplication: one row per stored (u, c) cell over its slot block.
-    program.add_le_constraints_batch(
-        rows=np.repeat(np.arange(nnz_x), k),
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.ones(nnz_x),
-    )
-    # (2) exactly one listed item per display unit (u, s).
-    program.add_eq_constraints_batch(
-        rows=(user_of_x[:, None] * k + s_idx[None, :]).ravel(),
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.ones(n * k),
-    )
+    blocks = [
+        # (1) no-duplication: one row per stored (u, c) cell over its slot block.
+        (np.repeat(np.arange(nnz_x), k), np.arange(num_x), np.ones(num_x), np.ones(nnz_x)),
+        # (2) exactly one listed item per display unit (u, s): the == rows.
+        (
+            (user_of_x[:, None] * k + s_idx[None, :]).ravel(),
+            np.arange(num_x),
+            np.ones(num_x),
+            np.ones(n * k),
+        ),
+    ]
     # (5)(6) direct coupling and (8)(9) indirect coupling per kept cell.
     if npos:
         y_vars = (num_x + np.arange(npos) * k)[:, None] + s_idx  # (npos, k)
@@ -116,24 +112,38 @@ def _build_program_sparse(
             rows_parts += [row_zu, np.repeat(row_zu, k), row_zv, np.repeat(row_zv, k)]
             cols_parts += [z_vars, xu_vars.ravel(), z_vars, xv_vars.ravel()]
             vals_parts += [np.ones(npos), -ones, np.ones(npos), -ones]
-        program.add_le_constraints_batch(
-            rows=np.concatenate(rows_parts),
-            cols=np.concatenate(cols_parts),
-            vals=np.concatenate(vals_parts),
-            rhs=np.zeros(npos * block),
+        blocks.append(
+            (
+                np.concatenate(rows_parts),
+                np.concatenate(cols_parts),
+                np.concatenate(vals_parts),
+                np.zeros(npos * block),
+            )
         )
 
     # Subgroup size cap per (item, slot), over items actually carrying variables.
     if is_st and instance.max_subgroup_size < n:
         cap = float(instance.max_subgroup_size)
         _, item_row = np.unique(indices, return_inverse=True)
-        program.add_le_constraints_batch(
-            rows=(item_row[:, None] * k + s_idx[None, :]).ravel(),
-            cols=np.arange(num_x),
-            vals=np.ones(num_x),
-            rhs=np.full((int(item_row.max()) + 1) * k, cap),
+        blocks.append(
+            (
+                (item_row[:, None] * k + s_idx[None, :]).ravel(),
+                np.arange(num_x),
+                np.ones(num_x),
+                np.full((int(item_row.max()) + 1) * k, cap),
+            )
         )
-    return program
+    matrix, rhs = stack_rows(blocks, num_variables)
+    lhs = np.full(rhs.size, -np.inf)  # <= rows; the == rows (2) get lhs = rhs
+    equal = slice(nnz_x, nnz_x + n * k)
+    lhs[equal] = rhs[equal]
+    return MixedIntegerProgram(
+        np.concatenate(objective_parts),
+        matrix=matrix,
+        lhs=lhs,
+        rhs=rhs,
+        integrality=integrality,
+    )
 
 
 def _decode_configuration_sparse(

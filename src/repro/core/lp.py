@@ -51,6 +51,7 @@ from repro.core.sparse import (
     per_user_candidate_lists,
     uniform_candidate_lists,
 )
+from repro.solvers.assembly import csr_row_ids, stack_rows
 from repro.solvers.linprog import LinearProgram, solve_block_diagonal
 
 
@@ -360,8 +361,6 @@ def sparse_pair_cells(
     not exist, i.e. 0.  Per-user lists are sorted, so the global key
     ``user * m + item`` is sorted and every lookup is one ``searchsorted``.
     """
-    from repro.solvers.assembly import csr_row_ids
-
     m = np.int64(instance.num_items)
     user_of_x = csr_row_ids(indptr)
     keys = user_of_x * m + indices
@@ -387,7 +386,7 @@ def _build_sparse(
     indices: np.ndarray,
     enforce_size_constraint: bool,
 ) -> LinearProgram:
-    """Assemble LP_SIMP over per-user candidate lists with batched triplets.
+    """Assemble LP_SIMP over per-user candidate lists from triplet blocks.
 
     Variable layout: ``x`` variables in CSR order (user-major, items
     ascending within a user — ordinal ``xi`` for the ``xi``-th stored cell),
@@ -395,8 +394,6 @@ def _build_sparse(
     Every constraint row references variables through the CSR index arrays,
     so triplet count scales with stored nonzeros, never ``n·m``.
     """
-    from repro.solvers.assembly import csr_row_ids
-
     n, k = instance.num_users, instance.num_slots
     lam = instance.social_weight
     user_of_x = csr_row_ids(indptr)
@@ -410,57 +407,54 @@ def _build_sparse(
 
     p_idx, c_idx, pos_u, pos_v = sparse_pair_cells(instance, indptr, indices)
     num_y = p_idx.size
-    lp = LinearProgram(num_x + num_y)
+    num_variables = num_x + num_y
 
     # Objective: (1-lambda) p(u,c) on stored x cells, lambda w on kept y cells.
-    lp.set_objective_coefficients(
-        np.arange(num_x + num_y),
-        np.concatenate(
-            [
-                (1.0 - lam) * instance.preference[user_of_x, indices],
-                lam * instance.pair_social[p_idx, c_idx],
-            ]
-        ),
+    objective = np.concatenate(
+        [
+            (1.0 - lam) * instance.preference[user_of_x, indices],
+            lam * instance.pair_social[p_idx, c_idx],
+        ]
     )
 
     # sum_{c in list(u)} x[u,c] = k — one row per user over its CSR slice.
-    lp.add_eq_constraints_batch(
-        rows=user_of_x,
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.full(n, float(k)),
-    )
+    assignment_rows = (user_of_x, np.arange(num_x), np.ones(num_x), np.full(n, float(k)))
 
+    le_blocks = []
     # y <= x_u and y <= x_v for each kept pair-item cell.
     if num_y:
         y_vars = num_x + np.arange(num_y)
         t = np.arange(num_y)
         ones = np.ones(num_y)
-        lp.add_le_constraints_batch(
-            rows=np.concatenate([2 * t, 2 * t, 2 * t + 1, 2 * t + 1]),
-            cols=np.concatenate([y_vars, pos_u, y_vars, pos_v]),
-            vals=np.concatenate([ones, -ones, ones, -ones]),
-            rhs=np.zeros(2 * num_y),
+        le_blocks.append(
+            (
+                np.concatenate([2 * t, 2 * t, 2 * t + 1, 2 * t + 1]),
+                np.concatenate([y_vars, pos_u, y_vars, pos_v]),
+                np.concatenate([ones, -ones, ones, -ones]),
+                np.zeros(2 * num_y),
+            )
         )
 
     # Aggregate subgroup-size relaxation per item actually carrying variables.
     if _cap_binds(instance, enforce_size_constraint):
         _, item_row = np.unique(indices, return_inverse=True)
-        lp.add_le_constraints_batch(
-            rows=item_row,
-            cols=np.arange(num_x),
-            vals=np.ones(num_x),
-            rhs=np.full(int(item_row.max()) + 1, float(instance.max_subgroup_size * k)),
+        le_blocks.append(
+            (
+                item_row,
+                np.arange(num_x),
+                np.ones(num_x),
+                np.full(int(item_row.max()) + 1, float(instance.max_subgroup_size * k)),
+            )
         )
-    return lp
+    a_ub, b_ub = stack_rows(le_blocks, num_variables)
+    a_eq, b_eq = stack_rows([assignment_rows], num_variables)
+    return LinearProgram(objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
 def _decode_sparse(
     instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """``(n, m)`` compact factors scattered back from the CSR-ordered x block."""
-    from repro.solvers.assembly import csr_row_ids
-
     compact = np.zeros((instance.num_users, instance.num_items), dtype=float)
     num_x = int(indptr[-1])
     compact[csr_row_ids(indptr), indices] = np.clip(values[:num_x], 0.0, 1.0)
@@ -475,7 +469,7 @@ def _build_full(
     items: np.ndarray,
     enforce_size_constraint: bool,
 ) -> LinearProgram:
-    """Assemble LP_SVGIC restricted to ``items`` with batched triplet appends.
+    """Assemble LP_SVGIC restricted to ``items`` from triplet blocks.
 
     Variable layout: ``x[u, ci, s] -> (u * mc + ci) * k + s`` followed by
     ``y[p, ci, s] -> num_x + (p * mc + ci) * k + s`` (slot fastest).  Row
@@ -488,31 +482,25 @@ def _build_full(
     num_pairs = pairs.shape[0]
     num_x = n * mc * k
     num_y = num_pairs * mc * k
-    lp = LinearProgram(num_x + num_y)
+    num_variables = num_x + num_y
 
     # Per-slot variables share their (u, c) / (p, c) coefficient.
     pref = instance.preference[:, items]
     w = instance.pair_social[:, items]
-    lp.set_objective_coefficients(
-        np.arange(num_x + num_y),
-        np.concatenate(
-            [
-                np.repeat(((1.0 - lam) * pref).ravel(), k),
-                np.repeat((lam * w).ravel(), k),
-            ]
-        ),
+    objective = np.concatenate(
+        [
+            np.repeat(((1.0 - lam) * pref).ravel(), k),
+            np.repeat((lam * w).ravel(), k),
+        ]
     )
 
     s_idx = np.arange(k)
 
     # (1) no-duplication: sum_s x[u,c,s] <= 1 — one row per (u, c), whose k
     # slot variables are contiguous in the layout.
-    lp.add_le_constraints_batch(
-        rows=np.repeat(np.arange(n * mc), k),
-        cols=np.arange(num_x),
-        vals=np.ones(num_x),
-        rhs=np.ones(n * mc),
-    )
+    le_blocks = [
+        (np.repeat(np.arange(n * mc), k), np.arange(num_x), np.ones(num_x), np.ones(n * mc))
+    ]
     # (2) one item per (user, slot): sum_c x[u,c,s] = 1 — row (u, s) sums a
     # strided slice over items.
     unit_cols = (
@@ -520,12 +508,7 @@ def _build_full(
         + np.arange(mc)[None, None, :] * k
         + s_idx[None, :, None]
     ).ravel()
-    lp.add_eq_constraints_batch(
-        rows=np.repeat(np.arange(n * k), mc),
-        cols=unit_cols,
-        vals=np.ones(n * k * mc),
-        rhs=np.ones(n * k),
-    )
+    unit_rows = (np.repeat(np.arange(n * k), mc), unit_cols, np.ones(n * k * mc), np.ones(n * k))
     # (5)(6) co-display coupling for positive-weight (pair, item) cells.
     p_idx, c_idx = np.nonzero(w > 0)
     if p_idx.size:
@@ -535,13 +518,15 @@ def _build_full(
         xv_vars = ((pairs[p_idx, 1] * mc + c_idx) * k)[:, None] + s_idx
         ts = np.arange(npos * k)
         ones = np.ones(npos * k)
-        lp.add_le_constraints_batch(
-            rows=np.concatenate([2 * ts, 2 * ts, 2 * ts + 1, 2 * ts + 1]),
-            cols=np.concatenate(
-                [y_vars.ravel(), xu_vars.ravel(), y_vars.ravel(), xv_vars.ravel()]
-            ),
-            vals=np.concatenate([ones, -ones, ones, -ones]),
-            rhs=np.zeros(2 * npos * k),
+        le_blocks.append(
+            (
+                np.concatenate([2 * ts, 2 * ts, 2 * ts + 1, 2 * ts + 1]),
+                np.concatenate(
+                    [y_vars.ravel(), xu_vars.ravel(), y_vars.ravel(), xv_vars.ravel()]
+                ),
+                np.concatenate([ones, -ones, ones, -ones]),
+                np.zeros(2 * npos * k),
+            )
         )
 
     # Per-slot subgroup size constraint (SVGIC-ST only).
@@ -549,13 +534,17 @@ def _build_full(
         cap = float(instance.max_subgroup_size)
         if cap < n:
             cell = np.arange(mc)[:, None] * k + s_idx[None, :]  # row per (c, s)
-            lp.add_le_constraints_batch(
-                rows=np.repeat(np.arange(mc * k), n),
-                cols=(cell.ravel()[:, None] + np.arange(n)[None, :] * (mc * k)).ravel(),
-                vals=np.ones(mc * k * n),
-                rhs=np.full(mc * k, cap),
+            le_blocks.append(
+                (
+                    np.repeat(np.arange(mc * k), n),
+                    (cell.ravel()[:, None] + np.arange(n)[None, :] * (mc * k)).ravel(),
+                    np.ones(mc * k * n),
+                    np.full(mc * k, cap),
+                )
             )
-    return lp
+    a_ub, b_ub = stack_rows(le_blocks, num_variables)
+    a_eq, b_eq = stack_rows([unit_rows], num_variables)
+    return LinearProgram(objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
 def _decode_full(

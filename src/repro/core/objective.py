@@ -8,10 +8,10 @@ extensions of Section 5 (commodity values and slot significance).
 Every quantity is computed with dense NumPy tensor operations over the
 ``(n, m)`` preference matrix, the ``(|E|, m)`` social matrix and the
 ``(n, k)`` assignment array — no per-user/per-slot/per-edge Python loops.
-The original scalar implementation survives as
-:mod:`repro.core.objective_reference`, demoted to a test oracle; the
-property tests in ``tests/test_objective_equivalence.py`` pin the two
-implementations together to 1e-9.
+The original scalar implementation survives as the test oracle
+``tests/oracles/objective_reference.py``; the property tests in
+``tests/test_objective_equivalence.py`` pin the two implementations
+together to 1e-9.
 
 For algorithms that repeatedly re-evaluate slightly different
 configurations, :class:`DeltaEvaluator` maintains the utility breakdown
@@ -389,13 +389,22 @@ class DeltaEvaluator:
         return direct, indirect
 
     # ------------------------------------------------------------------ #
+    def check_user(self, user: int) -> int:
+        """``user`` as an ``int``; ``ValueError`` when it is outside ``[0, n)``.
+
+        Negative ids would otherwise wrap around to the last users.
+        """
+        user = int(user)
+        if not 0 <= user < self.instance.num_users:
+            raise ValueError(f"user {user} outside [0, {self.instance.num_users})")
+        return user
+
     def set_cell(self, user: int, slot: int, item: int) -> float:
         """Display ``item`` to ``user`` at ``slot`` (``UNASSIGNED`` clears the cell).
 
         Returns the new total utility.
         """
-        if not 0 <= user < self.instance.num_users:
-            raise ValueError(f"user {user} outside [0, {self.instance.num_users})")
+        user = self.check_user(user)
         if not 0 <= slot < self.instance.num_slots:
             raise ValueError(f"slot {slot} outside [0, {self.instance.num_slots})")
         if item != UNASSIGNED and not 0 <= item < self.instance.num_items:
@@ -444,6 +453,7 @@ class DeltaEvaluator:
         terms are untouched — preference drift cannot change co-displays.
         Returns the new total utility.
         """
+        user = self.check_user(user)
         values = np.asarray(values, dtype=float)
         if values.shape != (self.instance.num_items,):
             raise ValueError(
@@ -474,6 +484,7 @@ class DeltaEvaluator:
         :meth:`probe_many` the values are absolute, not deltas against the
         currently displayed item.
         """
+        user = self.check_user(user)
         gains = (1.0 - self._lam) * self._pref[user].copy()
         pids, others = self._incident(user)
         if pids.size:

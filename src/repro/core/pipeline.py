@@ -47,7 +47,13 @@ from typing import (
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts, shown_items
+from repro.core.configuration import (
+    UNASSIGNED,
+    SAVGConfiguration,
+    cell_counts,
+    repeated_rows,
+    shown_items,
+)
 from repro.core.greedy import greedy_complete, make_room
 from repro.core.lp import FractionalSolution, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, total_utility
@@ -797,8 +803,7 @@ class LocalSearchImprover:
         if self.pairwise:
             # The exchange kernels' closed forms need rows that show each
             # item once; no move creates a repeat, so one check suffices.
-            rows = np.sort(evaluator.assignment[searched], axis=1)
-            repeats = ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != UNASSIGNED)).any(axis=1)
+            repeats = repeated_rows(evaluator.assignment[searched])
             if repeats.any():
                 raise ValueError(
                     f"user {searched[np.argmax(repeats)]} is shown an item more than "

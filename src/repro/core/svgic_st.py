@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.configuration import SAVGConfiguration
+import numpy as np
+
+from repro.core.configuration import SAVGConfiguration, cell_counts
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 
 
@@ -52,18 +54,12 @@ def size_violation_report(
     instance: SVGICSTInstance, config: SAVGConfiguration
 ) -> SizeViolationReport:
     """Count subgroup-size violations of ``config`` under ``instance.max_subgroup_size``."""
-    cap = instance.max_subgroup_size
-    oversized = 0
-    excess = 0
-    largest = 0
-    for _slot, _item, members in config.iter_subgroups():
-        size = len(members)
-        largest = max(largest, size)
-        if size > cap:
-            oversized += 1
-            excess += size - cap
+    sizes = cell_counts(config.assignment, config.num_items)
+    excess = np.maximum(sizes - instance.max_subgroup_size, 0)
     return SizeViolationReport(
-        oversized_subgroups=oversized, excess_users=excess, largest_subgroup=largest
+        oversized_subgroups=int(np.count_nonzero(excess)),
+        excess_users=int(excess.sum()),
+        largest_subgroup=int(sizes.max(initial=0)),
     )
 
 
@@ -100,10 +96,8 @@ def co_display_events(
 
 def subgroup_size_histogram(config: SAVGConfiguration) -> Dict[int, int]:
     """Histogram of subgroup sizes across all slots (size -> count)."""
-    histogram: Dict[int, int] = {}
-    for size in config.subgroup_sizes():
-        histogram[size] = histogram.get(size, 0) + 1
-    return histogram
+    sizes, frequency = np.unique(config.subgroup_sizes(), return_counts=True)
+    return dict(zip(sizes.tolist(), frequency.tolist()))
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from repro.experiments.harness import (
     run_plan,
     sweep,
 )
-from repro.experiments.progress import LiveDashboard, ProgressAggregator
+from repro.experiments.progress import ProgressAggregator
 from repro.experiments.scheduler import (
     CostModel,
     WorkStealingExecutor,
@@ -48,7 +48,6 @@ __all__ = [
     "CostModel",
     "schedule_groups",
     "ProgressAggregator",
-    "LiveDashboard",
     "resolve_worker_count",
     "CaseStudy",
     "describe_case_study",

@@ -314,8 +314,8 @@ def run_plan(
     ``progress`` optionally names a callback invoked with each
     :class:`JobResult` as it finishes (the executor's streaming ``iter_run``
     path is used, so completion order — not plan order — drives the calls).
-    A :class:`~repro.experiments.progress.ProgressAggregator` or
-    :class:`~repro.experiments.progress.LiveDashboard` drops straight in.
+    A :class:`~repro.experiments.progress.ProgressAggregator` drops straight
+    in.
     """
     if executor is None:
         executor = SerialExecutor(store=store)

@@ -14,11 +14,6 @@ stream into something watchable:
   jobs are equal — on heterogeneous sweeps the last jobs are often the
   big ones, and a naive ``remaining/throughput`` estimate is wildly
   optimistic.
-* :class:`LiveDashboard` is a throttled callback wrapper: pass it as
-  ``progress=`` to :func:`~repro.experiments.harness.sweep` /
-  :func:`~repro.experiments.harness.grid` / ``run_plan`` and it re-renders
-  a plain-text dashboard to a stream at most every ``min_interval``
-  seconds (plus once at the end, so the final state is always shown).
 
 An aggregator is itself a valid ``progress=`` callback (calling it is the
 same as calling :meth:`ProgressAggregator.update`), so the minimal live
@@ -30,14 +25,13 @@ setup is two lines::
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.experiments.executor import JobResult, SweepJob, SweepPlan
 from repro.experiments.scheduler import CostModel
 
-__all__ = ["ProgressAggregator", "LiveDashboard"]
+__all__ = ["ProgressAggregator"]
 
 
 class ProgressAggregator:
@@ -225,44 +219,3 @@ class ProgressAggregator:
             marker = "✓" if done == total else " "
             lines.append(f"  {marker} {value!r}: {done}/{total}")
         return "\n".join(lines)
-
-
-class LiveDashboard:
-    """Throttled ``progress=`` callback rendering a text dashboard to a stream.
-
-    Wraps a :class:`ProgressAggregator` and re-renders on update, but at
-    most once per ``min_interval`` seconds — a parallel sweep finishing
-    hundreds of cheap jobs should not flood the terminal.  The final
-    update (last job of the plan) always renders, so the completed state
-    is never throttled away.  The underlying aggregator is exposed as
-    ``.aggregator`` for reading the incremental table afterwards.
-    """
-
-    def __init__(
-        self,
-        plan: SweepPlan,
-        *,
-        stream: Optional[TextIO] = None,
-        min_interval: float = 0.5,
-        cost_model: Optional[CostModel] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.aggregator = ProgressAggregator(plan, cost_model=cost_model, clock=clock)
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = float(min_interval)
-        self._clock = clock
-        self._last_render: Optional[float] = None
-        self.renders = 0
-
-    def __call__(self, result: JobResult) -> None:
-        self.aggregator.update(result)
-        now = self._clock()
-        throttled = (
-            self._last_render is not None
-            and (now - self._last_render) < self.min_interval
-        )
-        if throttled and not self.aggregator.done:
-            return
-        self._last_render = now
-        self.renders += 1
-        print(self.aggregator.render(), file=self.stream, flush=True)

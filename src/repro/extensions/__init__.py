@@ -6,8 +6,8 @@
 * :mod:`repro.extensions.groupwise` — generalized group-wise social benefits (5D).
 * :mod:`repro.extensions.subgroup_change` — subgroup-change smoothing (5E).
 * :mod:`repro.extensions.dynamic` — incremental dynamic sessions for user
-  join/leave/preference drift (5F), scalar oracle in
-  :mod:`repro.extensions.dynamic_reference`.
+  join/leave/preference drift (5F); its scalar oracle ships with the tests
+  (``tests/oracles/dynamic_reference.py``).
 * :mod:`repro.extensions.churn` — warm-start re-optimization engine over a
   dynamic session (event-local repair, LP-bound-triggered re-solves).
 * :mod:`repro.extensions.seo` — Social Event Organization as an application

@@ -366,9 +366,9 @@ def replay_incremental(
     """Replay a trace through a bare session (no repair, no re-solves).
 
     The utility-after series this returns is what the scalar/incremental
-    session-equivalence benchmarks compare; works for
-    :class:`~repro.extensions.dynamic_reference.ReferenceDynamicSession` too
-    (duck-typed).
+    session-equivalence benchmarks compare; works for the scalar test
+    oracle ``ReferenceDynamicSession`` (``tests/oracles/dynamic_reference.py``)
+    too (duck-typed).
     """
     utilities: List[float] = []
     for event in trace.events:

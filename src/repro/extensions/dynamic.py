@@ -25,10 +25,12 @@ implements that incremental policy on top of the vectorized numeric core:
 * ``local_search`` is the single-user exchange pass, with each slot's
   candidate scan batched into one gain vector.
 
-The original scalar implementation survives as
-:class:`repro.extensions.dynamic_reference.ReferenceDynamicSession`, demoted
-to a test oracle; ``tests/test_dynamic_incremental.py`` pins the two to 1e-9
-across join/leave/drift traces on SVGIC and SVGIC-ST instances.
+The original scalar implementation survives as the test oracle
+``ReferenceDynamicSession`` in ``tests/oracles/dynamic_reference.py``;
+``tests/test_dynamic_incremental.py`` pins the two to 1e-9 across
+join/leave/drift traces on SVGIC and SVGIC-ST instances.  Every event
+method raises ``ValueError`` for a user outside ``[0, n)`` before it
+changes anything.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts, repeated_rows
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -89,9 +91,8 @@ def check_session_inputs(
     rows = configuration.assignment[active]
     if np.any(rows == UNASSIGNED):
         raise ValueError("active users must start with fully assigned rows")
-    for row in rows:
-        if np.unique(row).size != row.size:
-            raise ValueError("active users violate the no-duplication constraint")
+    if repeated_rows(rows).any():
+        raise ValueError("active users violate the no-duplication constraint")
     return active
 
 
@@ -199,7 +200,7 @@ class DynamicSession:
         cap-saturated — are skipped explicitly (left ``UNASSIGNED`` and
         recorded on the event) rather than silently assigned ``-1``.
         """
-        user = int(user)
+        user = self.evaluator.check_user(user)
         if self.active[user] and not np.any(self.configuration.assignment[user] == UNASSIGNED):
             raise ValueError(f"user {user} is already active and fully assigned")
         if self.active[user]:
@@ -234,7 +235,7 @@ class DynamicSession:
         counts drop her display units, so the running utility reflects the
         active users only.
         """
-        user = int(user)
+        user = self.evaluator.check_user(user)
         if not self.active[user]:
             raise ValueError(f"user {user} is not active")
         self._clear_active_row(user)
@@ -247,7 +248,7 @@ class DynamicSession:
         ``O(k)`` on the running total; works for inactive users too (their
         drift takes effect when they rejoin).
         """
-        user = int(user)
+        user = self.evaluator.check_user(user)
         self.evaluator.update_preference_row(user, np.asarray(values, dtype=float))
         self.events.append(DynamicEvent("drift", user, self.current_utility()))
 
@@ -262,7 +263,7 @@ class DynamicSession:
         gain vector.  Gains depend only on *other* users' cells, so the
         vectors are computed once per slot and reused across rounds.
         """
-        user = int(user)
+        user = self.evaluator.check_user(user)
         if not self.active[user]:
             raise ValueError(f"user {user} is not active")
         limit = self.size_limit
@@ -320,6 +321,7 @@ class DynamicSession:
 
     def teleport_suggestions(self, user: int) -> List[Tuple[int, int, int]]:
         """Friends this user could teleport to: (friend, item, friend's slot) for indirect co-displays."""
+        user = self.evaluator.check_user(user)
         suggestions: List[Tuple[int, int, int]] = []
         if not self.active[user]:
             return suggestions

@@ -4,11 +4,16 @@ The paper solves its LP relaxations and integer programs with commercial
 solvers (Gurobi / CPLEX).  This package provides the open equivalent used by
 the reproduction:
 
-* :mod:`repro.solvers.linprog` — a thin wrapper over SciPy's HiGHS LP solver
-  with a uniform maximization interface and sparse constraint assembly.
-* :mod:`repro.solvers.milp` — a wrapper over SciPy's HiGHS MILP solver with
-  time-limit / gap-limit knobs (used to emulate the paper's different MIP
-  strategies in Figure 9(a)).
+* :mod:`repro.solvers.linprog` — :class:`LinearProgram`, the record of one
+  finished maximization LP (objective, ``<=`` and ``==`` CSR blocks,
+  bounds), solved with SciPy's HiGHS LP solver, and block-diagonal stacking
+  of several programs into one solve.
+* :mod:`repro.solvers.milp` — :class:`MixedIntegerProgram`, the finished
+  MILP record (one ``lhs <= A x <= rhs`` block plus integrality), solved
+  with SciPy's HiGHS MILP solver under time-limit / gap-limit knobs (used to
+  emulate the paper's different MIP strategies in Figure 9(a)).
+* :mod:`repro.solvers.assembly` — :func:`~repro.solvers.assembly.stack_rows`,
+  which lays the model builders' NumPy triplet blocks out as one CSR matrix.
 * :mod:`repro.solvers.branch_and_bound` — a self-contained pure-Python
   branch-and-bound MILP solver built on the LP wrapper.  It is used as a
   fallback, as a cross-check for the HiGHS results in the test suite, and to
@@ -16,7 +21,6 @@ the reproduction:
   MIP-strategy ablation.
 """
 
-from repro.solvers.assembly import TripletConstraintBlock, stack_constraint_blocks
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, BnBResult
 from repro.solvers.linprog import (
     LinearProgram,
@@ -31,8 +35,6 @@ __all__ = [
     "LPResult",
     "stack_programs",
     "solve_block_diagonal",
-    "TripletConstraintBlock",
-    "stack_constraint_blocks",
     "MixedIntegerProgram",
     "MILPResult",
     "BranchAndBoundSolver",

@@ -1,205 +1,18 @@
-"""Sparse constraint-row accumulator shared by the LP and MILP wrappers.
+"""Constraint-row layout and shape checks shared by the LP and MILP records.
 
-Constraint rows arrive through two code paths:
-
-* one row at a time via the per-term ``add_le_constraint`` /
-  ``add_eq_constraint`` methods (tiny hand-built models, tests, the
-  branch-and-bound harness), and
-* wholesale via the ``add_*_constraints_batch`` methods, which append NumPy
-  triplet arrays covering thousands of rows in one call — the path the
-  vectorized model builders in :mod:`repro.core.lp` / :mod:`repro.core.ip`
-  use.
-
-:class:`TripletConstraintBlock` keeps both paths cheap: scalar appends go to
-plain Python lists, and a batch promotes the pending buffer to a NumPy chunk
-before appending its own arrays, so mixed scalar/batch construction preserves
-insertion order (row ids are assigned sequentially across both paths) without
-per-element Python iteration on the batch path.
+The vectorized builders in :mod:`repro.core.lp` / :mod:`repro.core.ip`
+compute each family of constraint rows as one NumPy triplet block;
+:func:`stack_rows` lays the blocks out one after another as the finished
+CSR matrix a :class:`~repro.solvers.linprog.LinearProgram` or
+:class:`~repro.solvers.milp.MixedIntegerProgram` holds.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-
-
-def checked_index_array(indices: np.ndarray, size: int) -> np.ndarray:
-    """Convert ``indices`` to int64 and validate every entry lies in ``[0, size)``."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"variable indices must lie in [0, {size})")
-    return idx
-
-
-def assign_coefficients(
-    target: np.ndarray, variables: np.ndarray, coefficients: np.ndarray
-) -> None:
-    """Vectorized ``target[variables] = coefficients`` with shape and range checks."""
-    variables = np.asarray(variables, dtype=np.int64)
-    coefficients = np.asarray(coefficients, dtype=float)
-    if variables.shape != coefficients.shape:
-        raise ValueError(
-            f"variables and coefficients must have identical shapes, got "
-            f"{variables.shape} and {coefficients.shape}"
-        )
-    target[checked_index_array(variables, target.shape[0])] = coefficients
-
-
-class TripletConstraintBlock:
-    """Rows of a sparse constraint system ``lhs <= A x <= rhs`` in insertion order.
-
-    Parameters
-    ----------
-    num_columns:
-        Number of variables (columns of ``A``); column indices are validated
-        against it on the batch path.
-    track_lower:
-        When ``True`` a per-row lower bound (``lhs``) is stored alongside the
-        upper bound, as the MILP wrapper's range constraints need; when
-        ``False`` only ``rhs`` is kept.
-    """
-
-    def __init__(self, num_columns: int, *, track_lower: bool = False) -> None:
-        self.num_columns = int(num_columns)
-        self.track_lower = bool(track_lower)
-        self.num_rows = 0
-        # Promoted NumPy chunks (rows are global ids).
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._rhs_chunks: List[np.ndarray] = []
-        self._lhs_chunks: List[np.ndarray] = []
-        # Pending scalar appends, promoted lazily.
-        self._pending_rows: List[int] = []
-        self._pending_cols: List[int] = []
-        self._pending_vals: List[float] = []
-        self._pending_rhs: List[float] = []
-        self._pending_lhs: List[float] = []
-
-    # ------------------------------------------------------------------ #
-    # Row insertion
-    # ------------------------------------------------------------------ #
-    def add_row(
-        self, terms: Sequence[Tuple[int, float]], rhs: float, lhs: float = -np.inf
-    ) -> int:
-        """Append one row from ``(variable, coefficient)`` terms; returns its row id."""
-        row = self.num_rows
-        for var, coeff in terms:
-            self._pending_rows.append(row)
-            self._pending_cols.append(int(var))
-            self._pending_vals.append(float(coeff))
-        self._pending_rhs.append(float(rhs))
-        if self.track_lower:
-            self._pending_lhs.append(float(lhs))
-        self.num_rows += 1
-        return row
-
-    def add_rows(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        rhs: np.ndarray,
-        lhs: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Append ``len(rhs)`` rows wholesale from triplet arrays.
-
-        ``rows`` holds batch-local 0-based row indices (one ``rhs`` entry per
-        row); the returned array gives the global row ids assigned to the
-        batch.  The arrays are snapshotted (copied), so the caller may reuse
-        or mutate them afterwards.  Raises ``ValueError`` on mismatched
-        triplet lengths or out-of-range row/column indices.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()  # rows + offset copies below
-        cols = np.array(cols, dtype=np.int64, copy=True).ravel()
-        vals = np.array(vals, dtype=float, copy=True).ravel()
-        rhs = np.atleast_1d(np.array(rhs, dtype=float, copy=True))
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError(
-                "rows/cols/vals must have identical lengths, got "
-                f"{rows.shape[0]}/{cols.shape[0]}/{vals.shape[0]}"
-            )
-        num_new = rhs.shape[0]
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= num_new:
-                raise ValueError(
-                    f"batch row indices must lie in [0, {num_new}) — one rhs entry per row"
-                )
-            if cols.min() < 0 or cols.max() >= self.num_columns:
-                raise ValueError(f"column indices must lie in [0, {self.num_columns})")
-        self._flush_pending()
-        offset = self.num_rows
-        self._chunks.append((rows + offset, cols, vals))
-        self._rhs_chunks.append(rhs)
-        if self.track_lower:
-            if lhs is None:
-                lhs_arr = np.full(num_new, -np.inf)
-            else:
-                lhs_arr = np.atleast_1d(np.array(lhs, dtype=float, copy=True))
-            if lhs_arr.shape[0] != num_new:
-                raise ValueError(
-                    f"lhs has {lhs_arr.shape[0]} entries but the batch has {num_new} rows"
-                )
-            self._lhs_chunks.append(lhs_arr)
-        self.num_rows += num_new
-        return np.arange(offset, offset + num_new, dtype=np.int64)
-
-    def _flush_pending(self) -> None:
-        if not self._pending_rhs:
-            return
-        self._chunks.append(
-            (
-                np.asarray(self._pending_rows, dtype=np.int64),
-                np.asarray(self._pending_cols, dtype=np.int64),
-                np.asarray(self._pending_vals, dtype=float),
-            )
-        )
-        self._rhs_chunks.append(np.asarray(self._pending_rhs, dtype=float))
-        if self.track_lower:
-            self._lhs_chunks.append(np.asarray(self._pending_lhs, dtype=float))
-        self._pending_rows = []
-        self._pending_cols = []
-        self._pending_vals = []
-        self._pending_rhs = []
-        self._pending_lhs = []
-
-    # ------------------------------------------------------------------ #
-    # Assembly
-    # ------------------------------------------------------------------ #
-    def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(rows, cols, vals)`` arrays with global row ids."""
-        self._flush_pending()
-        if not self._chunks:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=float)
-        return (
-            np.concatenate([c[0] for c in self._chunks]),
-            np.concatenate([c[1] for c in self._chunks]),
-            np.concatenate([c[2] for c in self._chunks]),
-        )
-
-    def matrix(self) -> sparse.csr_matrix:
-        """The rows assembled as one CSR matrix of shape ``(num_rows, num_columns)``."""
-        rows, cols, vals = self.triplets()
-        return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.num_rows, self.num_columns)
-        ).tocsr()
-
-    def rhs_vector(self) -> np.ndarray:
-        """Per-row upper bounds in row order."""
-        self._flush_pending()
-        if not self._rhs_chunks:
-            return np.empty(0, dtype=float)
-        return np.concatenate(self._rhs_chunks)
-
-    def lhs_vector(self) -> np.ndarray:
-        """Per-row lower bounds in row order (requires ``track_lower=True``)."""
-        if not self.track_lower:
-            raise ValueError("this block does not track per-row lower bounds")
-        self._flush_pending()
-        if not self._lhs_chunks:
-            return np.empty(0, dtype=float)
-        return np.concatenate(self._lhs_chunks)
 
 
 def csr_row_ids(indptr: np.ndarray) -> np.ndarray:
@@ -219,47 +32,73 @@ def csr_row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
-def stack_constraint_blocks(
-    blocks: Sequence[TripletConstraintBlock],
-) -> TripletConstraintBlock:
-    """Stack constraint blocks block-diagonally into one combined block.
+def stack_rows(
+    blocks: Sequence[Tuple[np.ndarray, ...]], num_columns: int
+) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
+    """Stack row blocks in order into one CSR matrix and its right-hand sides.
 
-    Block ``i``'s columns are shifted by the total column count of the blocks
-    before it, and its rows are appended after theirs, so the assembled
-    matrix is block-diagonal: no constraint couples variables of two input
-    blocks.  This is the assembly primitive behind batched (multi-instance)
-    LP solves — each instance's constraint system is built independently and
-    stacked wholesale via the same triplet batch path the vectorized model
-    builders use.
-
-    The result tracks per-row lower bounds when any input does; rows from
-    blocks without them get the default ``-inf`` lower bound.  Input blocks
-    are left untouched (their triplets are snapshotted by ``add_rows``).
+    Each block is ``(rows, cols, vals, rhs)`` triplets with block-local row
+    ids ``0 <= rows < len(rhs)``; block ``i``'s rows follow the rows of the
+    blocks before it.  Returns ``(A, rhs)`` with ``A`` of shape
+    ``(total rows, num_columns)``, or ``(None, None)`` when there are no
+    blocks.
     """
-    track_lower = any(block.track_lower for block in blocks)
-    stacked = TripletConstraintBlock(
-        sum(block.num_columns for block in blocks), track_lower=track_lower
+    if not blocks:
+        return None, None
+    offsets = np.cumsum([0] + [len(block[3]) for block in blocks])
+    rows = np.concatenate(
+        [np.asarray(block[0], dtype=np.int64) + offset for block, offset in zip(blocks, offsets)]
     )
-    offset = 0
-    for block in blocks:
-        rhs = block.rhs_vector()
-        if rhs.size:
-            rows, cols, vals = block.triplets()
-            stacked.add_rows(
-                rows,
-                cols + offset,
-                vals,
-                rhs,
-                lhs=block.lhs_vector() if block.track_lower else None,
-            )
-        offset += block.num_columns
-    return stacked
+    cols = np.concatenate([np.asarray(block[1], dtype=np.int64) for block in blocks])
+    vals = np.concatenate([np.asarray(block[2], dtype=float) for block in blocks])
+    rhs = np.concatenate([np.asarray(block[3], dtype=float) for block in blocks])
+    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(int(offsets[-1]), num_columns))
+    return matrix.tocsr(), rhs
+
+
+def checked_objective(objective: np.ndarray) -> np.ndarray:
+    """``objective`` as a non-empty 1-D float vector (one entry per variable)."""
+    objective = np.asarray(objective, dtype=float)
+    if objective.ndim != 1 or objective.size == 0:
+        raise ValueError(f"objective must be a non-empty vector, got shape {objective.shape}")
+    return objective
+
+
+def checked_vector(
+    name: str, vector: Optional[np.ndarray], size: int, default: Optional[float] = None
+) -> np.ndarray:
+    """``vector`` as floats of shape ``(size,)``; ``None`` is ``default`` everywhere, if given."""
+    if vector is None and default is not None:
+        return np.full(size, float(default))
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {vector.shape}")
+    return vector
+
+
+def checked_rows(
+    name: str, matrix: Optional[sparse.spmatrix], num_variables: int, *vectors: np.ndarray
+) -> tuple:
+    """One constraint block as ``(CSR matrix, *float vectors)``, shapes checked.
+
+    The matrix and its per-row vectors are all ``None`` (a program without
+    rows of this kind) or all given: the matrix with ``num_variables``
+    columns, every vector with one entry per row.
+    """
+    if matrix is None:
+        if any(vector is not None for vector in vectors):
+            raise ValueError(f"{name} has right-hand sides but no matrix")
+        return (None,) * (1 + len(vectors))
+    matrix = sparse.csr_matrix(matrix)
+    if matrix.shape[1] != num_variables:
+        raise ValueError(f"{name} has {matrix.shape[1]} columns for {num_variables} variables")
+    return (matrix, *(checked_vector(f"{name}'s row bounds", v, matrix.shape[0]) for v in vectors))
 
 
 __all__ = [
-    "TripletConstraintBlock",
-    "assign_coefficients",
-    "checked_index_array",
+    "checked_objective",
+    "checked_rows",
+    "checked_vector",
     "csr_row_ids",
-    "stack_constraint_blocks",
+    "stack_rows",
 ]

@@ -18,7 +18,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -100,16 +100,6 @@ class BranchAndBoundSolver:
         self.program = program
         self.strategy = strategy
         self.integer_tolerance = float(integer_tolerance)
-        self._a_matrix, self._lhs, self._rhs = self._assemble(program)
-
-    @staticmethod
-    def _assemble(
-        program: MixedIntegerProgram,
-    ) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray], Optional[np.ndarray]]:
-        assembled = program.build_constraints()
-        if assembled is None:
-            return None, None, None
-        return assembled
 
     # ------------------------------------------------------------------ #
     def _solve_relaxation(
@@ -117,22 +107,23 @@ class BranchAndBoundSolver:
     ) -> Tuple[Optional[np.ndarray], float]:
         """Solve the LP relaxation with variable bounds [lower, upper]."""
         a_ub = b_ub = None
-        if self._a_matrix is not None:
+        program = self.program
+        if program.matrix is not None:
             blocks = []
             rhs_blocks = []
-            finite_upper = np.isfinite(self._rhs)
+            finite_upper = np.isfinite(program.rhs)
             if np.any(finite_upper):
-                blocks.append(self._a_matrix[finite_upper])
-                rhs_blocks.append(self._rhs[finite_upper])
-            finite_lower = np.isfinite(self._lhs)
+                blocks.append(program.matrix[finite_upper])
+                rhs_blocks.append(program.rhs[finite_upper])
+            finite_lower = np.isfinite(program.lhs)
             if np.any(finite_lower):
-                blocks.append(-self._a_matrix[finite_lower])
-                rhs_blocks.append(-self._lhs[finite_lower])
+                blocks.append(-program.matrix[finite_lower])
+                rhs_blocks.append(-program.lhs[finite_lower])
             if blocks:
                 a_ub = sparse.vstack(blocks).tocsr()
                 b_ub = np.concatenate(rhs_blocks)
         result = linprog(
-            c=-self.program.objective,
+            c=-program.objective,
             A_ub=a_ub,
             b_ub=b_ub,
             bounds=np.column_stack([lower, upper]),

@@ -2,19 +2,11 @@
 
 All linear programs in the library are *maximization* problems over variables
 bounded in ``[lb, ub]`` with sparse "less-or-equal" and "equal" constraint
-blocks.  :class:`LinearProgram` accumulates constraint triplets and hands a
-single sparse matrix to ``scipy.optimize.linprog``; this keeps model-building
-code in :mod:`repro.core.lp` close to the paper's algebraic formulation.
-
-Constraints can be added one at a time from ``(variable, coefficient)`` terms
-(:meth:`LinearProgram.add_le_constraint` / :meth:`~LinearProgram.add_eq_constraint`)
-or wholesale from NumPy triplet arrays
-(:meth:`~LinearProgram.add_le_constraints_batch` /
-:meth:`~LinearProgram.add_eq_constraints_batch`), with
-:meth:`~LinearProgram.set_objective_coefficients` as the matching vectorized
-objective setter.  The batch path is what the vectorized model builders use:
-on large instances, per-term Python appends dominate end-to-end solve time,
-while a triplet batch is appended in O(1) NumPy operations.
+blocks.  A :class:`LinearProgram` is the record of one finished model: the
+model builders in :mod:`repro.core.lp` compute its rows as NumPy triplet
+blocks and lay them out with :func:`repro.solvers.assembly.stack_rows`, and
+:meth:`LinearProgram.solve` hands the CSR blocks to ``scipy.optimize.linprog``
+as they are.
 """
 
 from __future__ import annotations
@@ -27,11 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.solvers.assembly import (
-    TripletConstraintBlock,
-    assign_coefficients,
-    stack_constraint_blocks,
-)
+from repro.solvers.assembly import checked_objective, checked_rows, checked_vector
 
 
 class LPError(RuntimeError):
@@ -50,140 +38,62 @@ class LPResult:
         Optimal objective value *in the maximization sense*.
     solve_seconds:
         Wall-clock time spent inside the solver.
-    status:
-        Solver status string (``"optimal"`` on success).
     """
 
     values: np.ndarray
     objective: float
     solve_seconds: float
-    status: str = "optimal"
 
 
+@dataclass(eq=False)  # array fields: compare models field by field
 class LinearProgram:
-    """Incrementally-built sparse LP ``max c^T x  s.t.  A_ub x <= b_ub, A_eq x = b_eq``.
+    """A finished sparse LP ``max c^T x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub``.
+
+    ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` are ``None`` for a program
+    without rows of that kind; the matrices are stored in CSR form.  The
+    bounds default to ``[0, 1]``.
 
     Example
     -------
-    >>> lp = LinearProgram(num_variables=2)
-    >>> lp.set_objective_coefficient(0, 1.0)
-    >>> lp.set_objective_coefficient(1, 1.0)
-    >>> lp.add_le_constraint([(0, 1.0), (1, 2.0)], 4.0)
-    0
-    >>> result = lp.solve()
-    >>> round(result.objective, 6)
+    >>> lp = LinearProgram(np.array([1.0, 1.0]), a_ub=[[1.0, 2.0]], b_ub=[4.0])
+    >>> round(lp.solve().objective, 6)
     2.0
     """
 
-    def __init__(
-        self,
-        num_variables: int,
-        *,
-        lower_bounds: Optional[np.ndarray] = None,
-        upper_bounds: Optional[np.ndarray] = None,
-    ) -> None:
-        if num_variables <= 0:
-            raise ValueError(f"num_variables must be positive, got {num_variables}")
-        self.num_variables = int(num_variables)
-        self.objective = np.zeros(self.num_variables, dtype=float)
-        self.lower_bounds = (
-            np.zeros(self.num_variables) if lower_bounds is None else np.asarray(lower_bounds, float)
-        )
-        self.upper_bounds = (
-            np.ones(self.num_variables) if upper_bounds is None else np.asarray(upper_bounds, float)
-        )
-        if self.lower_bounds.shape != (self.num_variables,):
-            raise ValueError("lower_bounds has the wrong shape")
-        if self.upper_bounds.shape != (self.num_variables,):
-            raise ValueError("upper_bounds has the wrong shape")
-        self._ub = TripletConstraintBlock(self.num_variables)
-        self._eq = TripletConstraintBlock(self.num_variables)
+    objective: np.ndarray
+    a_ub: Optional[sparse.csr_matrix] = None
+    b_ub: Optional[np.ndarray] = None
+    a_eq: Optional[sparse.csr_matrix] = None
+    b_eq: Optional[np.ndarray] = None
+    lower_bounds: Optional[np.ndarray] = None
+    upper_bounds: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------ #
-    # Model building
-    # ------------------------------------------------------------------ #
-    def set_objective_coefficient(self, variable: int, coefficient: float) -> None:
-        """Set (overwrite) the maximization objective coefficient of ``variable``."""
-        self.objective[variable] = coefficient
-
-    def set_objective_coefficients(
-        self, variables: np.ndarray, coefficients: np.ndarray
-    ) -> None:
-        """Set (overwrite) the objective coefficients of many variables at once."""
-        assign_coefficients(self.objective, variables, coefficients)
-
-    def add_objective(self, variable: int, coefficient: float) -> None:
-        """Add ``coefficient`` to the objective coefficient of ``variable``."""
-        self.objective[variable] += coefficient
-
-    def add_le_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> int:
-        """Add ``sum coeff * x_var <= rhs``; returns the constraint row index."""
-        return self._ub.add_row(terms, rhs)
-
-    def add_eq_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> int:
-        """Add ``sum coeff * x_var == rhs``; returns the constraint row index."""
-        return self._eq.add_row(terms, rhs)
-
-    def add_le_constraints_batch(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray:
-        """Add ``len(rhs)`` <= constraints wholesale from triplet arrays.
-
-        ``rows`` holds batch-local 0-based row indices; the returned array
-        gives the global row ids of the appended constraints.
-        """
-        return self._ub.add_rows(rows, cols, vals, rhs)
-
-    def add_eq_constraints_batch(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray:
-        """Add ``len(rhs)`` == constraints wholesale from triplet arrays."""
-        return self._eq.add_rows(rows, cols, vals, rhs)
+    def __post_init__(self) -> None:
+        self.objective = checked_objective(self.objective)
+        n = self.num_variables
+        self.a_ub, self.b_ub = checked_rows("a_ub", self.a_ub, n, self.b_ub)
+        self.a_eq, self.b_eq = checked_rows("a_eq", self.a_eq, n, self.b_eq)
+        self.lower_bounds = checked_vector("lower_bounds", self.lower_bounds, n, 0.0)
+        self.upper_bounds = checked_vector("upper_bounds", self.upper_bounds, n, 1.0)
 
     @property
-    def num_le_constraints(self) -> int:
-        """Number of <= constraints added so far."""
-        return self._ub.num_rows
+    def num_variables(self) -> int:
+        return int(self.objective.shape[0])
 
-    @property
-    def num_eq_constraints(self) -> int:
-        """Number of == constraints added so far."""
-        return self._eq.num_rows
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
-    def build_matrices(self) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray],
-                                      Optional[sparse.csr_matrix], Optional[np.ndarray]]:
-        """Assemble (A_ub, b_ub, A_eq, b_eq) sparse matrices (``None`` when empty)."""
-        a_ub = b_ub = a_eq = b_eq = None
-        if self._ub.num_rows:
-            a_ub = self._ub.matrix()
-            b_ub = self._ub.rhs_vector()
-        if self._eq.num_rows:
-            a_eq = self._eq.matrix()
-            b_eq = self._eq.rhs_vector()
-        return a_ub, b_ub, a_eq, b_eq
-
-    def solve(self, *, time_limit: Optional[float] = None) -> LPResult:
+    def solve(self) -> LPResult:
         """Solve the LP with HiGHS and return an :class:`LPResult`.
 
         Raises :class:`LPError` if the solver does not reach optimality.
         """
-        a_ub, b_ub, a_eq, b_eq = self.build_matrices()
-        options = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
         start = time.perf_counter()
         result = linprog(
             c=-self.objective,  # linprog minimizes
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
+            A_ub=self.a_ub,
+            b_ub=self.b_ub,
+            A_eq=self.a_eq,
+            b_eq=self.b_eq,
             bounds=np.column_stack([self.lower_bounds, self.upper_bounds]),
             method="highs",
-            options=options or None,
         )
         elapsed = time.perf_counter() - start
         if not result.success:
@@ -192,8 +102,28 @@ class LinearProgram:
             values=np.asarray(result.x, dtype=float),
             objective=-float(result.fun),
             solve_seconds=elapsed,
-            status="optimal",
         )
+
+
+def _block_diagonal(
+    blocks: Sequence[Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]],
+    column_offsets: np.ndarray,
+) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
+    """Block-diagonal CSR of ``(A, rhs)`` blocks, built by concatenating their CSR arrays.
+
+    Block ``i``'s columns start at ``column_offsets[i]``; absent blocks
+    (``A is None``) contribute no rows.
+    """
+    present = [(a, rhs, col) for (a, rhs), col in zip(blocks, column_offsets) if a is not None]
+    if not present:
+        return None, None
+    nnz = np.cumsum([0] + [a.nnz for a, _, _ in present])
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + n for (a, _, _), n in zip(present, nnz)])
+    indices = np.concatenate([a.indices + col for a, _, col in present])
+    data = np.concatenate([a.data for a, _, _ in present])
+    shape = (indptr.size - 1, int(column_offsets[-1]))
+    rhs = np.concatenate([rhs for _, rhs, _ in present])
+    return sparse.csr_matrix((data, indices, indptr), shape=shape), rhs
 
 
 def stack_programs(
@@ -202,33 +132,27 @@ def stack_programs(
     """Stack ``programs`` into one block-diagonal program plus variable slices.
 
     The combined program maximizes the sum of the input objectives over the
-    concatenated variable vector; constraints are stacked block-diagonally
-    (:func:`~repro.solvers.assembly.stack_constraint_blocks`), so no row
-    couples two inputs and the stacked program is separable.  The returned
-    slices map each input program to its variable range in the combined
-    solution vector.
+    concatenated variable vector; each constraint kind is stacked
+    block-diagonally, so no row couples two inputs and the stacked program is
+    separable.  The returned slices map each input program to its variable
+    range in the combined solution vector.
     """
     if not programs:
         raise ValueError("stack_programs requires at least one program")
+    if len(programs) == 1:  # the common single-request batch: nothing to stack
+        return programs[0], [slice(0, programs[0].num_variables)]
+    offsets = np.cumsum([0] + [program.num_variables for program in programs])
     stacked = LinearProgram(
-        sum(program.num_variables for program in programs),
+        np.concatenate([p.objective for p in programs]),
+        *_block_diagonal([(p.a_ub, p.b_ub) for p in programs], offsets),
+        *_block_diagonal([(p.a_eq, p.b_eq) for p in programs], offsets),
         lower_bounds=np.concatenate([p.lower_bounds for p in programs]),
         upper_bounds=np.concatenate([p.upper_bounds for p in programs]),
     )
-    stacked.objective = np.concatenate([p.objective for p in programs])
-    stacked._ub = stack_constraint_blocks([p._ub for p in programs])
-    stacked._eq = stack_constraint_blocks([p._eq for p in programs])
-    slices: List[slice] = []
-    offset = 0
-    for program in programs:
-        slices.append(slice(offset, offset + program.num_variables))
-        offset += program.num_variables
-    return stacked, slices
+    return stacked, [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def solve_block_diagonal(
-    programs: Sequence[LinearProgram], *, time_limit: Optional[float] = None
-) -> List[LPResult]:
+def solve_block_diagonal(programs: Sequence[LinearProgram]) -> List[LPResult]:
     """Solve ``programs`` as one stacked block-diagonal LP; split per program.
 
     Because the stacked program is separable, the restriction of its optimal
@@ -240,20 +164,13 @@ def solve_block_diagonal(
     per-request latency accounting the serving layer reports.
     """
     stacked, slices = stack_programs(programs)
-    solved = stacked.solve(time_limit=time_limit)
+    solved = stacked.solve()
     amortized = solved.solve_seconds / len(programs)
-    results: List[LPResult] = []
-    for program, block in zip(programs, slices):
-        values = np.asarray(solved.values[block], dtype=float)
-        results.append(
-            LPResult(
-                values=values,
-                objective=float(program.objective @ values),
-                solve_seconds=amortized,
-                status=solved.status,
-            )
-        )
-    return results
+    blocks = [np.asarray(solved.values[block], dtype=float) for block in slices]
+    return [
+        LPResult(values, float(program.objective @ values), amortized)
+        for program, values in zip(programs, blocks)
+    ]
 
 
 __all__ = [

@@ -1,39 +1,27 @@
 """Mixed-integer programming wrapper over SciPy's HiGHS MILP backend.
 
 The exact IP baseline of Section 3.3 and the MIP-strategy ablation of
-Figure 9(a) are solved through this module.  The interface mirrors
-:class:`repro.solvers.linprog.LinearProgram` (maximization, sparse triplet
-assembly) with an additional integrality mask and solver control knobs
-(``time_limit``, ``mip_rel_gap``, ``node_limit``) that stand in for the
-Gurobi strategy switches used in the paper.
-
-Like the LP wrapper, constraints are accepted either per-term
-(:meth:`MixedIntegerProgram.add_le_constraint` /
-:meth:`~MixedIntegerProgram.add_eq_constraint`) or wholesale as NumPy triplet
-arrays (:meth:`~MixedIntegerProgram.add_le_constraints_batch` /
-:meth:`~MixedIntegerProgram.add_eq_constraints_batch` /
-:meth:`~MixedIntegerProgram.add_range_constraints_batch`), with
-:meth:`~MixedIntegerProgram.set_objective_coefficients` as the vectorized
-objective setter.  The batch path keeps model assembly off the Python
-bytecode interpreter; :mod:`repro.core.ip` builds its ~10^5-row models with a
-handful of batch calls.
+Figure 9(a) are solved through this module.  A :class:`MixedIntegerProgram`
+is the record of one finished maximization model, like
+:class:`repro.solvers.linprog.LinearProgram`, with its rows in one
+``lhs <= A x <= rhs`` CSR block (an ``==`` row has ``lhs == rhs``, a ``<=``
+row ``lhs = -inf``), an integrality mask, and solver knobs (``time_limit``,
+``mip_rel_gap``) that stand in for the Gurobi strategy switches used in the
+paper.  :mod:`repro.core.ip` builds its ~10^5-row models as NumPy triplet
+blocks laid out by :func:`repro.solvers.assembly.stack_rows`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.solvers.assembly import (
-    TripletConstraintBlock,
-    assign_coefficients,
-    checked_index_array,
-)
+from repro.solvers.assembly import checked_objective, checked_rows, checked_vector
 
 
 class MILPError(RuntimeError):
@@ -54,7 +42,7 @@ class MILPResult:
         Wall-clock time spent in the solver.
     optimal:
         ``True`` when the solver proved optimality; ``False`` when it stopped
-        at a feasible incumbent because of a time/gap/node limit.
+        at a feasible incumbent because of a time or gap limit.
     mip_gap:
         Relative optimality gap reported by the solver (``0.0`` when proven
         optimal, ``nan`` when unknown).
@@ -67,134 +55,55 @@ class MILPResult:
     mip_gap: float = 0.0
 
 
+@dataclass(eq=False)  # array fields: compare models field by field
 class MixedIntegerProgram:
-    """Incrementally-built sparse MILP ``max c^T x``.
+    """A finished sparse MILP ``max c^T x  s.t.  lhs <= A x <= rhs,  lb <= x <= ub``.
 
-    Variables are continuous in ``[lb, ub]`` unless marked integer via
-    :meth:`mark_integer`.
+    ``matrix``/``lhs``/``rhs`` are ``None`` for a program without rows; the
+    matrix is stored in CSR form.  Variables are continuous unless
+    ``integrality`` marks them ``1``; the bounds default to ``[0, 1]``.
     """
 
-    def __init__(
-        self,
-        num_variables: int,
-        *,
-        lower_bounds: Optional[np.ndarray] = None,
-        upper_bounds: Optional[np.ndarray] = None,
-    ) -> None:
-        if num_variables <= 0:
-            raise ValueError(f"num_variables must be positive, got {num_variables}")
-        self.num_variables = int(num_variables)
-        self.objective = np.zeros(self.num_variables, dtype=float)
-        self.lower_bounds = (
-            np.zeros(self.num_variables) if lower_bounds is None else np.asarray(lower_bounds, float)
-        )
-        self.upper_bounds = (
-            np.ones(self.num_variables) if upper_bounds is None else np.asarray(upper_bounds, float)
-        )
-        self.integrality = np.zeros(self.num_variables, dtype=np.int64)
-        self._constraints = TripletConstraintBlock(self.num_variables, track_lower=True)
+    objective: np.ndarray
+    matrix: Optional[sparse.csr_matrix] = None
+    lhs: Optional[np.ndarray] = None
+    rhs: Optional[np.ndarray] = None
+    integrality: Optional[np.ndarray] = None
+    lower_bounds: Optional[np.ndarray] = None
+    upper_bounds: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------ #
-    # Model building
-    # ------------------------------------------------------------------ #
-    def set_objective_coefficient(self, variable: int, coefficient: float) -> None:
-        """Set the maximization objective coefficient of ``variable``."""
-        self.objective[variable] = coefficient
+    def __post_init__(self) -> None:
+        self.objective = checked_objective(self.objective)
+        n = self.num_variables
+        rows = checked_rows("matrix", self.matrix, n, self.lhs, self.rhs)
+        self.matrix, self.lhs, self.rhs = rows
+        self.lower_bounds = checked_vector("lower_bounds", self.lower_bounds, n, 0.0)
+        self.upper_bounds = checked_vector("upper_bounds", self.upper_bounds, n, 1.0)
+        self.integrality = checked_vector("integrality", self.integrality, n, 0).astype(np.int64)
 
-    def set_objective_coefficients(
-        self, variables: np.ndarray, coefficients: np.ndarray
-    ) -> None:
-        """Set (overwrite) the objective coefficients of many variables at once."""
-        assign_coefficients(self.objective, variables, coefficients)
-
-    def add_objective(self, variable: int, coefficient: float) -> None:
-        """Add ``coefficient`` to the objective coefficient of ``variable``."""
-        self.objective[variable] += coefficient
-
-    def mark_integer(self, variable: int) -> None:
-        """Require ``variable`` to take integer values."""
-        self.integrality[variable] = 1
-
-    def mark_integer_block(self, variables: Sequence[int]) -> None:
-        """Mark every variable in ``variables`` as integer (accepts any index array)."""
-        self.integrality[checked_index_array(variables, self.num_variables)] = 1
-
-    def add_le_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> None:
-        """Add ``sum coeff * x_var <= rhs``."""
-        self._constraints.add_row(terms, rhs, lhs=-np.inf)
-
-    def add_eq_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> None:
-        """Add ``sum coeff * x_var == rhs``."""
-        self._constraints.add_row(terms, rhs, lhs=rhs)
-
-    def add_le_constraints_batch(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray:
-        """Add ``len(rhs)`` <= constraints wholesale from triplet arrays.
-
-        ``rows`` holds batch-local 0-based row indices; the returned array
-        gives the global row ids of the appended constraints.
-        """
-        return self._constraints.add_rows(rows, cols, vals, rhs)
-
-    def add_eq_constraints_batch(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray:
-        """Add ``len(rhs)`` == constraints wholesale from triplet arrays."""
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        return self._constraints.add_rows(rows, cols, vals, rhs, lhs=rhs)
-
-    def add_range_constraints_batch(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> np.ndarray:
-        """Add ``len(upper)`` range constraints ``lower <= A x <= upper`` wholesale."""
-        return self._constraints.add_rows(rows, cols, vals, upper, lhs=lower)
+    @property
+    def num_variables(self) -> int:
+        return int(self.objective.shape[0])
 
     @property
     def num_constraints(self) -> int:
-        """Number of linear constraints added so far."""
-        return self._constraints.num_rows
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
-    def build_constraints(
-        self,
-    ) -> Optional[Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]]:
-        """Assemble ``(A, lhs, rhs)`` for all rows, or ``None`` when there are none."""
-        if self._constraints.num_rows == 0:
-            return None
-        return (
-            self._constraints.matrix(),
-            self._constraints.lhs_vector(),
-            self._constraints.rhs_vector(),
-        )
+        return 0 if self.matrix is None else int(self.matrix.shape[0])
 
     def solve(
         self,
         *,
         time_limit: Optional[float] = None,
         mip_rel_gap: Optional[float] = None,
-        node_limit: Optional[int] = None,
     ) -> MILPResult:
         """Solve with HiGHS MILP; raises :class:`MILPError` when no incumbent is found."""
         constraints = []
-        assembled = self.build_constraints()
-        if assembled is not None:
-            matrix, lhs, rhs = assembled
-            constraints.append(LinearConstraint(matrix.tocsc(), lhs, rhs))
+        if self.matrix is not None:
+            constraints.append(LinearConstraint(self.matrix.tocsc(), self.lhs, self.rhs))
         options = {}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
         if mip_rel_gap is not None:
             options["mip_rel_gap"] = float(mip_rel_gap)
-        if node_limit is not None:
-            options["node_limit"] = int(node_limit)
         start = time.perf_counter()
         result = milp(
             c=-self.objective,

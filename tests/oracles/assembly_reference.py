@@ -7,14 +7,19 @@ equivalence tests pin the batched builders to these row for row (identical
 sparse matrices after canonicalization, identical objectives and bounds —
 for LP_SIMP and the IP after :func:`drop_empty_columns`, since the CSR
 builders never lay out an empty column), and
-:mod:`benchmarks.bench_model_assembly` measures the batched builders against
+``benchmarks/bench_model_assembly.py`` measures the batched builders against
 them.
 
-Do not use these in solver entry paths — on large instances the per-term
-``add_*_constraint`` calls dominate end-to-end solve time.
+The loops add one term at a time to a :class:`ModelRecorder`, whose
+:meth:`~ModelRecorder.finish` returns the same finished
+:class:`~repro.solvers.linprog.LinearProgram` /
+:class:`~repro.solvers.milp.MixedIntegerProgram` record the batched
+builders return.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +27,65 @@ from scipy import sparse
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.solvers.linprog import LinearProgram
 from repro.solvers.milp import MixedIntegerProgram
+
+
+class ModelRecorder:
+    """Records a model one term at a time; :meth:`finish` returns the finished record.
+
+    With ``milp=False`` the ``<=`` and ``==`` rows form two blocks, as a
+    :class:`LinearProgram` holds them; with ``milp=True`` every row joins one
+    ``lhs <= A x <= rhs`` block in insertion order, as a
+    :class:`MixedIntegerProgram` holds them.
+    """
+
+    def __init__(self, num_variables: int, *, milp: bool = False) -> None:
+        self.num_variables = int(num_variables)
+        self.milp = milp
+        self.objective = np.zeros(self.num_variables)
+        self.integrality = np.zeros(self.num_variables, dtype=np.int64)
+        self._le: List[Tuple[Sequence[Tuple[int, float]], float, float]] = []
+        self._eq: List[Tuple[Sequence[Tuple[int, float]], float, float]] = []
+
+    def set_objective_coefficient(self, variable: int, coefficient: float) -> None:
+        self.objective[variable] = coefficient
+
+    def mark_integer_block(self, variables: Sequence[int]) -> None:
+        self.integrality[list(variables)] = 1
+
+    def add_le_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> None:
+        self._le.append((terms, -np.inf, rhs))
+
+    def add_eq_constraint(self, terms: Sequence[Tuple[int, float]], rhs: float) -> None:
+        (self._le if self.milp else self._eq).append((terms, rhs, rhs))
+
+    def _block(self, recorded):
+        """``(matrix, lhs, rhs)`` of the recorded rows, or ``None`` thrice."""
+        if not recorded:
+            return None, None, None
+        rows, cols, vals = [], [], []
+        for row, (terms, _, _) in enumerate(recorded):
+            for var, coeff in terms:
+                rows.append(row)
+                cols.append(var)
+                vals.append(coeff)
+        matrix = sparse.coo_matrix(
+            (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
+            shape=(len(recorded), self.num_variables),
+        )
+        lhs = np.array([row[1] for row in recorded], dtype=float)
+        rhs = np.array([row[2] for row in recorded], dtype=float)
+        return matrix.tocsr(), lhs, rhs
+
+    def finish(self):
+        """The recorded model as a finished LP or MILP record."""
+        if self.milp:
+            matrix, lhs, rhs = self._block(self._le)
+            return MixedIntegerProgram(
+                self.objective, matrix=matrix, lhs=lhs, rhs=rhs, integrality=self.integrality
+            )
+        a_ub, _, b_ub = self._block(self._le)
+        a_eq, _, b_eq = self._block(self._eq)
+        return LinearProgram(self.objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
 def canonical_csr(matrix: sparse.spmatrix) -> sparse.csr_matrix:
@@ -50,6 +114,13 @@ def same_sparse_matrix(a, b) -> bool:
     )
 
 
+def _row_blocks(program) -> Tuple[List[str], List[str]]:
+    """Field names of a program's matrices, then of its per-row vectors."""
+    if isinstance(program, MixedIntegerProgram):
+        return ["matrix"], ["lhs", "rhs"]
+    return ["a_ub", "a_eq"], ["b_ub", "b_eq"]
+
+
 def same_model(a, b) -> bool:
     """Exact equality of two LPs (or two MILPs): columns, objective, bounds and rows."""
     if type(a) is not type(b) or a.num_variables != b.num_variables:
@@ -57,17 +128,12 @@ def same_model(a, b) -> bool:
     vectors = ["objective", "lower_bounds", "upper_bounds"]
     if isinstance(a, MixedIntegerProgram):
         vectors.append("integrality")
-        parts = [p.build_constraints() or (None, None, None) for p in (a, b)]
-    else:
-        parts = [a.build_matrices(), b.build_matrices()]
-    if not all(np.array_equal(getattr(a, name), getattr(b, name)) for name in vectors):
+    matrices, row_vectors = _row_blocks(a)
+    if not all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in vectors + row_vectors
+    ):
         return False
-    return all(
-        same_sparse_matrix(x, y)
-        if sparse.issparse(x) or sparse.issparse(y)
-        else np.array_equal(x, y)
-        for x, y in zip(*parts)
-    )
+    return all(same_sparse_matrix(getattr(a, name), getattr(b, name)) for name in matrices)
 
 
 def drop_empty_columns(program):
@@ -79,41 +145,25 @@ def drop_empty_columns(program):
     cell, the CSR builders only per positive-weight cell, so a CSR-built model
     must equal the loop-built one minus these columns.
     """
-    milp = isinstance(program, MixedIntegerProgram)
-    if milp:
-        assembled = program.build_constraints()
-        blocks = [] if assembled is None else [assembled]
-    else:
-        # (matrix, lhs, rhs): lhs None marks the <= block, lhs == rhs the == block.
-        a_ub, b_ub, a_eq, b_eq = program.build_matrices()
-        blocks = [
-            block for block in ((a_ub, None, b_ub), (a_eq, b_eq, b_eq)) if block[0] is not None
-        ]
+    matrices, row_vectors = _row_blocks(program)
     used = program.objective != 0
-    for matrix, _, _ in blocks:
-        used[matrix.tocoo().col] = True
+    for name in matrices:
+        matrix = getattr(program, name)
+        if matrix is not None:
+            used[matrix.tocoo().col] = True
     keep = np.flatnonzero(used)
-    column = np.full(program.num_variables, -1, dtype=np.int64)
-    column[keep] = np.arange(keep.size)
-
-    trimmed = type(program)(
-        keep.size,
-        lower_bounds=program.lower_bounds[keep],
-        upper_bounds=program.upper_bounds[keep],
-    )
-    trimmed.objective = program.objective[keep]
-    if milp:
-        trimmed.integrality = program.integrality[keep]
-    for matrix, lhs, rhs in blocks:
-        coo = matrix.tocoo()
-        triplets = (coo.row, column[coo.col], coo.data)
-        if milp:
-            trimmed.add_range_constraints_batch(*triplets, lhs, rhs)
-        elif lhs is None:
-            trimmed.add_le_constraints_batch(*triplets, rhs)
-        else:
-            trimmed.add_eq_constraints_batch(*triplets, rhs)
-    return trimmed
+    fields = {
+        name: getattr(program, name)[keep]
+        for name in ("objective", "lower_bounds", "upper_bounds")
+    }
+    if isinstance(program, MixedIntegerProgram):
+        fields["integrality"] = program.integrality[keep]
+    for name in matrices:
+        matrix = getattr(program, name)
+        fields[name] = None if matrix is None else matrix[:, keep]
+    for name in row_vectors:
+        fields[name] = getattr(program, name)
+    return type(program)(**fields)
 
 
 def build_simplified_lp_reference(
@@ -131,7 +181,7 @@ def build_simplified_lp_reference(
 
     num_x = n * mc
     num_y = num_pairs * mc
-    lp = LinearProgram(num_x + num_y)
+    lp = ModelRecorder(num_x + num_y)
 
     def x_var(u: int, ci: int) -> int:
         return u * mc + ci
@@ -173,7 +223,7 @@ def build_simplified_lp_reference(
             for ci in range(mc):
                 lp.add_le_constraint([(x_var(u, ci), 1.0) for u in range(n)], cap)
 
-    return lp
+    return lp.finish()
 
 
 def build_full_lp_reference(
@@ -191,7 +241,7 @@ def build_full_lp_reference(
 
     num_x = n * mc * k
     num_y = num_pairs * mc * k
-    lp = LinearProgram(num_x + num_y)
+    lp = ModelRecorder(num_x + num_y)
 
     def x_var(u: int, ci: int, s: int) -> int:
         return (u * mc + ci) * k + s
@@ -239,7 +289,7 @@ def build_full_lp_reference(
                 for s in range(k):
                     lp.add_le_constraint([(x_var(u, ci, s), 1.0) for u in range(n)], cap)
 
-    return lp
+    return lp.finish()
 
 
 def build_ip_reference(
@@ -259,7 +309,7 @@ def build_ip_reference(
     num_x = n * mc * k
     num_y = num_pairs * mc * k
     num_z = num_pairs * mc if is_st else 0
-    program = MixedIntegerProgram(num_x + num_y + num_z)
+    program = ModelRecorder(num_x + num_y + num_z, milp=True)
 
     def x_var(u: int, ci: int, s: int) -> int:
         return (u * mc + ci) * k + s
@@ -326,10 +376,11 @@ def build_ip_reference(
             for s in range(k):
                 program.add_le_constraint([(x_var(u, ci, s), 1.0) for u in range(n)], cap)
 
-    return program
+    return program.finish()
 
 
 __all__ = [
+    "ModelRecorder",
     "drop_empty_columns",
     "same_model",
     "build_simplified_lp_reference",

@@ -1,8 +1,8 @@
 """Scalar reference implementation of the dynamic churn session (test oracle).
 
 This module preserves the original per-edge, per-item Python loops of the
-Section-5F dynamic session, demoted — like :mod:`repro.core.objective_reference`
-and :mod:`repro.core.assembly_reference` — to an equivalence-testing oracle
+Section-5F dynamic session, demoted — like :mod:`oracles.objective_reference`
+and :mod:`oracles.assembly_reference` — to an equivalence-testing oracle
 for the vectorized :class:`repro.extensions.dynamic.DynamicSession`.  Every
 event utility here is recomputed **from scratch** over a rebuilt active
 subgroup instance, and every marginal gain walks the full directed edge list;

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, repeated_rows
 
 
 class TestConstruction:
@@ -85,6 +85,26 @@ class TestValidity:
         assert not config.satisfies_no_duplication()
         with pytest.raises(ValueError, match="no-duplication"):
             config.validate()
+
+    def test_repeated_rows_skip_unassigned_cells(self):
+        rows = np.array(
+            [
+                [UNASSIGNED, 2, UNASSIGNED],  # two unassigned cells: no repeat
+                [3, UNASSIGNED, 3],  # a repeat beside an unassigned cell
+                [1, 1, UNASSIGNED],
+                [0, 1, 2],
+                [UNASSIGNED, UNASSIGNED, UNASSIGNED],
+            ]
+        )
+        np.testing.assert_array_equal(repeated_rows(rows), [False, True, True, False, False])
+        assert repeated_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+        assert not repeated_rows(np.array([[4], [UNASSIGNED]])).any()
+
+    def test_partial_rows_and_no_duplication(self):
+        pair = SAVGConfiguration(assignment=[[UNASSIGNED, 2, UNASSIGNED], [0, 1, 2]], num_items=4)
+        assert pair.satisfies_no_duplication()
+        repeat = SAVGConfiguration(assignment=[[3, UNASSIGNED, 3], [0, 1, 2]], num_items=4)
+        assert not repeat.satisfies_no_duplication()
 
     def test_incomplete_detected(self):
         config = SAVGConfiguration(assignment=np.array([[0, UNASSIGNED], [2, 3]]), num_items=4)

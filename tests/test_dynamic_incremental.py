@@ -2,7 +2,7 @@
 
 Pins :class:`repro.extensions.dynamic.DynamicSession` (vectorized, running
 utility maintained by event deltas) to
-:class:`repro.extensions.dynamic_reference.ReferenceDynamicSession` (the
+:class:`oracles.dynamic_reference.ReferenceDynamicSession` (the
 preserved scalar implementation, every utility recomputed from scratch) at
 1e-9 across randomized join/leave/drift traces on SVGIC and SVGIC-ST
 instances — and proves the incremental session never falls back to a
@@ -23,7 +23,8 @@ from repro.core.problem import SVGICSTInstance
 from repro.data import datasets, make_churn_trace
 from repro.extensions.churn import replay_incremental
 from repro.extensions.dynamic import DynamicSession, check_session_inputs
-from repro.extensions.dynamic_reference import ReferenceDynamicSession
+
+from oracles.dynamic_reference import ReferenceDynamicSession
 
 
 def _paired_sessions(st: bool, seed: int, num_users: int = 14, num_items: int = 18):
@@ -366,3 +367,56 @@ class TestDriftSupport:
             values = np.ones(instance.num_items)
             values[0] = np.nan
             session.update_preference(0, values)
+
+
+#: Every session and evaluator entry point that takes a user id.
+USER_CALLS = {
+    "add_user": lambda session, user: session.add_user(user),
+    "remove_user": lambda session, user: session.remove_user(user),
+    "update_preference": lambda session, user: session.update_preference(
+        user, np.ones(session.instance.num_items)
+    ),
+    "local_search": lambda session, user: session.local_search(user),
+    "teleport_suggestions": lambda session, user: session.teleport_suggestions(user),
+    "direct_gains": lambda session, user: session.evaluator.direct_gains(user, 0),
+    "update_preference_row": lambda session, user: session.evaluator.update_preference_row(
+        user, np.ones(session.instance.num_items)
+    ),
+}
+
+
+class TestUserRange:
+    """A user id outside ``[0, n)`` raises before anything changes; -1 must not wrap."""
+
+    @pytest.mark.parametrize("call", sorted(USER_CALLS))
+    @pytest.mark.parametrize("where", ["minus-one", "n"])
+    def test_rejects_user_outside_range(self, call, where):
+        instance = datasets.make_st_instance(
+            "timik", num_users=10, num_items=12, num_slots=3, max_subgroup_size=2, seed=6
+        )
+        n = instance.num_users
+        active = np.ones(n, dtype=bool)
+        if call == "add_user":
+            active[n - 1] = False  # a wrapped join would activate the last user
+        session = DynamicSession(instance, run_avg_d(instance).configuration, active=active)
+        if active[n - 1]:
+            # With no move left for the last user, a wrapped search would pass silently.
+            while session.local_search(n - 1):
+                pass
+        before = {
+            "active": session.active.copy(),
+            "counts": session.counts.copy(),
+            "preference": session.evaluator.preference_table.copy(),
+            "assignment": session.evaluator.assignment.copy(),
+        }
+        utility = session.current_utility()
+
+        with pytest.raises(ValueError, match="outside"):
+            USER_CALLS[call](session, -1 if where == "minus-one" else n)
+
+        np.testing.assert_array_equal(session.active, before["active"])
+        np.testing.assert_array_equal(session.counts, before["counts"])
+        np.testing.assert_array_equal(session.evaluator.preference_table, before["preference"])
+        np.testing.assert_array_equal(session.evaluator.assignment, before["assignment"])
+        assert session.current_utility() == utility
+        assert session.events == []

@@ -2,13 +2,13 @@
 
 The batched builders in :mod:`repro.core.lp` / :mod:`repro.core.ip` must
 produce *identical* models to the original per-(pair, item, slot) loop
-builders preserved in :mod:`repro.core.assembly_reference` — exact triplet
+builders preserved in ``tests/oracles/assembly_reference.py`` — exact triplet
 equality after canonicalization (CSR with sorted indices and summed
 duplicates), identical objective vectors and bounds, and identical solver
 objectives.  LP_SIMP and the IP are built over CSR candidate lists (every
 user gets the same item set here) and lay out no empty column, so they are
 compared with the oracle minus its empty columns
-(:func:`~repro.core.assembly_reference.drop_empty_columns`).
+(:func:`~oracles.assembly_reference.drop_empty_columns`).
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import assembly_reference as oracle
 from repro.core.ip import _build_program_sparse
 from repro.core.lp import _build_full, _build_sparse, candidate_items
 from repro.core.problem import SVGICSTInstance
 from repro.core.sparse import uniform_candidate_lists
 from repro.data.adversarial import group_gap_instance
+
+from oracles import assembly_reference as oracle
 
 
 def _all_items(instance) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Equivalence tests: vectorized objective engine vs the scalar reference oracle.
 
 The vectorized engine (:mod:`repro.core.objective`) must agree with the
-demoted scalar implementation (:mod:`repro.core.objective_reference`) to
+demoted scalar implementation (``tests/oracles/objective_reference.py``) to
 1e-9 on randomized SVGIC and SVGIC-ST instances — including partial
 configurations with UNASSIGNED display units and duplicate-free random
 assignments — and the :class:`~repro.core.objective.DeltaEvaluator` must
@@ -15,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import objective as engine
-from repro.core import objective_reference as oracle
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.objective import DeltaEvaluator, UtilityBreakdown
 from repro.core.problem import SVGICInstance, SVGICSTInstance
+
+from oracles import objective_reference as oracle
 
 SETTINGS = dict(
     max_examples=25,

@@ -1,21 +1,19 @@
-"""Tests for streaming sweep progress: aggregation, ETA, dashboard, harness hook.
+"""Tests for streaming sweep progress: aggregation, ETA, rendering, harness hook.
 
 Covers :mod:`repro.experiments.progress`: incremental tables that converge
 to the :func:`run_plan` output row for row, per-sweep-value completion
 counts, the cost-weighted ETA (None before data, positive mid-sweep, zero
-at the end), the throttled :class:`LiveDashboard`, and the ``progress=``
-callback threading through :func:`run_plan` / :func:`sweep` / :func:`grid`.
+at the end), and the ``progress=`` callback threading through
+:func:`run_plan` / :func:`sweep` / :func:`grid`.
 """
 
 from __future__ import annotations
-
-import io
 
 from repro.core.registry import build_runners
 from repro.experiments.executor import JobResult, SerialExecutor, compile_sweep
 from repro.experiments.figures import InstanceSweepFactory
 from repro.experiments.harness import grid, run_plan, sweep
-from repro.experiments.progress import LiveDashboard, ProgressAggregator
+from repro.experiments.progress import ProgressAggregator
 from repro.experiments.scheduler import WorkStealingExecutor
 
 SWEEP_FACTORY = InstanceSweepFactory(
@@ -132,32 +130,6 @@ class TestProgressAggregator:
         text = agg.render()
         assert "2/4 jobs" in text
         assert "5" in text and "8" in text
-
-
-class TestLiveDashboard:
-    def test_renders_are_throttled_but_final_always_shows(self):
-        plan = _make_plan(values=(5, 8), repetitions=2, algorithms=("PER",))
-        results = SerialExecutor().run(plan)
-        clock = FakeClock()
-        stream = io.StringIO()
-        dash = LiveDashboard(plan, stream=stream, min_interval=10.0, clock=clock)
-        for result in results:
-            clock.now += 0.01  # far inside the throttle window
-            dash(result)
-        # First update renders, middle ones are throttled, the final one
-        # always renders.
-        assert dash.renders == 2
-        assert dash.aggregator.done
-        assert "4/4 jobs" in stream.getvalue()
-
-    def test_dashboard_as_progress_callback(self):
-        plan = _make_plan(values=(5,), repetitions=1, algorithms=("PER",))
-        stream = io.StringIO()
-        dash = LiveDashboard(plan, stream=stream, min_interval=0.0)
-        result = run_plan(plan, SerialExecutor(), progress=dash)
-        assert dash.aggregator.done
-        assert dash.aggregator.result().comparable_rows() == result.comparable_rows()
-        assert "1/1 jobs" in stream.getvalue()
 
 
 class TestHarnessProgressPassthrough:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import assembly_reference as oracle
 from repro.core.avg import csf_rounding, run_avg
 from repro.core.avg_d import run_avg_d
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
@@ -20,6 +19,7 @@ from repro.core.sparse import uniform_candidate_lists
 from repro.metrics.regret import regret_ratios
 from repro.metrics.subgroups import subgroup_metrics
 
+from oracles import assembly_reference as oracle
 from oracles.local_search_reference import ReferenceLocalSearchImprover
 
 SETTINGS = dict(

@@ -44,9 +44,9 @@ class TestStackedProgramEquivalence:
         programs = []
         for _ in range(4):
             n = int(rng.integers(3, 7))
-            lp = LinearProgram(n)
-            lp.set_objective_coefficients(np.arange(n), rng.uniform(0.1, 1.0, size=n))
-            lp.add_le_constraint([(v, 1.0) for v in range(n)], float(n) / 2.0)
+            lp = LinearProgram(
+                rng.uniform(0.1, 1.0, size=n), a_ub=np.ones((1, n)), b_ub=[float(n) / 2.0]
+            )
             programs.append(lp)
         stacked = solve_block_diagonal(programs)
         for program, block_result in zip(programs, stacked):

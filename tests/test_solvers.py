@@ -4,184 +4,181 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from repro.solvers.assembly import stack_rows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
-from repro.solvers.linprog import LinearProgram, LPError
+from repro.solvers.linprog import LinearProgram, LPError, stack_programs
 from repro.solvers.milp import MixedIntegerProgram
 
 
 class TestLinearProgram:
     def test_simple_maximization(self):
-        lp = LinearProgram(2)
-        lp.set_objective_coefficient(0, 1.0)
-        lp.set_objective_coefficient(1, 1.0)
-        lp.add_le_constraint([(0, 1.0), (1, 2.0)], 4.0)
+        lp = LinearProgram(np.array([1.0, 1.0]), a_ub=[[1.0, 2.0]], b_ub=[4.0])
         result = lp.solve()
         assert result.objective == pytest.approx(2.0)  # x0=1, x1=1 (both capped at 1)
 
     def test_equality_constraint(self):
-        lp = LinearProgram(2)
-        lp.set_objective_coefficient(0, 2.0)
-        lp.set_objective_coefficient(1, 1.0)
-        lp.add_eq_constraint([(0, 1.0), (1, 1.0)], 1.0)
+        lp = LinearProgram(np.array([2.0, 1.0]), a_eq=[[1.0, 1.0]], b_eq=[1.0])
         result = lp.solve()
         assert result.objective == pytest.approx(2.0)
         assert result.values[0] == pytest.approx(1.0)
 
     def test_custom_bounds(self):
-        lp = LinearProgram(1, upper_bounds=np.array([5.0]))
-        lp.set_objective_coefficient(0, 1.0)
+        lp = LinearProgram(np.array([1.0]), upper_bounds=np.array([5.0]))
         result = lp.solve()
         assert result.objective == pytest.approx(5.0)
 
     def test_infeasible_raises(self):
-        lp = LinearProgram(1)
-        lp.add_le_constraint([(0, 1.0)], -1.0)  # x <= -1 with x >= 0
+        lp = LinearProgram(np.zeros(1), a_ub=[[1.0]], b_ub=[-1.0])  # x <= -1 with x >= 0
         with pytest.raises(LPError):
             lp.solve()
 
-    def test_add_objective_accumulates(self):
-        lp = LinearProgram(1)
-        lp.add_objective(0, 0.5)
-        lp.add_objective(0, 0.5)
-        assert lp.objective[0] == pytest.approx(1.0)
-
-    def test_counters(self):
-        lp = LinearProgram(2)
-        lp.add_le_constraint([(0, 1.0)], 1.0)
-        lp.add_eq_constraint([(1, 1.0)], 0.5)
-        assert lp.num_le_constraints == 1
-        assert lp.num_eq_constraints == 1
-
     def test_rejects_zero_variables(self):
         with pytest.raises(ValueError):
-            LinearProgram(0)
+            LinearProgram(np.zeros(0))
+
+    def test_stores_csr_blocks_and_default_bounds(self):
+        lp = LinearProgram(np.ones(2), a_ub=[[1.0, 0.0]], b_ub=[1.0])
+        assert sparse.isspmatrix_csr(lp.a_ub)
+        assert lp.a_eq is None and lp.b_eq is None
+        np.testing.assert_array_equal(lp.lower_bounds, [0.0, 0.0])
+        np.testing.assert_array_equal(lp.upper_bounds, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"a_ub": [[1.0, 0.0, 0.0]], "b_ub": [1.0]}, "columns"),
+            ({"a_ub": [[1.0, 0.0]], "b_ub": [1.0, 2.0]}, "row bounds"),
+            ({"a_ub": [[1.0, 0.0]]}, "row bounds"),
+            ({"b_eq": [1.0]}, "no matrix"),
+            ({"a_eq": [[1.0, 1.0]], "b_eq": [[1.0]]}, "row bounds"),
+            ({"lower_bounds": np.zeros(3)}, "lower_bounds"),
+            ({"upper_bounds": np.ones(1)}, "upper_bounds"),
+        ],
+        ids=["ub-columns", "ub-rhs-length", "ub-rhs-missing", "eq-matrix-missing",
+             "eq-rhs-shape", "lower-bounds", "upper-bounds"],
+    )
+    def test_rejects_inconsistent_shapes(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(np.ones(2), **fields)
+
+    def test_rejects_non_vector_objective(self):
+        with pytest.raises(ValueError, match="objective"):
+            LinearProgram(np.ones((2, 2)))
 
 
-class TestBatchConstraintAPI:
-    """Batch triplet appends must match the per-term constraint path."""
-
-    def _scalar_lp(self) -> LinearProgram:
-        lp = LinearProgram(3)
-        lp.set_objective_coefficient(0, 1.0)
-        lp.set_objective_coefficient(1, 2.0)
-        lp.set_objective_coefficient(2, 0.5)
-        lp.add_le_constraint([(0, 1.0), (1, 1.0)], 1.5)
-        lp.add_le_constraint([(1, 2.0), (2, 1.0)], 2.0)
-        lp.add_eq_constraint([(0, 1.0), (2, 1.0)], 1.0)
-        return lp
-
-    def _batch_lp(self) -> LinearProgram:
-        lp = LinearProgram(3)
-        lp.set_objective_coefficients(np.arange(3), np.array([1.0, 2.0, 0.5]))
-        lp.add_le_constraints_batch(
-            rows=np.array([0, 0, 1, 1]),
-            cols=np.array([0, 1, 1, 2]),
-            vals=np.array([1.0, 1.0, 2.0, 1.0]),
-            rhs=np.array([1.5, 2.0]),
-        )
-        lp.add_eq_constraints_batch(
-            rows=np.array([0, 0]),
-            cols=np.array([0, 2]),
-            vals=np.array([1.0, 1.0]),
-            rhs=np.array([1.0]),
-        )
-        return lp
-
-    def test_batch_lp_matches_scalar_lp(self):
-        scalar, batch = self._scalar_lp(), self._batch_lp()
-        for a, b in zip(scalar.build_matrices(), batch.build_matrices()):
-            if isinstance(a, np.ndarray):
-                np.testing.assert_array_equal(a, b)
-            else:
-                assert (a != b).nnz == 0
-        assert scalar.solve().objective == pytest.approx(batch.solve().objective)
-
-    def test_mixed_scalar_and_batch_preserve_row_order(self):
-        lp = LinearProgram(2)
-        first = lp.add_le_constraint([(0, 1.0)], 1.0)
-        batch = lp.add_le_constraints_batch(
-            rows=np.array([0, 1]), cols=np.array([0, 1]),
-            vals=np.array([2.0, 3.0]), rhs=np.array([4.0, 5.0]),
-        )
-        last = lp.add_le_constraint([(1, 1.0)], 6.0)
-        assert first == 0
-        assert batch.tolist() == [1, 2]
-        assert last == 3
-        a_ub, b_ub, _, _ = lp.build_matrices()
+class TestStackRows:
+    def test_blocks_follow_each_other_in_order(self):
+        first = (np.array([0, 1]), np.array([0, 2]), np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        second = (np.array([0, 0]), np.array([1, 2]), np.array([5.0, 6.0]), np.array([7.0]))
+        matrix, rhs = stack_rows([first, second], 3)
+        assert sparse.isspmatrix_csr(matrix)
         np.testing.assert_array_equal(
-            a_ub.toarray(), [[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [0.0, 1.0]]
+            matrix.toarray(), [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 5.0, 6.0]]
         )
-        np.testing.assert_array_equal(b_ub, [1.0, 4.0, 5.0, 6.0])
-
-    def test_batch_rejects_mismatched_triplet_lengths(self):
-        lp = LinearProgram(2)
-        with pytest.raises(ValueError, match="identical lengths"):
-            lp.add_le_constraints_batch(
-                rows=np.array([0]), cols=np.array([0, 1]),
-                vals=np.array([1.0]), rhs=np.array([1.0]),
-            )
-
-    def test_batch_rejects_out_of_range_rows(self):
-        lp = LinearProgram(2)
-        with pytest.raises(ValueError, match="row indices"):
-            lp.add_le_constraints_batch(
-                rows=np.array([1]), cols=np.array([0]),
-                vals=np.array([1.0]), rhs=np.array([1.0]),
-            )
-
-    def test_batch_rejects_out_of_range_columns(self):
-        lp = LinearProgram(2)
-        with pytest.raises(ValueError, match="column indices"):
-            lp.add_le_constraints_batch(
-                rows=np.array([0]), cols=np.array([5]),
-                vals=np.array([1.0]), rhs=np.array([1.0]),
-            )
-
-    def test_set_objective_coefficients_rejects_shape_mismatch(self):
-        lp = LinearProgram(3)
-        with pytest.raises(ValueError, match="identical shapes"):
-            lp.set_objective_coefficients(np.arange(2), np.ones(3))
-
-    def test_milp_batch_matches_scalar(self):
-        scalar = MixedIntegerProgram(3)
-        scalar.set_objective_coefficient(0, 5.0)
-        scalar.set_objective_coefficient(1, 4.0)
-        scalar.set_objective_coefficient(2, 3.0)
-        scalar.add_le_constraint([(0, 2.0), (1, 3.0), (2, 1.0)], 4.0)
-        scalar.add_eq_constraint([(0, 1.0), (2, 1.0)], 1.0)
-        scalar.mark_integer_block(range(3))
-
-        batch = MixedIntegerProgram(3)
-        batch.set_objective_coefficients(np.arange(3), np.array([5.0, 4.0, 3.0]))
-        batch.add_le_constraints_batch(
-            rows=np.zeros(3, dtype=np.int64), cols=np.arange(3),
-            vals=np.array([2.0, 3.0, 1.0]), rhs=np.array([4.0]),
+        np.testing.assert_array_equal(rhs, [3.0, 4.0, 7.0])
+        matrix, rhs = stack_rows([second, first], 3)
+        np.testing.assert_array_equal(
+            matrix.toarray(), [[0.0, 5.0, 6.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
         )
-        batch.add_eq_constraints_batch(
-            rows=np.array([0, 0]), cols=np.array([0, 2]),
-            vals=np.array([1.0, 1.0]), rhs=np.array([1.0]),
-        )
-        batch.mark_integer_block(np.arange(3))
+        np.testing.assert_array_equal(rhs, [7.0, 3.0, 4.0])
 
-        matrix_s, lhs_s, rhs_s = scalar.build_constraints()
-        matrix_b, lhs_b, rhs_b = batch.build_constraints()
-        assert (matrix_s != matrix_b).nnz == 0
-        np.testing.assert_array_equal(lhs_s, lhs_b)
-        np.testing.assert_array_equal(rhs_s, rhs_b)
-        np.testing.assert_array_equal(scalar.integrality, batch.integrality)
-        assert scalar.solve().objective == pytest.approx(batch.solve().objective)
+    def test_row_offsets_count_rows_without_entries(self):
+        empty_rows = (np.array([1]), np.array([0]), np.array([1.0]), np.zeros(3))
+        last = (np.array([0]), np.array([1]), np.array([2.0]), np.array([5.0]))
+        matrix, rhs = stack_rows([empty_rows, last], 2)
+        assert matrix.shape == (4, 2)
+        np.testing.assert_array_equal(
+            matrix.toarray(), [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]
+        )
+        np.testing.assert_array_equal(rhs, [0.0, 0.0, 0.0, 5.0])
+
+    def test_no_blocks(self):
+        assert stack_rows([], 4) == (None, None)
+
+
+def _random_program(rng, num_variables, *, le_rows, eq_rows):
+    def rows(count):
+        if not count:
+            return None, None
+        matrix = sparse.random(count, num_variables, density=0.6, random_state=rng, format="csr")
+        return matrix, rng.uniform(1.0, 2.0, size=count)
+
+    a_ub, b_ub = rows(le_rows)
+    a_eq, b_eq = rows(eq_rows)
+    return LinearProgram(
+        rng.uniform(0.1, 1.0, size=num_variables),
+        a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+        upper_bounds=rng.uniform(1.0, 3.0, size=num_variables),
+    )
+
+
+class TestStackPrograms:
+    @staticmethod
+    def _expected(programs, matrix, vector):
+        """``block_diag`` of the present blocks, with zero-row blocks for absent ones."""
+        present = [getattr(p, matrix) is not None for p in programs]
+        if not any(present):
+            return None, None
+        blocks = [
+            getattr(p, matrix) if has else sparse.csr_matrix((0, p.num_variables))
+            for p, has in zip(programs, present)
+        ]
+        rhs = np.concatenate([getattr(p, vector) for p, has in zip(programs, present) if has])
+        return sparse.block_diag(blocks, format="csr"), rhs
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(3, 2, 1), (2, 1, 1), (4, 3, 2)],
+            [(3, 2, 0), (2, 0, 1), (4, 0, 0)],
+            [(2, 0, 1), (3, 0, 2)],
+            [(2, 1, 0), (3, 2, 0)],
+            [(3, 1, 1)],
+        ],
+        ids=["both-blocks", "mixed-missing", "no-le-block", "no-eq-block", "single"],
+    )
+    def test_matches_block_diag(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        programs = [
+            _random_program(rng, n, le_rows=le, eq_rows=eq) for n, le, eq in shapes
+        ]
+        stacked, slices = stack_programs(programs)
+        for matrix, vector in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+            expected, rhs = self._expected(programs, matrix, vector)
+            got = getattr(stacked, matrix)
+            if expected is None:
+                assert got is None and getattr(stacked, vector) is None
+                continue
+            assert sparse.isspmatrix_csr(got)
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got.indptr, expected.indptr)
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.data, expected.data)
+            np.testing.assert_array_equal(getattr(stacked, vector), rhs)
+        for name in ("objective", "lower_bounds", "upper_bounds"):
+            np.testing.assert_array_equal(
+                getattr(stacked, name), np.concatenate([getattr(p, name) for p in programs])
+            )
+        assert [s.stop - s.start for s in slices] == [p.num_variables for p in programs]
+        assert slices[0].start == 0 and slices[-1].stop == stacked.num_variables
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            stack_programs([])
 
 
 class TestMixedIntegerProgram:
     def build_knapsack(self):
         """max 5a + 4b + 3c  s.t.  2a + 3b + c <= 4, binary (optimum: a + c = 8)."""
-        program = MixedIntegerProgram(3)
-        for i, coeff in enumerate([5.0, 4.0, 3.0]):
-            program.set_objective_coefficient(i, coeff)
-        program.add_le_constraint([(0, 2.0), (1, 3.0), (2, 1.0)], 4.0)
-        program.mark_integer_block(range(3))
-        return program
+        return MixedIntegerProgram(
+            np.array([5.0, 4.0, 3.0]),
+            matrix=[[2.0, 3.0, 1.0]],
+            lhs=[-np.inf],
+            rhs=[4.0],
+            integrality=np.ones(3),
+        )
 
     def test_knapsack_optimum(self):
         result = self.build_knapsack().solve()
@@ -193,11 +190,10 @@ class TestMixedIntegerProgram:
         np.testing.assert_allclose(result.values, np.round(result.values), atol=1e-6)
 
     def test_equality_constraint(self):
-        program = MixedIntegerProgram(2)
-        program.set_objective_coefficient(0, 1.0)
-        program.set_objective_coefficient(1, 3.0)
-        program.add_eq_constraint([(0, 1.0), (1, 1.0)], 1.0)
-        program.mark_integer_block(range(2))
+        program = MixedIntegerProgram(
+            np.array([1.0, 3.0]), matrix=[[1.0, 1.0]], lhs=[1.0], rhs=[1.0],
+            integrality=np.ones(2),
+        )
         result = program.solve()
         assert result.objective == pytest.approx(3.0)
 
@@ -206,18 +202,52 @@ class TestMixedIntegerProgram:
         result = self.build_knapsack().solve(time_limit=10.0)
         assert result.objective == pytest.approx(8.0)
 
+    def test_defaults_and_counts(self):
+        program = MixedIntegerProgram(np.ones(3))
+        assert program.matrix is None and program.num_constraints == 0
+        np.testing.assert_array_equal(program.integrality, [0, 0, 0])
+        assert program.integrality.dtype == np.int64
+        assert self.build_knapsack().num_constraints == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"matrix": [[1.0, 1.0]], "lhs": [0.0], "rhs": [1.0]}, "columns"),
+            ({"matrix": [[1.0, 1.0, 1.0]], "rhs": [1.0]}, "row bounds"),
+            ({"matrix": [[1.0, 1.0, 1.0]], "lhs": [0.0, 0.0], "rhs": [1.0]},
+             "row bounds"),
+            ({"lhs": [0.0], "rhs": [1.0]}, "no matrix"),
+            ({"integrality": np.ones(2)}, "integrality"),
+            ({"lower_bounds": np.zeros(4)}, "lower_bounds"),
+        ],
+        ids=["columns", "lhs-missing", "lhs-length", "matrix-missing", "integrality",
+             "lower-bounds"],
+    )
+    def test_rejects_inconsistent_shapes(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            MixedIntegerProgram(np.ones(3), **fields)
+
+    def test_rejects_zero_variables(self):
+        with pytest.raises(ValueError):
+            MixedIntegerProgram(np.zeros(0))
+
 
 class TestBranchAndBound:
     def build_program(self, seed: int, num_vars: int = 6, num_cons: int = 4):
         rng = np.random.default_rng(seed)
-        program = MixedIntegerProgram(num_vars)
-        for i in range(num_vars):
-            program.set_objective_coefficient(i, float(rng.uniform(0.5, 2.0)))
-        for _ in range(num_cons):
-            terms = [(i, float(rng.uniform(0.1, 1.0))) for i in range(num_vars)]
-            program.add_le_constraint(terms, float(rng.uniform(1.0, 2.5)))
-        program.mark_integer_block(range(num_vars))
-        return program
+        objective = rng.uniform(0.5, 2.0, size=num_vars)
+        matrix = np.empty((num_cons, num_vars))
+        rhs = np.empty(num_cons)
+        for row in range(num_cons):
+            matrix[row] = rng.uniform(0.1, 1.0, size=num_vars)
+            rhs[row] = rng.uniform(1.0, 2.5)
+        return MixedIntegerProgram(
+            objective,
+            matrix=matrix,
+            lhs=np.full(num_cons, -np.inf),
+            rhs=rhs,
+            integrality=np.ones(num_vars),
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("strategy", ["best_first", "depth_first"])
@@ -244,9 +274,8 @@ class TestBranchAndBound:
             BranchAndBoundSolver(self.build_program(0), strategy="random")
 
     def test_pure_lp_program(self):
-        program = MixedIntegerProgram(2)
-        program.set_objective_coefficient(0, 1.0)
-        program.set_objective_coefficient(1, 1.0)
-        program.add_le_constraint([(0, 1.0), (1, 1.0)], 1.5)
+        program = MixedIntegerProgram(
+            np.array([1.0, 1.0]), matrix=[[1.0, 1.0]], lhs=[-np.inf], rhs=[1.5]
+        )
         result = BranchAndBoundSolver(program).solve()
         assert result.objective == pytest.approx(1.5)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core import sparse
-from repro.core.assembly_reference import build_ip_reference
 from repro.core.avg_d import run_avg_d
 from repro.core.ip import solve_exact
 from repro.core.lp import _build_sparse, solve_lp_relaxation
 from repro.data import datasets
 from repro.utils.rng import ensure_rng
+
+from oracles.assembly_reference import build_ip_reference
 
 
 # --------------------------------------------------------------------------- #
@@ -65,8 +66,7 @@ def test_estimate_lp_bytes_matches_assembled_simplified_model(st):
     assert (instance.pair_social == 0).any()
     lists = sparse.uniform_candidate_lists(instance.num_users, np.arange(instance.num_items))
     program = _build_sparse(instance, *lists, True)
-    a_ub, _, a_eq, _ = program.build_matrices()
-    assembled = 28 * (a_ub.nnz + a_eq.nnz) + 8 * program.num_variables
+    assembled = 28 * (program.a_ub.nnz + program.a_eq.nnz) + 8 * program.num_variables
     assert sparse.estimate_lp_bytes(instance, formulation="simplified") == assembled
 
 
