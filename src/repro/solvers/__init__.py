@@ -6,8 +6,9 @@ the reproduction:
 
 * :mod:`repro.solvers.linprog` — :class:`LinearProgram`, the record of one
   finished maximization LP (objective, ``<=`` and ``==`` CSR blocks,
-  bounds), solved with SciPy's HiGHS LP solver, and block-diagonal stacking
-  of several programs into one solve.
+  bounds), handed whole to HiGHS in one call through the binding SciPy
+  bundles (``scipy.optimize.linprog`` where that binding is missing), and
+  block-diagonal stacking of several programs into one solve.
 * :mod:`repro.solvers.milp` — :class:`MixedIntegerProgram`, the finished
   MILP record (one ``lhs <= A x <= rhs`` block plus integrality), solved
   with SciPy's HiGHS MILP solver under time-limit / gap-limit knobs (used to
@@ -15,9 +16,10 @@ the reproduction:
 * :mod:`repro.solvers.assembly` — :func:`~repro.solvers.assembly.stack_rows`,
   which lays the model builders' NumPy triplet blocks out as one CSR matrix.
 * :mod:`repro.solvers.branch_and_bound` — a self-contained pure-Python
-  branch-and-bound MILP solver built on the LP wrapper.  It is used as a
-  fallback, as a cross-check for the HiGHS results in the test suite, and to
-  provide alternative search strategies (best-first / depth-first) for the
+  branch-and-bound MILP solver whose node relaxations are
+  :class:`LinearProgram` solves.  It is used as a fallback, as a
+  cross-check for the HiGHS results in the test suite, and to provide
+  alternative search strategies (best-first / depth-first) for the
   MIP-strategy ablation.
 """
 

@@ -90,6 +90,9 @@ def checked_rows(
             raise ValueError(f"{name} has right-hand sides but no matrix")
         return (None,) * (1 + len(vectors))
     matrix = sparse.csr_matrix(matrix)
+    if not matrix.has_canonical_format:  # HiGHS rejects a row that repeats a column
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
     if matrix.shape[1] != num_variables:
         raise ValueError(f"{name} has {matrix.shape[1]} columns for {num_variables} variables")
     return (matrix, *(checked_vector(f"{name}'s row bounds", v, matrix.shape[0]) for v in vectors))

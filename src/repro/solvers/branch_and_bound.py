@@ -1,4 +1,4 @@
-"""Pure-Python branch-and-bound MILP solver built on the HiGHS LP wrapper.
+"""Pure-Python branch-and-bound MILP solver on :class:`~repro.solvers.linprog.LinearProgram`.
 
 This is the in-repo substitute for the "different MIP strategies" the paper
 benchmarks with Gurobi (primal-first, dual-first, concurrent, barrier, ...).
@@ -22,8 +22,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
+from repro.solvers.linprog import LinearProgram, LPError
 from repro.solvers.milp import MixedIntegerProgram
 
 
@@ -100,38 +100,25 @@ class BranchAndBoundSolver:
         self.program = program
         self.strategy = strategy
         self.integer_tolerance = float(integer_tolerance)
+        self._a_ub, self._b_ub = _less_equal_rows(program)
 
     # ------------------------------------------------------------------ #
     def _solve_relaxation(
         self, lower: np.ndarray, upper: np.ndarray
     ) -> Tuple[Optional[np.ndarray], float]:
-        """Solve the LP relaxation with variable bounds [lower, upper]."""
-        a_ub = b_ub = None
-        program = self.program
-        if program.matrix is not None:
-            blocks = []
-            rhs_blocks = []
-            finite_upper = np.isfinite(program.rhs)
-            if np.any(finite_upper):
-                blocks.append(program.matrix[finite_upper])
-                rhs_blocks.append(program.rhs[finite_upper])
-            finite_lower = np.isfinite(program.lhs)
-            if np.any(finite_lower):
-                blocks.append(-program.matrix[finite_lower])
-                rhs_blocks.append(-program.lhs[finite_lower])
-            if blocks:
-                a_ub = sparse.vstack(blocks).tocsr()
-                b_ub = np.concatenate(rhs_blocks)
-        result = linprog(
-            c=-program.objective,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=np.column_stack([lower, upper]),
-            method="highs",
+        """Solve the LP relaxation under bounds [lower, upper]; ``(None, -inf)`` if it fails."""
+        relaxation = LinearProgram(
+            self.program.objective,
+            a_ub=self._a_ub,
+            b_ub=self._b_ub,
+            lower_bounds=lower,
+            upper_bounds=upper,
         )
-        if not result.success:
+        try:
+            result = relaxation.solve()
+        except LPError:
             return None, -np.inf
-        return np.asarray(result.x, float), -float(result.fun)
+        return result.values, result.objective
 
     def _fractional_variable(self, values: np.ndarray) -> Optional[int]:
         """Most fractional integer-constrained variable, or ``None`` if integral."""
@@ -237,6 +224,27 @@ class BranchAndBoundSolver:
             optimal=optimal,
             solve_seconds=time.perf_counter() - start,
         )
+
+
+def _less_equal_rows(
+    program: MixedIntegerProgram,
+) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
+    """``lhs <= A x <= rhs`` as ``<=`` rows: ``A x <= rhs`` and ``-A x <= -lhs`` where finite."""
+    if program.matrix is None:
+        return None, None
+    blocks = []
+    rhs_blocks = []
+    finite_upper = np.isfinite(program.rhs)
+    if np.any(finite_upper):
+        blocks.append(program.matrix[finite_upper])
+        rhs_blocks.append(program.rhs[finite_upper])
+    finite_lower = np.isfinite(program.lhs)
+    if np.any(finite_lower):
+        blocks.append(-program.matrix[finite_lower])
+        rhs_blocks.append(-program.lhs[finite_lower])
+    if not blocks:
+        return None, None
+    return sparse.vstack(blocks).tocsr(), np.concatenate(rhs_blocks)
 
 
 __all__ = ["BranchAndBoundSolver", "BnBResult"]

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.ip import solve_exact
-from repro.core.lp import candidate_items, solve_lp_relaxation
+from repro.core.lp import candidate_items, solve_lp_relaxation, solve_lp_relaxations_stacked
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.registry import run_registered
 from repro.core.svgic_st import size_violation_report
 from repro.data import datasets
 from repro.data.example_paper import paper_example_instance
+from repro.solvers import linprog as linprog_module
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +174,43 @@ class TestSTRelaxation:
         result = run_registered("AVG-D", instance)
         assert result.configuration.is_valid(instance)
         assert result.objective > 0
+
+
+@pytest.mark.skipif(linprog_module._highs is None, reason="SciPy's HiGHS binding is not in use")
+class TestLinprogFallback:
+    """``scipy.optimize.linprog`` (no binding) solves every model as the direct HiGHS call does."""
+
+    @staticmethod
+    def _assert_same(direct, fallback):
+        assert len(direct) == len(fallback)
+        for ours, theirs in zip(direct, fallback):
+            assert ours.objective == theirs.objective
+            assert np.array_equal(ours.compact_factors, theirs.compact_factors)
+            assert np.array_equal(ours.slot_factors, theirs.slot_factors)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "formulation, capped",
+        [("simplified", False), ("sparse", False), ("full", False),
+         ("simplified", True), ("sparse", True)],
+        ids=["simplified", "sparse", "full", "st-capped-simplified", "st-capped-sparse"],
+    )
+    def test_same_solution(self, monkeypatch, seed, formulation, capped):
+        shape = dict(num_users=12, num_items=20, num_slots=3, seed=seed)
+        if capped:  # M * k = 9 < n = 12: LP_SIMP gets the aggregate cap rows
+            instance = datasets.make_st_instance("timik", max_subgroup_size=3, **shape)
+        else:
+            instance = datasets.make_instance("timik", **shape)
+        direct = solve_lp_relaxation(instance, formulation=formulation)
+        monkeypatch.setattr(linprog_module, "_highs", None)
+        fallback = solve_lp_relaxation(instance, formulation=formulation)
+        self._assert_same([direct], [fallback])
+
+    def test_same_block_diagonal_batch(self, monkeypatch):
+        instances = [
+            datasets.make_instance("timik", num_users=n, num_items=15, num_slots=3, seed=seed)
+            for seed, n in enumerate((8, 10, 12))
+        ]
+        direct = solve_lp_relaxations_stacked(instances)
+        monkeypatch.setattr(linprog_module, "_highs", None)
+        self._assert_same(direct, solve_lp_relaxations_stacked(instances))

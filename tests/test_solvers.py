@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.solvers import linprog as linprog_module
 from repro.solvers.assembly import stack_rows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
 from repro.solvers.linprog import LinearProgram, LPError, stack_programs
@@ -29,10 +32,50 @@ class TestLinearProgram:
         result = lp.solve()
         assert result.objective == pytest.approx(5.0)
 
+    @pytest.fixture(params=["binding", "fallback"])
+    def solver_path(self, request, monkeypatch):
+        """Solve through SciPy's HiGHS binding, or through ``scipy.optimize.linprog``."""
+        if request.param == "fallback":
+            monkeypatch.setattr(linprog_module, "_highs", None)
+        elif linprog_module._highs is None:
+            pytest.skip("SciPy's HiGHS binding is not in use")
+        return request.param
+
     def test_infeasible_raises(self):
         lp = LinearProgram(np.zeros(1), a_ub=[[1.0]], b_ub=[-1.0])  # x <= -1 with x >= 0
         with pytest.raises(LPError):
             lp.solve()
+
+    def test_infeasible_raises_without_binding(self, monkeypatch):
+        monkeypatch.setattr(linprog_module, "_highs", None)
+        lp = LinearProgram(np.zeros(1), a_ub=[[1.0]], b_ub=[-1.0])
+        with pytest.raises(LPError):
+            lp.solve()
+
+    def test_unbounded_raises(self, solver_path):
+        lp = LinearProgram(
+            np.ones(2), a_ub=[[1.0, -1.0]], b_ub=[1.0], upper_bounds=np.full(2, np.inf)
+        )
+        with pytest.raises(LPError):
+            lp.solve()
+
+    def test_rejected_model_raises(self, solver_path):
+        # HiGHS refuses a matrix entry at or above its large-value limit (1e15).
+        lp = LinearProgram(np.ones(2), a_ub=[[1e16, 1.0]], b_ub=[1.0])
+        with pytest.raises(LPError, match="Model error"):
+            lp.solve()
+
+    def test_repeated_entries_are_summed(self, solver_path):
+        # Row 0 holds column 0 twice: 0.5 x0 + 0.5 x0 + x1 <= 1.
+        repeated = sparse.csr_matrix(
+            (np.array([0.5, 0.5, 1.0]), np.array([0, 0, 1]), np.array([0, 3])), shape=(1, 2)
+        )
+        lp = LinearProgram(np.array([1.0, 2.0]), a_ub=repeated, b_ub=[1.0])
+        np.testing.assert_array_equal(lp.a_ub.toarray(), [[1.0, 1.0]])
+        assert repeated.nnz == 3  # the caller's matrix is left as it was
+        result = lp.solve()
+        assert result.objective == pytest.approx(2.0)
+        np.testing.assert_allclose(result.values, [0.0, 1.0])
 
     def test_rejects_zero_variables(self):
         with pytest.raises(ValueError):
@@ -67,6 +110,105 @@ class TestLinearProgram:
         with pytest.raises(ValueError, match="objective"):
             LinearProgram(np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"objective": np.array([1.0, np.inf])}, "objective must be finite"),
+            ({"objective": np.array([np.nan, 1.0])}, "objective must be finite"),
+            ({"a_ub": [[1.0, np.nan]], "b_ub": [1.0]}, "a_ub must be finite"),
+            ({"a_ub": [[1.0, 0.0]], "b_ub": [np.inf]}, "b_ub must be finite"),
+            ({"a_eq": [[-np.inf, 1.0]], "b_eq": [1.0]}, "a_eq must be finite"),
+            ({"a_eq": [[1.0, 1.0]], "b_eq": [np.nan]}, "b_eq must be finite"),
+            ({"lower_bounds": np.array([np.nan, 0.0])}, "NaN"),
+            ({"upper_bounds": np.array([1.0, np.nan])}, "NaN"),
+        ],
+        ids=["objective-inf", "objective-nan", "a_ub-nan", "b_ub-inf", "a_eq-inf",
+             "b_eq-nan", "lower-nan", "upper-nan"],
+    )
+    def test_rejects_non_finite_input(self, fields, message):
+        fields = {"objective": np.ones(2), **fields}
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(**fields)
+
+    def test_accepts_infinite_bounds(self, solver_path):
+        lp = LinearProgram(
+            np.array([1.0, 1.0]),
+            a_ub=[[1.0, 0.0]],
+            b_ub=[3.0],
+            lower_bounds=np.full(2, -np.inf),
+            upper_bounds=np.array([np.inf, 2.0]),
+        )
+        result = lp.solve()
+        assert result.objective == pytest.approx(5.0)
+        np.testing.assert_allclose(result.values, [3.0, 2.0])
+
+
+@pytest.mark.skipif(linprog_module._highs is None, reason="needs SciPy's HiGHS binding")
+class TestBindingSolutionCheck:
+    """The direct HiGHS call rejects a solution as ``scipy.optimize.linprog``'s result check does."""
+
+    # max x0 + x1  s.t.  x0 + x1 <= 1.5,  x0 - x1 == 0,  0 <= x <= 1: x = (0.75, 0.75).
+    PROGRAM = dict(a_ub=[[1.0, 1.0]], b_ub=[1.5], a_eq=[[1.0, -1.0]], b_eq=[0.0])
+
+    @pytest.mark.parametrize(
+        "field, index, shift, rejected",
+        [
+            ("col_value", 0, 0.3, True),  # above its upper bound
+            ("col_value", 1, -0.9, True),  # below its lower bound
+            ("col_value", 0, np.nan, True),
+            ("col_value", 0, 1e-5, False),  # within the tolerance sqrt(1e-9) * 10
+            ("row_value", 0, 1e-3, True),  # the <= row exceeds its right-hand side
+            ("row_value", 0, -1e-3, False),  # ... or keeps slack
+            ("row_value", 1, 1e-3, True),  # the == row misses its right-hand side
+            ("row_value", 1, np.nan, True),
+        ],
+    )
+    def test_reported_solution(self, monkeypatch, field, index, shift, rejected):
+        binding = linprog_module._highs
+
+        class Session:
+            """A HiGHS session whose reported solution has ``field[index]`` shifted."""
+
+            def __init__(self):
+                self._highs = binding._Highs()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def getSolution(self):
+                solution = self._highs.getSolution()
+                reported = {name: list(getattr(solution, name)) for name in ("col_value", "row_value")}
+                reported[field][index] += shift
+                return SimpleNamespace(**reported)
+
+        names = ("HighsModelStatus", "HighsStatus", "MatrixFormat", "ObjSense")
+        fake = SimpleNamespace(_Highs=Session, **{name: getattr(binding, name) for name in names})
+        monkeypatch.setattr(linprog_module, "_highs", fake)
+        lp = LinearProgram(np.ones(2), **self.PROGRAM)
+        if rejected:
+            with pytest.raises(LPError, match="off its bounds or rows"):
+                lp.solve()
+        else:
+            expected = [0.75 + shift * (field == "col_value" and i == index) for i in range(2)]
+            np.testing.assert_array_equal(lp.solve().values, expected)
+
+
+def test_binding_without_pointer_form_pass_model_falls_back(monkeypatch):
+    """A binding whose ``passModel`` refuses the pointer-form call is not used."""
+    import scipy.optimize._highspy as highspy
+
+    binding = linprog_module._highs or pytest.skip("SciPy's HiGHS binding is not in use")
+
+    class Session(binding._Highs):
+        def passModel(self, model):  # only the model-object overload
+            return super().passModel(model)
+
+    names = ("HighsModelStatus", "HighsStatus", "MatrixFormat", "ObjSense")
+    fake = SimpleNamespace(_Highs=Session, **{name: getattr(binding, name) for name in names})
+    monkeypatch.setattr(highspy, "_core", fake)
+    assert linprog_module._bundled_highs() is None
+    monkeypatch.setattr(highspy, "_core", binding)
+    assert linprog_module._bundled_highs() is binding
 
 class TestStackRows:
     def test_blocks_follow_each_other_in_order(self):
