@@ -8,10 +8,11 @@ for three regimes, gating the acceptance properties of the serving layer:
 * **Serial baseline** — closed-loop replay against a service with
   ``max_batch_size=1`` (every request is its own LP solve).
 * **Micro-batched** — the same traffic against a service whose batch window
-  co-solves compatible requests as one block-diagonal LP.  Objectives must
-  match the serial run's (same requests, same seeds), multi-request batches
-  must actually form, and on hosts with >= 2 CPU cores the batched
-  throughput must reach **1.3x** the serial baseline.
+  claims compatible requests together (each distinct instance's LP is still
+  its own solve).  Objectives must match the serial run's (same requests,
+  same seeds), multi-request batches must actually form, and on hosts with
+  >= 2 CPU cores the batched throughput must reach **1.3x** the serial
+  baseline.
 * **Warm replay** — the same traffic once more against the now-warm store:
   every request must be a cache hit performing **zero** LP solves (the
   service's solve counter must not move).
@@ -102,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"         lp_batches={serial_stats['lp_batches']}, "
           f"lp_instances_solved={serial_stats['lp_instances_solved']}")
 
-    # --- Micro-batched: compatible requests share one stacked solve. ------- #
+    # --- Micro-batched: compatible requests share one batch cycle. -------- #
     batched_service = SolverService(
         tempfile.mkdtemp(prefix="repro-serve-batched-"),
         max_batch_size=args.clients,

@@ -41,7 +41,7 @@ factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.core.sparse import (
     uniform_candidate_lists,
 )
 from repro.solvers.assembly import csr_row_ids, stack_rows
-from repro.solvers.linprog import LinearProgram, solve_block_diagonal
+from repro.solvers.linprog import LinearProgram
 
 
 @dataclass
@@ -189,12 +189,30 @@ def solve_lp_relaxation(
         ``prune_items=False`` keeps every item for every user.
     """
     _check_formulation(formulation)
-    program, items, decode = _assemble(
-        instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
-    )
-    result = program.solve()
-    return _package_solution(
-        instance, items, formulation, decode(result.values), result.objective, result.solve_seconds
+    if formulation == "full":
+        items = _candidate_selection(instance, prune_items, max_candidate_items)
+        result = _build_full(instance, items, enforce_size_constraint).solve()
+        slot = _decode_full(instance, items, result.values)
+        compact = slot.sum(axis=2)
+    else:
+        indptr, indices = _candidate_lists(
+            instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
+        )
+        result = _build_sparse(instance, indptr, indices, enforce_size_constraint).solve()
+        items = np.unique(indices)
+        compact = _decode_sparse(instance, indptr, indices, result.values)
+        # Broadcast view (read-only): x*[u,c,s] = x̄[u,c] / k for every slot.
+        slot = np.broadcast_to(
+            (compact / instance.num_slots)[:, :, None],
+            (instance.num_users, instance.num_items, instance.num_slots),
+        )
+    return FractionalSolution(
+        compact_factors=compact,
+        slot_factors=slot,
+        objective=result.objective,
+        lp_seconds=result.solve_seconds,
+        formulation=formulation,
+        candidate_item_ids=items,
     )
 
 
@@ -246,60 +264,6 @@ def _cap_binds(instance: SVGICInstance, enforce_size_constraint: bool) -> bool:
     )
 
 
-def _assemble(
-    instance: SVGICInstance,
-    formulation: str,
-    prune_items: bool,
-    max_candidate_items: Optional[int],
-    enforce_size_constraint: bool,
-) -> Tuple[LinearProgram, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """One instance's program, the item ids carrying its variables, and its decoder."""
-    if formulation == "full":
-        items = _candidate_selection(instance, prune_items, max_candidate_items)
-        return (
-            _build_full(instance, items, enforce_size_constraint),
-            items,
-            lambda values: _decode_full(instance, items, values),
-        )
-    indptr, indices = _candidate_lists(
-        instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
-    )
-    return (
-        _build_sparse(instance, indptr, indices, enforce_size_constraint),
-        np.unique(indices),
-        lambda values: _decode_sparse(instance, indptr, indices, values),
-    )
-
-
-def _package_solution(
-    instance: SVGICInstance,
-    items: np.ndarray,
-    formulation: str,
-    decoded: np.ndarray,
-    objective: float,
-    seconds: float,
-) -> FractionalSolution:
-    """Wrap decoded factors (compact or per-slot) into a :class:`FractionalSolution`."""
-    if formulation in {"simplified", "sparse"}:
-        compact = decoded
-        # Broadcast view (read-only): x*[u,c,s] = x̄[u,c] / k for every slot.
-        slot = np.broadcast_to(
-            (compact / instance.num_slots)[:, :, None],
-            (instance.num_users, instance.num_items, instance.num_slots),
-        )
-    else:
-        slot = decoded
-        compact = slot.sum(axis=2)
-    return FractionalSolution(
-        compact_factors=compact,
-        slot_factors=slot,
-        objective=objective,
-        lp_seconds=seconds,
-        formulation=formulation,
-        candidate_item_ids=items,
-    )
-
-
 def solve_lp_relaxations_stacked(
     instances: Sequence[SVGICInstance],
     *,
@@ -308,40 +272,26 @@ def solve_lp_relaxations_stacked(
     prune_items: bool = True,
     enforce_size_constraint: bool = True,
 ) -> List[FractionalSolution]:
-    """Solve the LP relaxations of several instances in **one** stacked solve.
+    """Solve the LP relaxations of several instances, one :func:`solve_lp_relaxation` each.
 
-    Each instance's program is assembled exactly as :func:`solve_lp_relaxation`
-    would (per-instance candidate pruning included), the programs are stacked
-    block-diagonally (:func:`repro.solvers.linprog.solve_block_diagonal`) and
-    handed to HiGHS once, and the combined solution is split back per
-    instance.  The stacked program is separable, so every returned
-    :class:`FractionalSolution` is an optimal fractional solution of its own
-    instance — equivalent to an independent solve — while the solver is
-    invoked a single time; this is the micro-batching primitive of the
-    serving layer (:mod:`repro.serving`).  Instances may differ in size
-    (users, items, edges); they share the formulation and pruning settings.
-
-    ``lp_seconds`` on each solution is the amortized share of the one solve
-    (total wall-clock divided by the batch size).
+    The batch solve of the serving layer (:mod:`repro.serving`): the
+    instances share the formulation and pruning settings and may differ in
+    size (users, items, edges).  Every returned :class:`FractionalSolution`
+    is exactly what a solo :func:`solve_lp_relaxation` call returns,
+    ``lp_seconds`` included.  Each instance is its own HiGHS solve; one
+    block-diagonal model of the whole batch is no faster than its blocks
+    solved apart and holds more memory.
     """
     _check_formulation(formulation)
-    if not instances:
-        return []
-    models = [
-        _assemble(instance, formulation, prune_items, max_candidate_items, enforce_size_constraint)
-        for instance in instances
-    ]
-    results = solve_block_diagonal([program for program, _, _ in models])
     return [
-        _package_solution(
+        solve_lp_relaxation(
             instance,
-            items,
-            formulation,
-            decode(result.values),
-            result.objective,
-            result.solve_seconds,
+            formulation=formulation,
+            max_candidate_items=max_candidate_items,
+            prune_items=prune_items,
+            enforce_size_constraint=enforce_size_constraint,
         )
-        for instance, (_, items, decode), result in zip(instances, models, results)
+        for instance in instances
     ]
 
 

@@ -240,16 +240,15 @@ class SolveContext:
     ) -> None:
         """Seed the LP cache with an externally computed ``solution`` under ``key``.
 
-        The serving layer's micro-batcher solves one block-diagonal LP for
-        several instances and installs each instance's share into that
-        request's fresh context, so the algorithm dispatch finds the
-        relaxation in cache and never touches a solver (``lp_solves`` stays
-        zero).  ``source`` controls which hit counter later requests
-        increment: ``"external"`` (plain in-memory hit) or ``"store"``
-        (counts into ``lp_store_hits`` — use it when the solution came off a
-        persistent store so warm-path accounting stays truthful).  Build
-        ``key`` with :func:`lp_cache_key` so it matches what the algorithms
-        request.
+        The serving layer's micro-batcher solves (or loads) each batched
+        instance's LP relaxation and installs it into that request's fresh
+        context, so the algorithm dispatch finds the relaxation in cache
+        and never touches a solver (``lp_solves`` stays zero).  ``source``
+        controls which hit counter later requests increment:
+        ``"external"`` (plain in-memory hit) or ``"store"`` (counts into
+        ``lp_store_hits`` — use it when the solution came off a persistent
+        store so warm-path accounting stays truthful).  Build ``key`` with
+        :func:`lp_cache_key` so it matches what the algorithms request.
         """
         if source not in {"external", "store"}:
             raise ValueError(f"source must be 'external' or 'store', got {source!r}")

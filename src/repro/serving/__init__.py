@@ -1,4 +1,4 @@
-"""Online serving layer: a long-lived solver service with micro-batched LPs.
+"""Online serving layer: a long-lived solver service with micro-batched requests.
 
 The experiment layer (:mod:`repro.experiments`) runs *offline* sweeps; this
 package serves *online* configuration requests the way a production VR
@@ -8,9 +8,10 @@ platform would face them — concurrent, latency-sensitive, heavily repeated:
   owning a warm :class:`~repro.store.ArtifactStore` and an optional
   persistent worker pool.  Requests whose LP relaxation is already stored
   are answered without touching a solver; the rest are micro-batched —
-  compatible requests arriving within a bounded window share **one**
-  block-diagonal LP solve (:func:`~repro.core.lp.solve_lp_relaxations_stacked`)
-  and are decoded independently with per-request derived seeds.
+  compatible requests arriving within a bounded window are claimed
+  together, each distinct instance's LP is solved once, on its own
+  (:func:`~repro.core.lp.solve_lp_relaxations_stacked`), and every request
+  is decoded independently with a per-request derived seed.
 * :mod:`~repro.serving.replay` — open-loop (Poisson) and closed-loop
   traffic replay harnesses producing p50/p99 latency and throughput
   reports; ``benchmarks/bench_serving_replay.py`` builds on them.

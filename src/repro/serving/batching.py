@@ -1,11 +1,11 @@
 """Micro-batch compatibility grouping and the batched LP solve entry points.
 
-Two requests may share one block-diagonal LP solve when their instances
-belong to the same model family (type, slot count ``k``, social weight
-``lambda``, teleportation/size-cap scalars) and they ask for identical LP
-parameters — exactly the inputs, besides the utility tables themselves, that
-shape each block's constraint system.  Instance *sizes* (users, items,
-edges) may differ: blocks are stacked, not broadcast.
+Two requests may share one micro-batch when their instances belong to the
+same model family (type, slot count ``k``, social weight ``lambda``,
+teleportation/size-cap scalars) and they ask for identical LP parameters —
+exactly the inputs, besides the utility tables themselves, that shape an
+instance's constraint system.  Instance *sizes* (users, items, edges) may
+differ: each instance's LP is solved on its own.
 
 :func:`solve_fractional_batch` is the in-process solve;
 :func:`_solve_batch_in_worker` is the module-level process-pool entry point
@@ -27,10 +27,11 @@ from repro.serving.request import LPParameters
 def compatibility_key(instance: SVGICInstance, lp_params: LPParameters) -> Tuple[Any, ...]:
     """The grouping key under which requests may be co-batched.
 
-    Everything the stacked assembly shares across blocks: the instance
-    family and its scalar knobs plus the full LP parameter key.  Requests
-    with different keys are never placed in one batch — they would solve
-    under different formulations or constraint families.
+    The instance family and its scalar knobs plus the full LP parameter
+    key: everything a batch's LP solves share besides the instances
+    themselves.  Requests with different keys are never placed in one
+    batch — they would solve under different formulations or constraint
+    families.
     """
     return (
         type(instance).__name__,
@@ -45,7 +46,7 @@ def compatibility_key(instance: SVGICInstance, lp_params: LPParameters) -> Tuple
 def solve_fractional_batch(
     instances: Sequence[SVGICInstance], lp_params: LPParameters
 ) -> List[FractionalSolution]:
-    """Solve the LP relaxations of ``instances`` in one block-diagonal solve."""
+    """Solve the LP relaxations of ``instances`` under ``lp_params``, one solve each."""
     return solve_lp_relaxations_stacked(
         instances,
         formulation=lp_params.formulation,

@@ -84,7 +84,9 @@ def replay_closed_loop(
     Each client thread repeatedly takes the next unclaimed request, submits
     it and blocks on the result — the classic closed-loop load generator
     whose concurrency equals ``clients``.  Requests are claimed in order, so
-    the submission sequence is deterministic up to thread scheduling.
+    the submission sequence is deterministic up to thread scheduling.  A
+    client whose request fails stops; once every client has stopped, the
+    first such error is raised.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -93,6 +95,7 @@ def replay_closed_loop(
     latencies: List[float] = [0.0] * len(requests)
     cursor = {"next": 0}
     claim_lock = threading.Lock()
+    errors: List[Exception] = []
 
     def worker() -> None:
         while True:
@@ -102,7 +105,12 @@ def replay_closed_loop(
                     return
                 cursor["next"] = index + 1
             begun = time.perf_counter()
-            results[index] = service.submit(**requests[index]).result()
+            try:
+                results[index] = service.submit(**requests[index]).result()
+            except Exception as exc:
+                with claim_lock:
+                    errors.append(exc)
+                return
             latencies[index] = time.perf_counter() - begun
 
     started = time.perf_counter()
@@ -114,6 +122,8 @@ def replay_closed_loop(
         thread.start()
     for thread in threads:
         thread.join()
+    if errors:
+        raise errors[0]
     total = time.perf_counter() - started
     return ReplayReport(
         mode="closed-loop",

@@ -29,7 +29,7 @@ class LPParameters:
     Mirrors the keyword surface of
     :meth:`repro.core.pipeline.SolveContext.fractional`; requests sharing an
     equal ``LPParameters`` (and a compatible instance family) may be
-    co-batched into one block-diagonal solve.
+    co-batched, and every LP solved for the batch uses these parameters.
     """
 
     formulation: str = "simplified"
@@ -69,8 +69,9 @@ class ServeResult:
     ``cache_hit`` means the LP relaxation came off the warm store and no
     solver ran for this request; ``batch_id`` / ``batch_size`` identify the
     micro-batch cycle that processed it (co-batched requests share an id).
-    ``solve_seconds`` is the request's amortized share of its batch's single
-    block-diagonal solve (zero on cache hits); ``lp_solves`` is the solver
+    ``solve_seconds`` is the time of the LP solve that answered the
+    request's instance (zero on cache hits; co-batched duplicates of one
+    instance report the same solve); ``lp_solves`` is the solver
     invocations its decode context performed — zero unless the algorithm
     requested LP parameters other than the request's (the fallback path).
     ``decode_pid`` is the process that ran the decode stage: the service

@@ -13,10 +13,12 @@ through a thread-safe submit/future API:
   already queued or arrives within the window, up to ``max_batch_size``.
 * Requests whose LP relaxation is already in the store are answered from it
   without touching a solver (``cache_hit=True``, zero LP solves).  The
-  remaining requests are deduplicated by instance fingerprint and solved as
-  **one block-diagonal LP** (:func:`~repro.core.lp.solve_lp_relaxations_stacked`)
-  — in-process, or on the persistent pool when ``workers >= 1``.  Every
-  fresh solution is written to the store under its own instance fingerprint.
+  remaining requests are deduplicated by instance fingerprint, and each
+  distinct instance's LP relaxation is solved on its own, exactly as a solo
+  :func:`~repro.core.lp.solve_lp_relaxation` would
+  (:func:`~repro.core.lp.solve_lp_relaxations_stacked`) — in-process, or as
+  one task on the persistent pool when ``workers >= 1``.  Every fresh
+  solution is written to the store under its own instance fingerprint.
 * Each request is then decoded independently: a fresh
   :class:`~repro.core.pipeline.SolveContext` is seeded with the request's LP
   solution (:meth:`~repro.core.pipeline.SolveContext.install_lp_solution`)
@@ -106,6 +108,9 @@ class SolverService:
         Registered algorithm used when a request does not name one.
     mp_context:
         Optional multiprocessing start method for the worker pool.
+    latency_window:
+        How many of the most recent end-to-end request latencies
+        :meth:`latency_stats` summarizes.
     """
 
     def __init__(
@@ -333,7 +338,7 @@ class SolverService:
                     solutions[fingerprint] = stored
                     store_hits.add(fingerprint)
 
-        # Cold path: dedupe by fingerprint, one block-diagonal solve for all.
+        # Cold path: dedupe by fingerprint, then one LP solve per distinct instance.
         solve_order: List[str] = []
         to_solve: List[SVGICInstance] = []
         for fingerprint, pending in zip(fingerprints, live):

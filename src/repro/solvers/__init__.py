@@ -7,8 +7,7 @@ the reproduction:
 * :mod:`repro.solvers.linprog` — :class:`LinearProgram`, the record of one
   finished maximization LP (objective, ``<=`` and ``==`` CSR blocks,
   bounds), handed whole to HiGHS in one call through the binding SciPy
-  bundles (``scipy.optimize.linprog`` where that binding is missing), and
-  block-diagonal stacking of several programs into one solve.
+  bundles (``scipy.optimize.linprog`` where that binding is missing).
 * :mod:`repro.solvers.milp` — :class:`MixedIntegerProgram`, the finished
   MILP record (one ``lhs <= A x <= rhs`` block plus integrality), solved
   with SciPy's HiGHS MILP solver under time-limit / gap-limit knobs (used to
@@ -24,19 +23,12 @@ the reproduction:
 """
 
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, BnBResult
-from repro.solvers.linprog import (
-    LinearProgram,
-    LPResult,
-    solve_block_diagonal,
-    stack_programs,
-)
+from repro.solvers.linprog import LinearProgram, LPResult
 from repro.solvers.milp import MILPResult, MixedIntegerProgram
 
 __all__ = [
     "LinearProgram",
     "LPResult",
-    "stack_programs",
-    "solve_block_diagonal",
     "MixedIntegerProgram",
     "MILPResult",
     "BranchAndBoundSolver",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize, sparse
@@ -192,7 +192,7 @@ def linprog(
         matrices.append(A_eq)
         row_lower.append(b_eq)
         row_upper.append(b_eq)
-    start, index, value = _csr_arrays(matrices, [0] * len(matrices))
+    start, index, value = _csr_arrays(matrices)
     row_lower = np.concatenate(row_lower or [np.zeros(0)])
     row_upper = np.concatenate(row_upper or [np.zeros(0)])
     lower, upper = bounds[:, 0], bounds[:, 1]
@@ -238,92 +238,20 @@ def linprog(
 
 
 def _csr_arrays(
-    matrices: Sequence[sparse.csr_matrix], column_offsets: Sequence[int]
+    matrices: Sequence[sparse.csr_matrix],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices, data)`` of ``matrices`` stacked one below the other.
-
-    Matrix ``i``'s column ids are shifted by ``column_offsets[i]``.
-    """
+    """CSR ``(indptr, indices, data)`` of ``matrices`` stacked one below the other."""
     nnz = np.cumsum([0] + [a.nnz for a in matrices])
     indptr = np.concatenate([[0]] + [a.indptr[1:] + n for a, n in zip(matrices, nnz)])
-    indices = [a.indices + col for a, col in zip(matrices, column_offsets)]
-    data = [a.data for a in matrices]
     return (
         indptr,
-        np.concatenate(indices or [np.zeros(0, dtype=np.int32)]),
-        np.concatenate(data or [np.zeros(0)]),
+        np.concatenate([a.indices for a in matrices] or [np.zeros(0, dtype=np.int32)]),
+        np.concatenate([a.data for a in matrices] or [np.zeros(0)]),
     )
-
-
-def _block_diagonal(
-    blocks: Sequence[Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]],
-    column_offsets: np.ndarray,
-) -> Tuple[Optional[sparse.csr_matrix], Optional[np.ndarray]]:
-    """Block-diagonal CSR of ``(A, rhs)`` blocks, built by concatenating their CSR arrays.
-
-    Block ``i``'s columns start at ``column_offsets[i]``; absent blocks
-    (``A is None``) contribute no rows.
-    """
-    present = [(a, rhs, col) for (a, rhs), col in zip(blocks, column_offsets) if a is not None]
-    if not present:
-        return None, None
-    indptr, indices, data = _csr_arrays([a for a, _, _ in present], [col for _, _, col in present])
-    shape = (indptr.size - 1, int(column_offsets[-1]))
-    rhs = np.concatenate([rhs for _, rhs, _ in present])
-    return sparse.csr_matrix((data, indices, indptr), shape=shape), rhs
-
-
-def stack_programs(
-    programs: Sequence[LinearProgram],
-) -> Tuple[LinearProgram, List[slice]]:
-    """Stack ``programs`` into one block-diagonal program plus variable slices.
-
-    The combined program maximizes the sum of the input objectives over the
-    concatenated variable vector; each constraint kind is stacked
-    block-diagonally, so no row couples two inputs and the stacked program is
-    separable.  The returned slices map each input program to its variable
-    range in the combined solution vector.
-    """
-    if not programs:
-        raise ValueError("stack_programs requires at least one program")
-    if len(programs) == 1:  # the common single-request batch: nothing to stack
-        return programs[0], [slice(0, programs[0].num_variables)]
-    offsets = np.cumsum([0] + [program.num_variables for program in programs])
-    stacked = LinearProgram(
-        np.concatenate([p.objective for p in programs]),
-        *_block_diagonal([(p.a_ub, p.b_ub) for p in programs], offsets),
-        *_block_diagonal([(p.a_eq, p.b_eq) for p in programs], offsets),
-        lower_bounds=np.concatenate([p.lower_bounds for p in programs]),
-        upper_bounds=np.concatenate([p.upper_bounds for p in programs]),
-    )
-    return stacked, [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
-
-
-def solve_block_diagonal(programs: Sequence[LinearProgram]) -> List[LPResult]:
-    """Solve ``programs`` as one stacked block-diagonal LP; split per program.
-
-    Because the stacked program is separable, the restriction of its optimal
-    solution to each block is optimal for that block (otherwise replacing the
-    block's values with a better block solution would improve the stacked
-    optimum).  Each returned :class:`LPResult` carries the block's own
-    objective value (``c_i @ x_i``) and the *amortized* share of the single
-    solve's wall-clock time (total divided by the number of blocks) — the
-    per-request latency accounting the serving layer reports.
-    """
-    stacked, slices = stack_programs(programs)
-    solved = stacked.solve()
-    amortized = solved.solve_seconds / len(programs)
-    blocks = [np.asarray(solved.values[block], dtype=float) for block in slices]
-    return [
-        LPResult(values, float(program.objective @ values), amortized)
-        for program, values in zip(programs, blocks)
-    ]
 
 
 __all__ = [
     "LinearProgram",
     "LPResult",
     "LPError",
-    "stack_programs",
-    "solve_block_diagonal",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -204,6 +205,16 @@ class TestLifecycle:
         assert stats["p50"] > 0
         assert stats["p99"] >= stats["p50"]
 
+    def test_latency_window_keeps_the_most_recent(self, tmp_path):
+        with SolverService(
+            tmp_path / "store", batch_window=0.0, latency_window=2
+        ) as service:
+            served = [service.solve(make_instance(seed), timeout=60) for seed in (73, 74, 75)]
+            stats = service.latency_stats()
+        assert stats["count"] == 2
+        recent = [serve.total_seconds for serve in served[1:]]
+        assert stats["mean"] == pytest.approx(np.mean(recent))
+
 
 class TestReplayHarness:
     def test_closed_loop_replay_answers_everything(self, tmp_path):
@@ -217,6 +228,30 @@ class TestReplayHarness:
         assert report.p99 >= report.p50 >= 0
         assert report.requests_per_second > 0
         assert "closed-loop" in report.summary()
+
+    def test_closed_loop_replay_raises_a_client_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "_decode_in_worker", _decode_failing_for_seed_one)
+        requests = [{"instance": make_instance(80 + i), "seed": i} for i in range(4)]
+        with SolverService(
+            tmp_path / "store", batch_window=0.02, max_batch_size=2
+        ) as service:
+            with pytest.raises(RuntimeError, match="seed 1"):
+                replay_closed_loop(service, requests, clients=2)
+
+    def test_closed_loop_error_raised_after_every_client_stops(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "_decode_in_worker", _decode_failing_for_seed_one)
+        requests = [{"instance": make_instance(80 + i), "seed": i} for i in range(4)]
+        with SolverService(
+            tmp_path / "store", batch_window=0.02, max_batch_size=2
+        ) as service:
+            with pytest.raises(RuntimeError, match="seed 1"):
+                replay_closed_loop(service, requests, clients=2)
+            clients = [
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("replay-client-")
+            ]
+            assert not clients
+            assert service.solve(make_instance(84), seed=2, timeout=60).objective > 0
 
     def test_open_loop_replay_is_seeded_and_complete(self, tmp_path):
         requests = [{"instance": make_instance(90 + i), "seed": i} for i in range(3)]

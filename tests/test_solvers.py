@@ -11,7 +11,7 @@ from scipy import sparse
 from repro.solvers import linprog as linprog_module
 from repro.solvers.assembly import stack_rows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
-from repro.solvers.linprog import LinearProgram, LPError, stack_programs
+from repro.solvers.linprog import LinearProgram, LPError
 from repro.solvers.milp import MixedIntegerProgram
 
 
@@ -238,77 +238,6 @@ class TestStackRows:
 
     def test_no_blocks(self):
         assert stack_rows([], 4) == (None, None)
-
-
-def _random_program(rng, num_variables, *, le_rows, eq_rows):
-    def rows(count):
-        if not count:
-            return None, None
-        matrix = sparse.random(count, num_variables, density=0.6, random_state=rng, format="csr")
-        return matrix, rng.uniform(1.0, 2.0, size=count)
-
-    a_ub, b_ub = rows(le_rows)
-    a_eq, b_eq = rows(eq_rows)
-    return LinearProgram(
-        rng.uniform(0.1, 1.0, size=num_variables),
-        a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        upper_bounds=rng.uniform(1.0, 3.0, size=num_variables),
-    )
-
-
-class TestStackPrograms:
-    @staticmethod
-    def _expected(programs, matrix, vector):
-        """``block_diag`` of the present blocks, with zero-row blocks for absent ones."""
-        present = [getattr(p, matrix) is not None for p in programs]
-        if not any(present):
-            return None, None
-        blocks = [
-            getattr(p, matrix) if has else sparse.csr_matrix((0, p.num_variables))
-            for p, has in zip(programs, present)
-        ]
-        rhs = np.concatenate([getattr(p, vector) for p, has in zip(programs, present) if has])
-        return sparse.block_diag(blocks, format="csr"), rhs
-
-    @pytest.mark.parametrize(
-        "shapes",
-        [
-            [(3, 2, 1), (2, 1, 1), (4, 3, 2)],
-            [(3, 2, 0), (2, 0, 1), (4, 0, 0)],
-            [(2, 0, 1), (3, 0, 2)],
-            [(2, 1, 0), (3, 2, 0)],
-            [(3, 1, 1)],
-        ],
-        ids=["both-blocks", "mixed-missing", "no-le-block", "no-eq-block", "single"],
-    )
-    def test_matches_block_diag(self, shapes):
-        rng = np.random.default_rng(len(shapes))
-        programs = [
-            _random_program(rng, n, le_rows=le, eq_rows=eq) for n, le, eq in shapes
-        ]
-        stacked, slices = stack_programs(programs)
-        for matrix, vector in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-            expected, rhs = self._expected(programs, matrix, vector)
-            got = getattr(stacked, matrix)
-            if expected is None:
-                assert got is None and getattr(stacked, vector) is None
-                continue
-            assert sparse.isspmatrix_csr(got)
-            assert got.shape == expected.shape
-            np.testing.assert_array_equal(got.indptr, expected.indptr)
-            np.testing.assert_array_equal(got.indices, expected.indices)
-            np.testing.assert_array_equal(got.data, expected.data)
-            np.testing.assert_array_equal(getattr(stacked, vector), rhs)
-        for name in ("objective", "lower_bounds", "upper_bounds"):
-            np.testing.assert_array_equal(
-                getattr(stacked, name), np.concatenate([getattr(p, name) for p in programs])
-            )
-        assert [s.stop - s.start for s in slices] == [p.num_variables for p in programs]
-        assert slices[0].start == 0 and slices[-1].stop == stacked.num_variables
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stack_programs([])
 
 
 class TestMixedIntegerProgram:
