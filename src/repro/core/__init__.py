@@ -38,9 +38,9 @@ Module map
 ``pipeline``
     The unified solver pipeline: :class:`~repro.core.pipeline.SolveContext`
     (lazily cached per-instance shared state — one LP relaxation solve per
-    line-up) and the composable post-processing ``Stage`` API (greedy
-    completion, duplicate repair, and the delta-evaluated 2-opt
-    :class:`~repro.core.pipeline.LocalSearchImprover`).
+    line-up) and the delta-evaluated 2-opt
+    :class:`~repro.core.pipeline.LocalSearchImprover`, which the ``+LS``
+    variants run through :func:`~repro.core.pipeline.with_local_search`.
 ``registry``
     The :func:`~repro.core.registry.register_algorithm` registry every
     algorithm, baseline and extension variant self-registers into; the
@@ -69,13 +69,7 @@ from repro.core.objective import (
     total_utility,
     weighted_total_utility,
 )
-from repro.core.pipeline import (
-    DuplicateRepairStage,
-    GreedyCompletionStage,
-    LocalSearchImprover,
-    SolveContext,
-    apply_stages,
-)
+from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.registry import (
     AlgorithmSpec,
@@ -118,10 +112,7 @@ __all__ = [
     "is_feasible",
     "size_violation_report",
     "SolveContext",
-    "GreedyCompletionStage",
-    "DuplicateRepairStage",
     "LocalSearchImprover",
-    "apply_stages",
     "AlgorithmSpec",
     "register_algorithm",
     "get_algorithm",

@@ -45,10 +45,10 @@ from repro.core.greedy import greedy_complete, top_k_preference_configuration
 from repro.core.lp import FractionalSolution
 from repro.core.objective import total_utility
 from repro.core.pipeline import (
-    LocalSearchImprover,
     SolveContext,
     instance_size_limit,
     rounding_lp,
+    with_local_search,
 )
 from repro.core.problem import SVGICInstance
 from repro.core.registry import register_algorithm
@@ -369,7 +369,6 @@ def run_avg(
     "AVG+LS",
     tags=("local-search", "st"),
     description="AVG followed by the 2-opt local-search improver",
-    stages=(LocalSearchImprover(),),
 )
 def _run_avg_with_local_search(
     instance: SVGICInstance,
@@ -378,8 +377,9 @@ def _run_avg_with_local_search(
     context: Optional[SolveContext] = None,
     **options: object,
 ) -> AlgorithmResult:
-    """AVG with a delta-evaluated local-search stage applied by the dispatcher."""
-    return run_avg(instance, rng=rng, context=context, algorithm_name="AVG+LS", **options)
+    """AVG followed by the delta-evaluated local search (:func:`with_local_search`)."""
+    base = run_avg(instance, rng=rng, context=context, algorithm_name="AVG+LS", **options)
+    return with_local_search(instance, base, context=context)
 
 
 __all__ = ["CSFState", "CSFStatistics", "csf_rounding", "run_avg"]

@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.avg import CSFState, lambda_zero_result
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.lp import FractionalSolution
-from repro.core.pipeline import LocalSearchImprover, SolveContext, rounding_lp
+from repro.core.pipeline import SolveContext, rounding_lp, with_local_search
 from repro.core.problem import SVGICInstance
 from repro.core.registry import register_algorithm
 from repro.core.result import AlgorithmResult
@@ -315,7 +315,6 @@ def run_avg_d(
     "AVG-D+LS",
     tags=("local-search", "st"),
     description="AVG-D followed by the 2-opt local-search improver",
-    stages=(LocalSearchImprover(),),
 )
 def _run_avg_d_with_local_search(
     instance: SVGICInstance,
@@ -324,10 +323,9 @@ def _run_avg_d_with_local_search(
     context: Optional[SolveContext] = None,
     **options: object,
 ) -> AlgorithmResult:
-    """AVG-D with a delta-evaluated local-search stage applied by the dispatcher."""
-    return run_avg_d(
-        instance, rng=rng, context=context, algorithm_name="AVG-D+LS", **options
-    )
+    """AVG-D followed by the delta-evaluated local search (:func:`with_local_search`)."""
+    base = run_avg_d(instance, rng=rng, context=context, algorithm_name="AVG-D+LS", **options)
+    return with_local_search(instance, base, context=context)
 
 
 __all__ = ["run_avg_d"]

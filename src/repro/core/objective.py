@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, shown_items
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts, shown_items
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 
 
@@ -281,11 +281,15 @@ class DeltaEvaluator:
     friend pairs of the mutated user and the two affected items need to be
     reconciled, versus ``O(nk + |E|k)`` for a from-scratch evaluation.
 
-    The evaluator owns its assignment copy; mutate it only through
-    :meth:`set_cell` / :meth:`clear_cell`.  Duplicate items within a user's
-    row are tolerated (contributions follow the same semantics as the full
-    evaluation on such configurations), so intermediate states of local
-    search moves need no special casing.
+    The evaluator owns its assignment copy and the ``(m, k)`` subgroup sizes
+    :attr:`counts` of it (users shown item ``c`` at slot ``s``; unassigned
+    cells are not counted); mutate both only through :meth:`set_cell` /
+    :meth:`clear_cell` / :meth:`clear_row`, which keep them in step.  Callers
+    that need the sizes (local search, dynamic sessions, the sharded cap
+    eviction) read :attr:`counts` instead of keeping a grid of their own.
+    Duplicate items within a user's row are tolerated (contributions follow
+    the same semantics as the full evaluation on such configurations), so
+    intermediate states of local search moves need no special casing.
 
     Read-only probes score moves without writing cells: :meth:`probe_many`
     every candidate item of a batch of display units, :meth:`slot_swap_gains`
@@ -310,6 +314,7 @@ class DeltaEvaluator:
                 f"({instance.num_users}, {instance.num_slots})"
             )
         self.assignment = config.assignment.copy()
+        self.counts = cell_counts(self.assignment, instance.num_items)
         # Preference rows are read through this indirection so dynamic
         # sessions can drift a user's preferences without rebuilding the
         # evaluator; copy-on-write in :meth:`update_preference_row` keeps the
@@ -416,8 +421,10 @@ class DeltaEvaluator:
 
         if old != UNASSIGNED:
             self._preference -= (1.0 - self._lam) * float(self._pref[user, old])
+            self.counts[old, slot] -= 1
         if item != UNASSIGNED:
             self._preference += (1.0 - self._lam) * float(self._pref[user, item])
+            self.counts[item, slot] += 1
 
         before_direct, before_indirect = self._social_around(user, affected)
         self.assignment[user, slot] = item

@@ -1,4 +1,4 @@
-"""Shared per-instance solve state and the composable post-processing stage API.
+"""Shared per-instance solve state and the local-search post-pass.
 
 This module is the backbone of the unified solver pipeline:
 
@@ -14,18 +14,13 @@ This module is the backbone of the unified solver pipeline:
   solves through, so contexts that share an instance — sweep repetitions,
   served requests, churn re-solves, other processes — reuse one LP solve
   (``lp_store_hits`` counts those reuses).
-* The :class:`Stage` protocol describes composable post-processing passes
-  over a configuration.  :class:`GreedyCompletionStage` and
-  :class:`DuplicateRepairStage` package the existing feasibility repairs;
-  :class:`LocalSearchImprover` is a 2-opt improver over display units —
+* :class:`LocalSearchImprover` is a 2-opt improver over display units —
   single-cell swaps plus pairwise exchanges — that rides on
   :class:`~repro.core.objective.DeltaEvaluator` for ``O(degree)`` move
   evaluation and runs best-improvement passes until a sweep yields no gain.
-
-The algorithm registry (:mod:`repro.core.registry`) dispatches through
-this module: a registered spec may carry a tuple of stages that are applied
-to the base algorithm's configuration, and every stage records provenance
-(what it did, how many moves it made) into the result.
+  :func:`with_local_search` runs it on an algorithm's result and records
+  what it did (moves, passes, seconds) there; the ``+LS`` registry variants
+  call it after their base rounding.
 """
 
 from __future__ import annotations
@@ -33,32 +28,15 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import (
-    UNASSIGNED,
-    SAVGConfiguration,
-    cell_counts,
-    repeated_rows,
-    shown_items,
-)
-from repro.core.greedy import greedy_complete, make_room
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, repeated_rows, shown_items
 from repro.core.lp import FractionalSolution, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.problem import SVGICInstance, SVGICSTInstance
-from repro.utils.rng import SeedLike
+from repro.core.result import AlgorithmResult
 
 
 def instance_size_limit(instance: SVGICInstance) -> Optional[int]:
@@ -336,130 +314,16 @@ def rounding_lp(
 
 
 # --------------------------------------------------------------------------- #
-# Stage protocol and basic stages
+# Local search improver
 # --------------------------------------------------------------------------- #
 @dataclass
 class StageOutcome:
-    """Result of applying one stage: the (new) configuration plus bookkeeping."""
+    """Result of one :meth:`LocalSearchImprover.apply`: the configuration plus bookkeeping."""
 
     configuration: SAVGConfiguration
     info: Dict[str, Any] = field(default_factory=dict)
 
 
-@runtime_checkable
-class Stage(Protocol):
-    """A composable post-processing pass over an SAVG configuration.
-
-    Stages must never *decrease* the feasibility of a configuration: a valid
-    input must map to a valid output, and a partial input may only become
-    more complete.
-    """
-
-    name: str
-
-    def apply(
-        self,
-        instance: SVGICInstance,
-        configuration: SAVGConfiguration,
-        *,
-        context: Optional[SolveContext] = None,
-        rng: SeedLike = None,
-    ) -> StageOutcome:
-        """Apply the stage and return the outcome."""
-        ...
-
-
-class GreedyCompletionStage:
-    """Fill unassigned display units with each user's best unused item.
-
-    A thin stage wrapper around :func:`repro.core.greedy.greedy_complete`;
-    size-cap aware on SVGIC-ST instances.  A no-op on complete configurations.
-    """
-
-    name = "greedy_completion"
-
-    def apply(
-        self,
-        instance: SVGICInstance,
-        configuration: SAVGConfiguration,
-        *,
-        context: Optional[SolveContext] = None,
-        rng: SeedLike = None,
-    ) -> StageOutcome:
-        missing = int(np.count_nonzero(configuration.assignment == UNASSIGNED))
-        if missing == 0:
-            return StageOutcome(configuration, {"filled_units": 0})
-        completed = configuration.copy()
-        greedy_complete(instance, completed, size_limit=instance_size_limit(instance))
-        return StageOutcome(completed, {"filled_units": missing})
-
-
-class DuplicateRepairStage:
-    """Replace duplicate items within a user's row by the best unused item.
-
-    Keeps the first occurrence (lowest slot) of each duplicated item and
-    reassigns later occurrences by decreasing preference, honouring the
-    SVGIC-ST size cap: when every usable item is full at the slot, other
-    members shift along full subgroups as in :func:`greedy_complete`
-    (:func:`~repro.core.greedy.make_room`, which raises a
-    :class:`RuntimeError` naming the unit if no shift exists).  A no-op on
-    duplication-free configurations, so it is safe to chain unconditionally.
-    """
-
-    name = "duplicate_repair"
-
-    def apply(
-        self,
-        instance: SVGICInstance,
-        configuration: SAVGConfiguration,
-        *,
-        context: Optional[SolveContext] = None,
-        rng: SeedLike = None,
-    ) -> StageOutcome:
-        if configuration.satisfies_no_duplication():
-            return StageOutcome(configuration, {"repaired_units": 0})
-        repaired = configuration.copy()
-        size_limit = instance_size_limit(instance)
-        counts = cell_counts(repaired.assignment, instance.num_items)
-        repairs = 0
-        for user in range(repaired.num_users):
-            row = repaired.assignment[user]
-            seen: set = set()
-            order: Optional[np.ndarray] = None
-            for slot in range(repaired.num_slots):
-                item = int(row[slot])
-                if item == UNASSIGNED:
-                    continue
-                if item not in seen:
-                    seen.add(item)
-                    continue
-                if order is None:  # one ranking serves every duplicate in this row
-                    order = np.argsort(-instance.preference[user], kind="stable")
-                replacement = None
-                for candidate in order:
-                    candidate = int(candidate)
-                    if candidate in seen:
-                        continue
-                    if size_limit is not None and counts[candidate, slot] >= size_limit:
-                        continue
-                    replacement = candidate
-                    break
-                counts[item, slot] -= 1
-                if replacement is None:  # every usable item is full at this slot
-                    row[slot] = UNASSIGNED
-                    replacement = make_room(
-                        instance, repaired.assignment, counts, user, slot, size_limit
-                    )
-                counts[replacement, slot] += 1
-                row[slot] = replacement
-                seen.add(replacement)
-                repairs += 1
-        return StageOutcome(repaired, {"repaired_units": repairs})
-
-
-# --------------------------------------------------------------------------- #
-# Local search improver
-# --------------------------------------------------------------------------- #
 class _Exchanges(NamedTuple):
     """One pairwise phase's candidates, in visiting order.
 
@@ -490,10 +354,11 @@ class _CellWorklist:
     slots).  A clean unit's cached item and gain are what probing it now
     would give: the best candidate its row does not show and, under a size
     cap, whose ``(item, slot)`` subgroup has room (ties keep the lowest
-    candidate index; ``-inf`` when no candidate is feasible).
-    :meth:`wrote` and :meth:`shift` mark dirty every unit a write can
-    change, and :meth:`next_move` re-scores dirty units lazily, a chunk at a
-    time from the scan cursor.
+    candidate index; ``-inf`` when no candidate is feasible).  Subgroup
+    sizes are read from the evaluator's ``counts``.  :meth:`wrote` and
+    :meth:`shift` mark dirty every unit a write can change, and
+    :meth:`next_move` re-scores dirty units lazily, a chunk at a time from
+    the scan cursor.
     """
 
     def __init__(
@@ -501,7 +366,6 @@ class _CellWorklist:
         evaluator: DeltaEvaluator,
         users: np.ndarray,
         candidates: np.ndarray,
-        counts: Optional[np.ndarray],
         size_limit: Optional[int],
         tolerance: float,
     ) -> None:
@@ -509,7 +373,6 @@ class _CellWorklist:
         k = instance.num_slots
         self.evaluator = evaluator
         self.candidates = candidates
-        self.counts = counts
         self.size_limit = size_limit
         self.tolerance = tolerance
         self.units = np.stack([np.repeat(users, k), np.tile(np.arange(k), users.size)], axis=1)
@@ -545,7 +408,7 @@ class _CellWorklist:
             :, candidates
         ]
         if self.size_limit is not None:
-            usable &= self.counts[candidates[None, :], slots[:, None]] < self.size_limit
+            usable &= evaluator.counts[candidates[None, :], slots[:, None]] < self.size_limit
         gains = np.where(usable, gains, -np.inf)
         best = np.argmax(gains, axis=1)
         self.best[units] = candidates[best]
@@ -570,21 +433,19 @@ class _CellWorklist:
             self.dirty[first_units + slot] = True
 
     def shift(self, old: int, new: int, slot: int) -> None:
-        """Count one member of ``slot`` moving from ``old`` to ``new``, waking units.
+        """Wake the units a write moving one ``slot`` member from ``old`` to ``new`` changes.
 
-        A count that drops from the cap frees ``old`` for every unit at
-        ``slot``; a count that reaches it takes ``new`` from the units whose
-        cached best item it is.
+        Reads the counts after the write: a count that fell to the cap minus
+        one frees ``old`` for every unit at ``slot``; a count that reached
+        the cap takes ``new`` from the units whose cached best item it is.
         """
-        counts, cap, k = self.counts, self.size_limit, self._k
-        if counts is None:
+        cap, k = self.size_limit, self._k
+        if cap is None:
             return
-        if old != UNASSIGNED:
-            counts[old, slot] -= 1
-            if cap is not None and counts[old, slot] == cap - 1:
-                self.dirty[slot::k] = True
-        counts[new, slot] += 1
-        if cap is not None and counts[new, slot] >= cap:
+        counts = self.evaluator.counts
+        if old != UNASSIGNED and counts[old, slot] == cap - 1:
+            self.dirty[slot::k] = True
+        if counts[new, slot] >= cap:
             at_slot = np.arange(slot, self.dirty.size, k)
             self.dirty[at_slot[self.best[at_slot] == new]] = True
 
@@ -678,7 +539,6 @@ class LocalSearchImprover:
         evaluator: DeltaEvaluator,
         exchanges: _Exchanges,
         start: int,
-        counts: Optional[np.ndarray],
         size_limit: Optional[int],
     ) -> Optional[int]:
         """Index of the first exchange from ``start`` on gaining more than ``tolerance``.
@@ -699,6 +559,7 @@ class LocalSearchImprover:
         legal = (a != UNASSIGNED) & (b != UNASSIGNED)
         if exchanges.pair_ids is None:
             if size_limit is not None:
+                counts = evaluator.counts
                 legal &= (counts[b, first_slots] < size_limit) & (
                     counts[a, second_slots] < size_limit
                 )
@@ -727,9 +588,9 @@ class LocalSearchImprover:
         trace: List[float],
     ) -> int:
         """Scan ``exchanges`` in order, executing each gaining one; returns the moves."""
-        counts, size_limit = worklist.counts, worklist.size_limit
+        size_limit = worklist.size_limit
         moves = 0
-        hit = self._try_swap(evaluator, exchanges, 0, counts, size_limit)
+        hit = self._try_swap(evaluator, exchanges, 0, size_limit)
         while hit is not None:
             u1, s1 = int(exchanges.first_users[hit]), int(exchanges.first_slots[hit])
             u2, s2 = int(exchanges.second_users[hit]), int(exchanges.second_slots[hit])
@@ -743,7 +604,7 @@ class LocalSearchImprover:
                 worklist.shift(b, a, s2)
             moves += 1
             trace.append(evaluator.total)
-            hit = self._try_swap(evaluator, exchanges, hit + 1, counts, size_limit)
+            hit = self._try_swap(evaluator, exchanges, hit + 1, size_limit)
         return moves
 
     # -- main loop -------------------------------------------------------- #
@@ -753,21 +614,18 @@ class LocalSearchImprover:
         configuration: Optional[SAVGConfiguration],
         *,
         context: Optional[SolveContext] = None,
-        rng: SeedLike = None,
         evaluator: Optional[DeltaEvaluator] = None,
-        counts: Optional[np.ndarray] = None,
     ) -> StageOutcome:
         """Run the local search; see the class docstring.
 
         The default mode builds a private :class:`DeltaEvaluator` over
-        ``configuration``.  **In-place mode** — pass ``evaluator=`` (and,
-        for size-capped instances, the caller's live ``counts=`` grid) — runs
+        ``configuration``.  **In-place mode** — pass ``evaluator=`` — runs
         the search directly on a caller-owned evaluator instead: moves mutate
-        its assignment and running total, ``configuration`` is ignored (may
-        be ``None``), and the from-scratch ``delta_drift`` verification is
-        skipped so the event hot path stays strictly incremental.  The churn
-        engine repairs dynamic sessions this way, restricted via ``users=``
-        to the neighbourhood an event touched.
+        its assignment, subgroup counts and running total, ``configuration``
+        is ignored (may be ``None``), and the from-scratch ``delta_drift``
+        verification is skipped so the event hot path stays strictly
+        incremental.  The churn engine repairs dynamic sessions this way,
+        restricted via ``users=`` to the neighbourhood an event touched.
 
         With ``pairwise=True`` a ``ValueError`` naming the user is raised,
         before any move, if a row the search may change shows an item twice.
@@ -779,8 +637,6 @@ class LocalSearchImprover:
         else:
             evaluator = DeltaEvaluator(instance, configuration)
         size_limit = instance_size_limit(instance)
-        if size_limit is not None and counts is None:
-            counts = cell_counts(evaluator.assignment, instance.num_items)
         candidates = self._candidate_items(instance, context)
         n, k = instance.num_users, instance.num_slots
         pairs = instance.pairs
@@ -795,9 +651,7 @@ class LocalSearchImprover:
             member = np.zeros(n, dtype=bool)
             member[self.users] = True
             pair_iter = np.flatnonzero(member[pairs[:, 0]] & member[pairs[:, 1]])
-        worklist = _CellWorklist(
-            evaluator, searched, candidates, counts, size_limit, self.tolerance
-        )
+        worklist = _CellWorklist(evaluator, searched, candidates, size_limit, self.tolerance)
 
         if self.pairwise:
             # The exchange kernels' closed forms need rows that show each
@@ -874,38 +728,42 @@ class LocalSearchImprover:
         return StageOutcome(final, info)
 
 
-# --------------------------------------------------------------------------- #
-# Stage composition
-# --------------------------------------------------------------------------- #
-def apply_stages(
+def with_local_search(
     instance: SVGICInstance,
-    configuration: SAVGConfiguration,
-    stages: Sequence[Stage],
+    result: AlgorithmResult,
     *,
     context: Optional[SolveContext] = None,
-    rng: SeedLike = None,
-) -> Tuple[SAVGConfiguration, Tuple[str, ...], Dict[str, Any]]:
-    """Apply ``stages`` in order; returns (config, stage names, per-stage info)."""
-    info: Dict[str, Any] = {}
-    applied: List[str] = []
-    for stage in stages:
-        outcome = stage.apply(instance, configuration, context=context, rng=rng)
-        configuration = outcome.configuration
-        applied.append(stage.name)
-        info[stage.name] = outcome.info
-    return configuration, tuple(applied), info
+) -> AlgorithmResult:
+    """``result`` improved by a default :class:`LocalSearchImprover`.
+
+    The search's wall time is added to ``seconds`` and recorded as
+    ``info["stage_seconds"]``, its own info goes under
+    ``info["stages"]["local_search"]``, and ``stages_applied`` gains
+    ``"local_search"``; ``optimal`` and the provenance carry over.
+    """
+    improver = LocalSearchImprover()
+    started = time.perf_counter()
+    outcome = improver.apply(instance, result.configuration, context=context)
+    seconds = time.perf_counter() - started
+    return AlgorithmResult.from_configuration(
+        result.algorithm,
+        instance,
+        outcome.configuration,
+        result.seconds + seconds,
+        optimal=result.optimal,
+        info={**result.info, "stages": {improver.name: outcome.info}, "stage_seconds": seconds},
+        stages_applied=result.stages_applied + (improver.name,),
+        provenance=dict(result.provenance),
+    )
 
 
 __all__ = [
     "SolveContext",
     "instance_fingerprint",
     "lp_cache_key",
-    "Stage",
     "StageOutcome",
-    "GreedyCompletionStage",
-    "DuplicateRepairStage",
     "LocalSearchImprover",
-    "apply_stages",
+    "with_local_search",
     "instance_size_limit",
     "rounding_lp",
 ]

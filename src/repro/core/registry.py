@@ -9,11 +9,11 @@ lambda dictionaries, and :func:`build_runners` produces harness-compatible
 callables that share one :class:`~repro.core.pipeline.SolveContext` per
 instance (so the whole line-up performs a single LP relaxation solve).
 
-A spec may carry post-processing :class:`~repro.core.pipeline.Stage` objects
-(greedy completion, duplicate repair, the local-search improver); dispatch
-applies them after the base runner and records provenance — stages applied,
-LP cache hits, improver move counts — on the returned
-:class:`~repro.core.result.AlgorithmResult`.
+Dispatch (:func:`run_registered`) calls the spec's runner and records
+provenance — the registry name and the shared context's LP counters — on
+the returned :class:`~repro.core.result.AlgorithmResult`.  A runner that
+post-processes its configuration does so itself: the ``+LS`` variants call
+:func:`~repro.core.pipeline.with_local_search` after their base rounding.
 
 Registration happens at import time of the defining modules; the registry
 lazily imports the known provider modules on first query, so
@@ -28,11 +28,10 @@ rebinding (:meth:`AlgorithmPayload.rehydrate`).
 from __future__ import annotations
 
 import importlib
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.pipeline import SolveContext, Stage, apply_stages
+from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance
 from repro.core.result import AlgorithmResult
 from repro.utils.rng import SeedLike
@@ -42,7 +41,7 @@ AlgorithmRunner = Callable[..., AlgorithmResult]
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One registered algorithm: its runner, tags, defaults and stages.
+    """One registered algorithm: its runner, tags and description.
 
     Attributes
     ----------
@@ -55,18 +54,12 @@ class AlgorithmSpec:
         Query labels: ``paper`` (the Section-6 line-up), ``baseline`` (the
         four baseline recommenders), ``st`` (safe on SVGIC-ST instances),
         ``extension`` (Section-5 variants), ``local-search``, ``exact``, ...
-    defaults:
-        Keyword defaults merged under call-time overrides.
-    stages:
-        Post-processing stages dispatch applies to the base configuration.
     """
 
     name: str
     runner: AlgorithmRunner
     tags: frozenset = frozenset()
     description: str = ""
-    defaults: Mapping[str, Any] = field(default_factory=dict)
-    stages: Tuple[Stage, ...] = ()
 
 
 _REGISTRY: Dict[str, AlgorithmSpec] = {}
@@ -105,8 +98,6 @@ def register_algorithm(
     *,
     tags: Sequence[str] = (),
     description: str = "",
-    defaults: Optional[Mapping[str, Any]] = None,
-    stages: Sequence[Stage] = (),
 ) -> Callable[[AlgorithmRunner], AlgorithmRunner]:
     """Decorator registering ``runner`` under ``name``; returns it unchanged.
 
@@ -123,8 +114,6 @@ def register_algorithm(
             runner=runner,
             tags=frozenset(tags),
             description=doc,
-            defaults=dict(defaults or {}),
-            stages=tuple(stages),
         )
         return runner
 
@@ -162,27 +151,9 @@ def run_registered(
     rng: SeedLike = None,
     **overrides: Any,
 ) -> AlgorithmResult:
-    """Dispatch one algorithm by name, applying its stages and recording provenance."""
+    """Dispatch one algorithm by name and record provenance on its result."""
     spec = get_algorithm(name)
-    params = {**spec.defaults, **overrides}
-    result = spec.runner(instance, context=context, rng=rng, **params)
-
-    if spec.stages:
-        stage_start = time.perf_counter()
-        configuration, applied, stage_info = apply_stages(
-            instance, result.configuration, spec.stages, context=context, rng=rng
-        )
-        stage_seconds = time.perf_counter() - stage_start
-        result = AlgorithmResult.from_configuration(
-            result.algorithm,
-            instance,
-            configuration,
-            result.seconds + stage_seconds,
-            optimal=result.optimal,
-            info={**result.info, "stages": stage_info, "stage_seconds": stage_seconds},
-            stages_applied=result.stages_applied + applied,
-            provenance=dict(result.provenance),
-        )
+    result = spec.runner(instance, context=context, rng=rng, **overrides)
     result.provenance.setdefault("registry_name", spec.name)
     if context is not None:
         result.provenance.update(context.stats())

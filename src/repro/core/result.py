@@ -34,12 +34,13 @@ class AlgorithmResult:
     info:
         Free-form extras (LP objective, iteration counts, solver gap, ...).
     stages_applied:
-        Names of the post-processing stages applied by the pipeline dispatch
-        (greedy completion, duplicate repair, local search, ...) in order.
+        Names of the post-passes run on the algorithm's configuration, in
+        order: ``("local_search",)`` for the ``+LS`` variants
+        (:func:`~repro.core.pipeline.with_local_search`), else empty.
     provenance:
-        Pipeline bookkeeping: registry name, LP cache hit/miss counters of
-        the shared :class:`~repro.core.pipeline.SolveContext`, improver move
-        counts.  Empty for direct ``run_*`` calls.
+        Pipeline bookkeeping: registry name and the LP cache hit/miss
+        counters of the shared :class:`~repro.core.pipeline.SolveContext`.
+        Empty for direct ``run_*`` calls.
     """
 
     algorithm: str

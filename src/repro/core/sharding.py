@@ -152,22 +152,6 @@ def _solve_shard_task(
         lp_store_hits=context.lp_store_hits,
         lp_seconds=float(getattr(context, "lp_seconds", 0.0)),
     )
-    if store is not None and hasattr(store, "record_timing"):
-        # Feed the shard's observed cost back into the store's timings table
-        # so the next sharded solve orders its shards from real history.
-        from repro.experiments.scheduler import shard_signature
-
-        try:
-            store.record_timing(
-                shard_signature(algorithm, overrides),
-                sub_instance.num_users,
-                sub_instance.num_items,
-                sub_instance.num_slots,
-                result.seconds,
-                stats.lp_seconds,
-            )
-        except Exception:
-            pass
     return shard_id, result.configuration.assignment, stats
 
 
@@ -189,14 +173,15 @@ def _evict_overfull(
 ) -> Tuple[List[int], int]:
     """Restore the subgroup-size cap by moving members of overfull cells.
 
-    For every overfull ``(item, slot)`` cell, members are relocated one at a
-    time.  Each step scores every item for every remaining member in one
-    :meth:`DeltaEvaluator.probe_many` call against the full instance, takes
-    each member's best *under-cap* item outside its row, and moves the
-    member/item pair with the largest utility delta.  This greedy max-delta
-    order makes the forced feasibility repair lose as little utility as
-    possible per step and is fully deterministic (ties keep the lowest user,
-    then the lowest item).
+    For every overfull ``(item, slot)`` cell of the evaluator's
+    :attr:`~repro.core.objective.DeltaEvaluator.counts`, members are
+    relocated one at a time.  Each step scores every item for every
+    remaining member in one :meth:`DeltaEvaluator.probe_many` call against
+    the full instance, takes each member's best *under-cap* item outside its
+    row, and moves the member/item pair with the largest utility delta.
+    This greedy max-delta order makes the forced feasibility repair lose as
+    little utility as possible per step and is fully deterministic (ties
+    keep the lowest user, then the lowest item).
 
     A member with *no* under-cap alternative (pathologically tight caps)
     offers the least-loaded item outside its row instead, which may leave a
@@ -212,8 +197,8 @@ def _evict_overfull(
     all_items = np.arange(num_items, dtype=np.int64)
     moved: List[int] = []
     evictions = 0
+    counts = evaluator.counts
     for _sweep in range(max_sweeps):
-        counts = cell_counts(evaluator.assignment, num_items)
         overfull = np.argwhere(counts > cap)
         if overfull.size == 0:
             break
@@ -240,8 +225,6 @@ def _evict_overfull(
                     break  # nobody can move; give up on this cell
                 user, target = int(members[mover]), int(choice[mover])
                 evaluator.set_cell(user, slot, target)
-                counts[item, slot] -= 1
-                counts[target, slot] += 1
                 moved.append(user)
                 evictions += 1
                 progressed = True
@@ -357,48 +340,20 @@ def solve_sharded(
 
     # --- independent shard solves ------------------------------------- #
     solve_start = time.perf_counter()
-    from repro.experiments.scheduler import (
-        CostModel,
-        JobFeatures,
-        payload_cost_profile,
-        shard_signature,
-    )
-
-    signature = shard_signature(algorithm, overrides)
-    cost_model = CostModel.from_store(store)
-    profile = payload_cost_profile(algorithm)
     payloads = []
-    estimates: List[float] = []
     for shard_id, members in enumerate(shards):
         sub_instance, _user_ids = instance.subgroup_instance(members)
         payloads.append(
             (shard_id, sub_instance, algorithm, overrides, _shard_seed(seed, shard_id), store)
         )
-        estimates.append(
-            cost_model.estimate(
-                JobFeatures(
-                    signature=signature,
-                    n=sub_instance.num_users,
-                    m=sub_instance.num_items,
-                    k=sub_instance.num_slots,
-                    profiles=(profile,),
-                )
-            )
-        )
-    # Largest predicted shard first (LPT): the same cost model that orders
-    # sweep jobs orders shard solves, so no worker grinds the heaviest
-    # shard alone at the tail of the fan-out.  Outcomes are re-sorted by
-    # shard id below, so the stitch never depends on submission order.
-    order = sorted(range(len(payloads)), key=lambda i: (-estimates[i], i))
-    ordered_payloads = [payloads[i] for i in order]
-
+    # Shards run in shard order (``pool.map`` keeps it), so the stitch
+    # below pairs each outcome with its members.
     pool_size = min(requested_workers, len(payloads))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_solve_shard_task, ordered_payloads))
+            outcomes = list(pool.map(_solve_shard_task, payloads))
     else:
-        outcomes = [_solve_shard_task(payload) for payload in ordered_payloads]
-    outcomes.sort(key=lambda outcome: outcome[0])
+        outcomes = [_solve_shard_task(payload) for payload in payloads]
     solve_seconds = time.perf_counter() - solve_start
 
     # --- stitch -------------------------------------------------------- #

@@ -346,7 +346,23 @@ def run_plan(
             f"job(s) {missing} of plan {plan.name!r}; refusing to aggregate a "
             "partial table"
         )
+    result = aggregate_plan(plan, by_index)
+    result.parameters["job_provenance"] = [jr.provenance for jr in job_results]
+    return result
 
+
+def aggregate_plan(
+    plan: SweepPlan, results_by_index: Mapping[int, JobResult]
+) -> ExperimentResult:
+    """The table of ``plan`` over the finished jobs in ``results_by_index``.
+
+    Rows come in plan order — value-major, then line-up order — each
+    averaged over the sweep point's finished repetitions (the
+    ``repetitions`` column records how many went in).  Sweep points with no
+    finished job are skipped.  :func:`run_plan` and
+    :meth:`~repro.experiments.progress.ProgressAggregator.result` both build
+    their tables here.
+    """
     result = ExperimentResult(
         name=plan.name,
         description=plan.description,
@@ -360,16 +376,21 @@ def run_plan(
     # Group by the jobs' own value indices (not range(len(values))): subset
     # plans keep original indices, so sweep points survive slicing intact.
     for value_index in sorted({job.value_index for job in plan.jobs}):
-        jobs = [job for job in plan.jobs if job.value_index == value_index]
+        jobs = [
+            job
+            for job in plan.jobs
+            if job.value_index == value_index and job.index in results_by_index
+        ]
+        if not jobs:
+            continue
         jobs.sort(key=lambda job: job.rep)
         columns = dict(jobs[0].columns)
         for alg in jobs[0].algorithm_names:
-            reports = [by_index[job.index].reports[alg] for job in jobs]
+            reports = [results_by_index[job.index].reports[alg] for job in jobs]
             averaged = _average_reports(reports)
             averaged.update(columns)
             averaged["algorithm"] = alg
             result.rows.append(averaged)
-    result.parameters["job_provenance"] = [jr.provenance for jr in job_results]
     return result
 
 
@@ -479,6 +500,7 @@ __all__ = [
     "run_algorithms",
     "ExperimentResult",
     "run_plan",
+    "aggregate_plan",
     "sweep",
     "grid",
     "evaluation_table",

@@ -160,37 +160,14 @@ class ProgressAggregator:
 
         Sweep points with at least one finished repetition contribute rows
         averaged over those repetitions (the ``repetitions`` column records
-        how many went in); untouched points are absent.  Once every job has
-        arrived the table matches :func:`~repro.experiments.harness.run_plan`
-        output row for row — the equivalence tests assert it.
+        how many went in); untouched points are absent.  The rows come from
+        :func:`~repro.experiments.harness.aggregate_plan`, as
+        :func:`~repro.experiments.harness.run_plan`'s do, so once every job
+        has arrived the two tables match row for row.
         """
-        from repro.experiments.harness import ExperimentResult, _average_reports
+        from repro.experiments.harness import aggregate_plan
 
-        plan = self.plan
-        result = ExperimentResult(
-            name=plan.name,
-            description=plan.description,
-            parameters={
-                key: list(value) if isinstance(value, list) else value
-                for key, value in plan.parameters.items()
-            },
-        )
-        for value_index in sorted({job.value_index for job in plan.jobs}):
-            jobs = [
-                job
-                for job in plan.jobs
-                if job.value_index == value_index and job.index in self._results
-            ]
-            if not jobs:
-                continue
-            jobs.sort(key=lambda job: job.rep)
-            columns = dict(jobs[0].columns)
-            for alg in jobs[0].algorithm_names:
-                reports = [self._results[job.index].reports[alg] for job in jobs]
-                averaged = _average_reports(reports)
-                averaged.update(columns)
-                averaged["algorithm"] = alg
-                result.rows.append(averaged)
+        result = aggregate_plan(self.plan, self._results)
         result.parameters["progress"] = {
             "completed_jobs": self.completed,
             "total_jobs": self.total,

@@ -34,10 +34,6 @@ pieces:
   exactly like :class:`~repro.experiments.executor.SerialExecutor`: with a
   persistent ``store=`` every finished job is checkpointed immediately and a
   killed sweep completes only its unfinished jobs on re-run.
-
-The same cost model schedules :func:`repro.core.sharding.solve_sharded`'s
-per-shard solves (largest predicted shard first) so the sharding engine and
-the sweep layer share one learned notion of cost.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +65,6 @@ __all__ = [
     "job_features",
     "payload_cost_profile",
     "schedule_groups",
-    "shard_signature",
     "WorkStealingExecutor",
 ]
 
@@ -102,8 +97,8 @@ def payload_cost_profile(payload: Any) -> Tuple[float, float]:
     Driven by the registry tags of the payload's spec: ``exact`` →
     heaviest/steepest, ``local-search`` and ``approximation`` (LP rounding)
     in between, untagged baselines cheapest.  Accepts a payload object or a
-    bare registry name (the sharding engine passes names).  Unknown names
-    and plain callables get the middle profile.
+    bare registry name.  Unknown names and plain callables get the middle
+    profile.
     """
     name = payload if isinstance(payload, str) else getattr(payload, "registry_name", None)
     if name is None:
@@ -183,17 +178,6 @@ def job_features(plan: SweepPlan, job: SweepJob) -> JobFeatures:
         k=dims["k"],
         profiles=tuple(payload_cost_profile(p) for p in job.algorithms),
     )
-
-
-def shard_signature(algorithm: str, overrides: Mapping[str, Any]) -> str:
-    """Timings-table signature for one sharded solve's per-shard work shape.
-
-    :func:`repro.core.sharding.solve_sharded` records each shard's wall time
-    under this key and estimates new shards against it, so shard scheduling
-    trains on shard history exactly as sweeps train on sweep history.
-    """
-    payload = (str(algorithm), tuple(sorted((str(k), repr(v)) for k, v in overrides.items())))
-    return f"shard::{payload!r}"
 
 
 # --------------------------------------------------------------------------- #

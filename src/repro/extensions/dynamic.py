@@ -14,8 +14,8 @@ implements that incremental policy on top of the vectorized numeric core:
 * ``add_user`` ranks all items per slot with one
   :meth:`~repro.core.objective.DeltaEvaluator.direct_gains` batched probe
   (``O(deg(user) + m)`` instead of the scalar ``O(m * |E|)`` loop), subject
-  to no-duplication and the subgroup-size cap tracked in an incrementally
-  maintained ``(m, k)`` count grid;
+  to no-duplication and the subgroup-size cap, read from the evaluator's
+  incrementally maintained ``(m, k)`` subgroup counts;
 * ``remove_user`` clears the user's display units from the evaluator in
   ``O(deg(user) * k^2)``; her configuration row is kept (stale) so a later
   rejoin starts from the same state the scalar semantics prescribe;
@@ -36,12 +36,12 @@ changes anything.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts, repeated_rows
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, repeated_rows
 from repro.core.objective import DeltaEvaluator, total_utility
 from repro.core.pipeline import SolveContext
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -99,6 +99,11 @@ def check_session_inputs(
 class DynamicSession:
     """Incremental maintenance of an SAVG configuration under user churn.
 
+    The session's :class:`~repro.core.objective.DeltaEvaluator` holds the
+    active users' cells and owns their ``(m, k)`` subgroup counts
+    (:attr:`counts`); every event writes cells through it, and so does an
+    in-place improver (:meth:`apply_improver`).
+
     Parameters
     ----------
     instance:
@@ -128,7 +133,6 @@ class DynamicSession:
         self.evaluator = DeltaEvaluator(
             instance, SAVGConfiguration(assignment=masked, num_items=instance.num_items)
         )
-        self._counts = cell_counts(self.evaluator.assignment, instance.num_items)
 
     # ------------------------------------------------------------------ #
     @property
@@ -139,8 +143,8 @@ class DynamicSession:
 
     @property
     def counts(self) -> np.ndarray:
-        """Incrementally maintained ``(m, k)`` active subgroup sizes."""
-        return self._counts
+        """``(m, k)`` active subgroup sizes, kept by the evaluator."""
+        return self.evaluator.counts
 
     def current_utility(self) -> float:
         """Total SAVG utility of the active users — ``O(1)``, never re-evaluated."""
@@ -170,25 +174,9 @@ class DynamicSession:
 
     # ------------------------------------------------------------------ #
     def _apply_cell(self, user: int, slot: int, item: int) -> None:
-        """Write one cell through the evaluator, the counts and the configuration."""
-        old = int(self.evaluator.assignment[user, slot])
-        if old == item:
-            return
+        """Write one cell through the evaluator and the configuration."""
         self.evaluator.set_cell(user, slot, item)
-        if old != UNASSIGNED:
-            self._counts[old, slot] -= 1
-        if item != UNASSIGNED:
-            self._counts[item, slot] += 1
         self.configuration.assignment[user, slot] = item
-
-    def _clear_active_row(self, user: int) -> None:
-        """Remove the user's display units from the evaluator and the counts."""
-        row = self.evaluator.assignment[user]
-        for slot in range(self.instance.num_slots):
-            item = int(row[slot])
-            if item != UNASSIGNED:
-                self._counts[item, slot] -= 1
-        self.evaluator.clear_row(user)
 
     # ------------------------------------------------------------------ #
     def add_user(self, user: int) -> None:
@@ -204,7 +192,7 @@ class DynamicSession:
         if self.active[user] and not np.any(self.configuration.assignment[user] == UNASSIGNED):
             raise ValueError(f"user {user} is already active and fully assigned")
         if self.active[user]:
-            self._clear_active_row(user)
+            self.evaluator.clear_row(user)
         self.active[user] = True
         self.configuration.assignment[user, :] = UNASSIGNED
         limit = self.size_limit
@@ -215,7 +203,7 @@ class DynamicSession:
             if used:
                 feasible[used] = False
             if limit is not None:
-                feasible &= self._counts[:, slot] < limit
+                feasible &= self.counts[:, slot] < limit
             if not feasible.any():
                 skipped.append(slot)
                 continue
@@ -238,7 +226,7 @@ class DynamicSession:
         user = self.evaluator.check_user(user)
         if not self.active[user]:
             raise ValueError(f"user {user} is not active")
-        self._clear_active_row(user)
+        self.evaluator.clear_row(user)
         self.active[user] = False
         self.events.append(DynamicEvent("leave", user, self.current_utility()))
 
@@ -280,7 +268,7 @@ class DynamicSession:
                 feasible = np.ones(self.instance.num_items, dtype=bool)
                 feasible[row[row != UNASSIGNED]] = False
                 if limit is not None:
-                    feasible &= self._counts[:, slot] < limit
+                    feasible &= self.counts[:, slot] < limit
                 if not feasible.any():
                     continue
                 masked = np.where(feasible, gains, -np.inf)
@@ -296,9 +284,9 @@ class DynamicSession:
     def apply_improver(self, improver) -> Dict[str, object]:
         """Run a :class:`~repro.core.pipeline.LocalSearchImprover` **in place**.
 
-        The improver shares this session's evaluator and subgroup counts, so
-        its moves keep the running utility and the size-cap bookkeeping
-        consistent without any from-scratch evaluation; affected
+        The improver writes through this session's evaluator, so its moves
+        keep the running utility and the subgroup counts consistent without
+        any from-scratch evaluation; affected
         configuration rows are synced afterwards.  Restrict the improver with
         ``users=`` to repair only the neighbourhood an event touched.
         """
@@ -309,12 +297,7 @@ class DynamicSession:
                 "apply_improver requires an improver restricted with users= "
                 "(e.g. np.nonzero(session.active)[0])"
             )
-        outcome = improver.apply(
-            self.instance,
-            None,
-            evaluator=self.evaluator,
-            counts=self._counts if self.size_limit is not None else None,
-        )
+        outcome = improver.apply(self.instance, None, evaluator=self.evaluator)
         sync = np.asarray(improver.users, dtype=np.int64)
         self.configuration.assignment[sync] = self.evaluator.assignment[sync]
         return outcome.info

@@ -200,8 +200,8 @@ class ArtifactStore:
         """Fold one observed job wall time into the index's timings table.
 
         ``signature`` identifies the work shape (a line-up signature from
-        :func:`repro.experiments.executor.job_timing_signature` or a shard
-        signature); ``n``/``m``/``k`` the instance size it ran at.  The sweep
+        :func:`repro.experiments.executor.job_timing_signature`);
+        ``n``/``m``/``k`` the instance size it ran at.  The sweep
         scheduler's cost model (:mod:`repro.experiments.scheduler`) trains on
         these rows, so every store-backed run makes later schedules better.
         """

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import objective as engine
-from repro.core.configuration import UNASSIGNED, SAVGConfiguration
+from repro.core.configuration import UNASSIGNED, SAVGConfiguration, cell_counts
 from repro.core.objective import DeltaEvaluator, UtilityBreakdown
 from repro.core.problem import SVGICInstance, SVGICSTInstance
+from repro.data import datasets
 
 from oracles import objective_reference as oracle
 
@@ -240,6 +241,35 @@ class TestDeltaEvaluator:
                 assignment=delta.assignment.copy(), num_items=instance.num_items
             )
             _assert_breakdowns_close(delta.breakdown, full_eval(instance, snapshot))
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["svgic", "svgic-st"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_a_recount_after_every_write(self, capped, seed):
+        """``counts`` follows set_cell, clear_cell and clear_row, repeats and holes included."""
+        n, m, k = 9, 6, 3
+        if capped:
+            instance = datasets.make_st_instance(
+                "timik", num_users=n, num_items=m, num_slots=k, max_subgroup_size=3, seed=seed
+            )
+        else:
+            instance = datasets.make_instance(
+                "timik", num_users=n, num_items=m, num_slots=k, seed=seed
+            )
+        rng = np.random.default_rng(seed)
+        # Random rows: some cells unassigned, some items shown at two slots.
+        assignment = rng.integers(UNASSIGNED, m, size=(n, k))
+        assignment[0] = [2, 2, UNASSIGNED]
+        delta = DeltaEvaluator(instance, SAVGConfiguration(assignment=assignment, num_items=m))
+        np.testing.assert_array_equal(delta.counts, cell_counts(delta.assignment, m))
+        for _ in range(80):
+            user, slot, write = int(rng.integers(n)), int(rng.integers(k)), rng.random()
+            if write < 0.7:
+                delta.set_cell(user, slot, int(rng.integers(m)))
+            elif write < 0.9:
+                delta.clear_cell(user, slot)
+            else:
+                delta.clear_row(user)
+            np.testing.assert_array_equal(delta.counts, cell_counts(delta.assignment, m))
 
     def test_starts_from_given_configuration(self, tiny_instance):
         config = SAVGConfiguration(assignment=np.array([[0, 2], [0, 1], [2, 3]]), num_items=4)

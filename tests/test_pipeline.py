@@ -1,4 +1,4 @@
-"""Tests for the solver pipeline: SolveContext caching, stages, LocalSearchImprover."""
+"""Tests for the solver pipeline: SolveContext caching and LocalSearchImprover."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ import pytest
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.greedy import top_k_preference_configuration
 from repro.core.objective import total_utility
-from repro.core.pipeline import (
-    DuplicateRepairStage,
-    GreedyCompletionStage,
-    LocalSearchImprover,
-    SolveContext,
-    apply_stages,
-)
+from repro.core.pipeline import LocalSearchImprover, SolveContext
 from repro.core.problem import SVGICSTInstance
 from repro.core.svgic_st import size_violation_report
 from repro.data import datasets
@@ -89,41 +83,6 @@ class TestSolveContext:
         assert first is second
 
 
-class TestBasicStages:
-    def test_greedy_completion_fills_partial_configuration(self, tiny_instance):
-        config = SAVGConfiguration.for_instance(tiny_instance)
-        config.assignment[0, 0] = 1
-        outcome = GreedyCompletionStage().apply(tiny_instance, config)
-        assert outcome.configuration.is_valid(tiny_instance)
-        assert outcome.info["filled_units"] == tiny_instance.num_users * tiny_instance.num_slots - 1
-
-    def test_greedy_completion_noop_on_complete(self, tiny_instance):
-        config = top_k_preference_configuration(tiny_instance)
-        outcome = GreedyCompletionStage().apply(tiny_instance, config)
-        assert outcome.configuration is config
-        assert outcome.info["filled_units"] == 0
-
-    def test_duplicate_repair_restores_validity(self, tiny_instance):
-        config = top_k_preference_configuration(tiny_instance)
-        config.assignment[1, 1] = config.assignment[1, 0]  # force a duplicate
-        assert not config.satisfies_no_duplication()
-        outcome = DuplicateRepairStage().apply(tiny_instance, config)
-        assert outcome.configuration.is_valid(tiny_instance)
-        assert outcome.info["repaired_units"] == 1
-
-    def test_apply_stages_chains_and_reports(self, tiny_instance):
-        config = SAVGConfiguration.for_instance(tiny_instance)
-        config.assignment[0, 0] = 1
-        final, applied, info = apply_stages(
-            tiny_instance,
-            config,
-            [GreedyCompletionStage(), DuplicateRepairStage(), LocalSearchImprover()],
-        )
-        assert applied == ("greedy_completion", "duplicate_repair", "local_search")
-        assert final.is_valid(tiny_instance)
-        assert set(info) == set(applied)
-
-
 class TestLocalSearchImprover:
     def test_never_decreases_utility_paper_example(self, paper_instance):
         config = top_k_preference_configuration(paper_instance)
@@ -146,7 +105,7 @@ class TestLocalSearchImprover:
         )
         config = _random_valid_configuration(instance, rng)
         before = total_utility(instance, config)
-        outcome = LocalSearchImprover().apply(instance, config, rng=rng)
+        outcome = LocalSearchImprover().apply(instance, config)
 
         # Final utility >= input utility.
         assert outcome.info["final_utility"] >= before - 1e-12
@@ -178,7 +137,7 @@ class TestLocalSearchImprover:
             config = SAVGConfiguration.for_instance(instance)
             greedy_complete(instance, config, size_limit=instance.max_subgroup_size)
         before = total_utility(instance, config)
-        outcome = LocalSearchImprover().apply(instance, config, rng=rng)
+        outcome = LocalSearchImprover().apply(instance, config)
         assert outcome.info["final_utility"] >= before - 1e-12
         assert size_violation_report(instance, outcome.configuration).feasible
         rescratch = total_utility(instance, outcome.configuration)

@@ -95,9 +95,10 @@ class TestRegistryDispatch:
         assert again.info["lp_cache_hit"] is True
         assert again.provenance["lp_hits"] >= 1
 
-    def test_stage_provenance_on_local_search_variant(self, small_timik_instance):
+    @pytest.mark.parametrize("name", ["AVG+LS", "AVG-D+LS"])
+    def test_stage_provenance_on_local_search_variant(self, small_timik_instance, name):
         result = registry.run_registered(
-            "AVG-D+LS", small_timik_instance, rng=np.random.default_rng(0)
+            name, small_timik_instance, rng=np.random.default_rng(0)
         )
         assert result.stages_applied == ("local_search",)
         assert "local_search" in result.info["stages"]

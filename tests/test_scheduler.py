@@ -31,7 +31,6 @@ from repro.experiments.scheduler import (
     job_features,
     payload_cost_profile,
     schedule_groups,
-    shard_signature,
 )
 from repro.store import ArtifactStore
 
@@ -122,12 +121,6 @@ class TestCostModel:
         features = job_features(plan, plan.jobs[0])
         assert (features.n, features.m, features.k) == (5, 15, 2)
         assert features.signature == job_timing_signature(plan.jobs[0])
-
-    def test_shard_signature_is_stable_and_override_sensitive(self):
-        base = shard_signature("AVG-D", {})
-        assert base == shard_signature("AVG-D", {})
-        assert base != shard_signature("AVG-D", {"lp_formulation": "sparse"})
-        assert base != shard_signature("IP", {})
 
 
 class TestScheduleGroups:

@@ -334,18 +334,3 @@ def test_shard_solves_report_lp_seconds(medium_instance):
     assert all(s.lp_seconds >= 0.0 for s in result.shards)
     # A cold AVG-D shard solve runs the LP, so some time must be attributed.
     assert sum(s.lp_seconds for s in result.shards) > 0.0
-
-
-def test_store_backed_sharded_solve_records_shard_timings(tmp_path, medium_instance):
-    from repro.experiments.scheduler import shard_signature
-    from repro.store import ArtifactStore
-
-    store = ArtifactStore(tmp_path)
-    solve_sharded(
-        medium_instance, algorithm="AVG-D", max_shard_users=24, seed=4, store=store
-    )
-    signature = shard_signature("AVG-D", {})
-    rows = store.load_timings(signature)
-    assert rows, "store-backed sharded solve recorded no shard timings"
-    # One running-mean row per distinct shard shape, each with >= 1 sample.
-    assert all(row[0] == signature and row[6] >= 1 for row in rows)

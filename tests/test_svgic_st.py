@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.configuration import SAVGConfiguration
 from repro.core.greedy import greedy_complete
-from repro.core.pipeline import DuplicateRepairStage
 from repro.core.problem import SVGICSTInstance
 from repro.core.registry import run_registered
 from repro.core.svgic_st import (
@@ -108,21 +107,6 @@ class TestTightCapCompletion:
         assert config.max_subgroup_size() <= 1
         assert config.assignment[:, 0].tolist() == [2, 1, 0]  # only slot 1 moved
         assert sorted(config.assignment[:, 1].tolist()) == [0, 1, 2]
-
-    def test_duplicate_repair_moves_a_member_instead_of_breaking_the_cap(self):
-        """User 2's repeated item 0 at slot 1 must go; items 1 and 2 are full there."""
-        instance = datasets.make_st_instance(
-            "timik", num_users=3, num_items=3, num_slots=2, max_subgroup_size=1, seed=0
-        )
-        config = SAVGConfiguration(
-            assignment=np.array([[2, 1], [1, 2], [0, 0]]), num_items=3
-        )
-        outcome = DuplicateRepairStage().apply(instance, config)
-        repaired = outcome.configuration
-        repaired.validate(instance)
-        assert repaired.max_subgroup_size() <= 1
-        assert repaired.assignment[:, 0].tolist() == [2, 1, 0]  # only slot 1 moved
-        assert outcome.info["repaired_units"] == 1
 
     def test_greedy_complete_names_the_unit_when_no_move_helps(self):
         """User 1 can take only item 2 at slot 2, and its holder has every other item."""
