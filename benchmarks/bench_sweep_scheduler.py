@@ -17,7 +17,17 @@ the same, so workers claim the groups in value order.  The pool holds
 ``min(workers, values)`` processes.
 
 Acceptance properties asserted on a Figure-5-style sweep whose largest
-instance is ~6x the next value:
+value, n=1080, is 8-11x the next one, with four repetitions per value.
+The heavy value's jobs are what make the sweep heterogeneous, so they
+must stay heavy as the solvers get faster.  With LP_SIMP solved by column
+pricing an n=1080, m=100 job takes ~1.8 s and an n=100 job ~0.1-0.2 s
+(2-CPU host): the chunked worker grinds four heavy jobs back to back
+while stealing runs them two by two, and each leg lasts seconds, so
+neither the pools' start-up (~0.3 s) nor a slow second decides the ratio.
+The sweep used to end at n=360 with two repetitions; once pricing cut
+those jobs to ~0.4 s the speed-up fell into that noise.  A larger n is
+no better: two concurrent n=1800 jobs slow each other down, and such a
+sweep read 1.13-1.44x.
 
 * **Equivalence** — the work-stealing row table matches the chunked one
   exactly (every column except wall-clock ``seconds``): dynamic claiming
@@ -104,9 +114,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        values, num_items, repetitions = [60, 80, 100, 360], 100, 2
+        values, num_items, repetitions = [60, 80, 100, 1080], 100, 4
     else:
-        values, num_items, repetitions = [60, 80, 100, 140, 360], 120, 2
+        values, num_items, repetitions = [60, 80, 100, 140, 1080], 120, 4
 
     factory = InstanceSweepFactory(
         dataset="timik", vary="n", num_items=num_items, num_slots=3

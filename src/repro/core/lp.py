@@ -22,6 +22,20 @@ per-slot relaxation, whose slot utility factors are recovered as
 With ``prune_items=False`` both give every user the full item list and so
 return bit-identical solutions.
 
+Those lists are the *universe*: the LP is solved over them, and
+``candidate_item_ids`` names their items.  An uncapped LP_SIMP is not
+assembled over the universe, though.  It starts from the *start lists*,
+each user's top ``k + 2`` universe items by :func:`candidate_scores`, and
+grows by certified column pricing (:class:`_ColumnPricer`) on one warm
+HiGHS session inside one :func:`repro.solvers.linprog.linprog` call: after
+each run, every universe cell whose reduced-cost bound is positive gets its
+``x`` column, with the ``y`` columns and rows it completes, until none
+does.  The optimum is then the universe model's, on about a third of its
+columns at the solve-ls shape.  The start is the universe itself, and the
+LP one solve of the universe model, when the cap rows bind, when the HiGHS
+binding is not in use (its fallback has no duals), or when every universe
+list already holds at most ``k + 2`` items (default ``"sparse"``).
+
 ``"full"`` is separate: the straightforward relaxation ``LP_SVGIC`` with
 per-slot variables ``x[u,c,s]`` and ``y[e,c,s]`` (O((n+|E|)·m·k)) over the
 global candidate set — the paper's ALP ablation (Figure 7).
@@ -44,6 +58,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.sparse import (
@@ -51,8 +66,9 @@ from repro.core.sparse import (
     per_user_candidate_lists,
     uniform_candidate_lists,
 )
+from repro.solvers import linprog as linprog_module
 from repro.solvers.assembly import csr_row_ids, stack_rows
-from repro.solvers.linprog import LinearProgram
+from repro.solvers.linprog import LinearProgram, LPResult, PricedColumns
 
 
 @dataclass
@@ -198,9 +214,8 @@ def solve_lp_relaxation(
         indptr, indices = _candidate_lists(
             instance, formulation, prune_items, max_candidate_items, enforce_size_constraint
         )
-        result = _build_sparse(instance, indptr, indices, enforce_size_constraint).solve()
+        result, compact = _solve_simp(instance, indptr, indices, enforce_size_constraint)
         items = np.unique(indices)
-        compact = _decode_sparse(instance, indptr, indices, result.values)
         # Broadcast view (read-only): x*[u,c,s] = x̄[u,c] / k for every slot.
         slot = np.broadcast_to(
             (compact / instance.num_slots)[:, :, None],
@@ -248,7 +263,7 @@ def _candidate_lists(
     elif max_candidate_items is not None:
         per_user = int(max_candidate_items)
     else:
-        per_user = instance.num_slots + 2
+        per_user = instance.num_slots + _START_EXTRA  # so default lists are never priced
     indptr, indices = per_user_candidate_lists(instance, per_user_items=per_user)
     if _cap_binds(instance, enforce_size_constraint):
         return cap_feasible_lists(instance, indptr, indices)
@@ -402,13 +417,196 @@ def _build_sparse(
 
 
 def _decode_sparse(
-    instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray
+    instance: SVGICInstance, users: np.ndarray, items: np.ndarray, x_values: np.ndarray
 ) -> np.ndarray:
-    """``(n, m)`` compact factors scattered back from the CSR-ordered x block."""
+    """``(n, m)`` compact factors: each ``x`` value scattered to its ``(user, item)`` cell."""
     compact = np.zeros((instance.num_users, instance.num_items), dtype=float)
-    num_x = int(indptr[-1])
-    compact[csr_row_ids(indptr), indices] = np.clip(values[:num_x], 0.0, 1.0)
+    compact[users, items] = np.clip(x_values, 0.0, 1.0)
     return compact
+
+
+# --------------------------------------------------------------------------- #
+# Certified column pricing of uncapped LP_SIMP
+# --------------------------------------------------------------------------- #
+#: A user's start list holds its top ``k + _START_EXTRA`` universe items
+#: (as many as a default ``"sparse"`` list holds).
+_START_EXTRA = 2
+#: A missing ``x`` prices in when its reduced-cost bound exceeds this.
+_PRICE_TOLERANCE = 1e-9
+
+
+def _solve_simp(
+    instance: SVGICInstance,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    enforce_size_constraint: bool,
+) -> Tuple[LPResult, np.ndarray]:
+    """LP_SIMP's optimum over the universe lists ``(indptr, indices)``; ``(result, compact factors)``.
+
+    Priced from :func:`_start_lists` by a :class:`_ColumnPricer` on one
+    warm HiGHS session; one solve of the universe model itself when the
+    cap rows bind, the HiGHS binding is not in use (read at call time), or
+    the start lists are the universe.
+    """
+    start = None
+    # The fallback solver has no duals: price only on the HiGHS binding.
+    if not _cap_binds(instance, enforce_size_constraint) and linprog_module._highs is not None:
+        start = _start_lists(instance, indptr, indices)
+    if start is None:
+        result = _build_sparse(instance, indptr, indices, enforce_size_constraint).solve()
+        x_cells = (csr_row_ids(indptr), indices, slice(0, int(indptr[-1])))
+    else:
+        program = _build_sparse(instance, *start, enforce_size_constraint)
+        pricer = _ColumnPricer(instance, (indptr, indices), start, program)
+        result = program.solve(price=pricer)
+        x_cells = pricer.x_cells()
+    users, items, columns = x_cells
+    return result, _decode_sparse(instance, users, items, result.values[columns])
+
+
+def _start_lists(
+    instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Each user's top ``k + 2`` universe items by :func:`candidate_scores`; ``None`` if that is all.
+
+    Ties go to lower item ids, as in
+    :func:`repro.core.sparse.per_user_candidate_lists`.  The lists depend
+    on the universe lists and the scores alone, so two list policies that
+    give the same universe price the same model.
+    """
+    size = instance.num_slots + _START_EXTRA
+    lengths = np.diff(indptr)
+    if lengths.max() <= size:
+        return None
+    users = csr_row_ids(indptr)
+    scores = candidate_scores(instance)[users, indices]
+    order = np.lexsort((indices, -scores, users))  # user-major, so each user keeps its CSR slice
+    rank = np.arange(indices.size) - np.repeat(indptr[:-1], lengths)
+    keep = np.sort(order[rank < size])
+    start_indptr = np.concatenate([[0], np.cumsum(np.minimum(lengths, size))]).astype(np.int64)
+    return start_indptr, indices[keep]
+
+
+class _ColumnPricer:
+    """Certified column pricing of uncapped LP_SIMP: a :func:`~repro.solvers.linprog.linprog` ``price``.
+
+    The model starts as :func:`_build_sparse` over the start lists.  After
+    each solve, every universe cell ``(u, c)`` that ``u`` does not yet hold
+    scores ``(1-λ)·p(u,c) + λ·Σ_{pairs e∋u} w(e,c) − π_u``, with ``π_u``
+    the dual of ``u``'s assignment row in the maximization sense.  Every
+    cell scoring above :data:`_PRICE_TOLERANCE` gets its ``x`` column (a 1
+    in ``u``'s assignment row); then every positive-weight (pair, item)
+    cell whose endpoints now both hold the item gets its ``y`` column
+    (objective ``λ·w``) and its rows ``y - x_u <= 0`` and ``y - x_v <= 0``.
+    So every round's model is LP_SIMP over the lists held so far.
+
+    When nothing scores above the tolerance, charging each missing ``y``'s
+    whole weight to an endpoint that lacks the item extends the duals to a
+    feasible dual of LP_SIMP over the universe lists, so the last solve is
+    that LP's optimum.  Every round adds a column of a finite universe, so
+    the loop ends; at worst the model grows into the universe model.
+    """
+
+    def __init__(
+        self,
+        instance: SVGICInstance,
+        universe: Tuple[np.ndarray, np.ndarray],
+        start: Tuple[np.ndarray, np.ndarray],
+        program: LinearProgram,
+    ) -> None:
+        n, m = instance.num_users, instance.num_items
+        lam = instance.social_weight
+        self._instance = instance
+        pairs, weights = instance.pairs, instance.pair_social
+        # The most holding (u, c) can pay: its own term and every pair weight on c.
+        self._reach = (1.0 - lam) * instance.preference
+        for side in (0, 1):
+            np.add.at(self._reach, pairs[:, side], lam * weights)
+        self._universe = np.zeros((n, m), dtype=bool)
+        self._universe[csr_row_ids(universe[0]), universe[1]] = True
+        start_users, start_items = csr_row_ids(start[0]), start[1]
+        self._held = np.zeros((n, m), dtype=bool)
+        self._held[start_users, start_items] = True
+        self._column_of = np.full((n, m), -1, dtype=np.int64)
+        self._column_of[start_users, start_items] = np.arange(start_items.size)
+        self._pair_idx, self._item_idx = np.nonzero(weights > 0)
+        num_ub = 0 if program.a_ub is None else program.a_ub.shape[0]
+        # linprog lays out A_ub's rows, then A_eq's: the n assignment rows.
+        self._assignment_rows = num_ub + np.arange(n)
+        self._num_columns = program.num_variables
+        self._num_rows = num_ub + n
+        self._x_cells = [(start_users, start_items, np.arange(start_items.size))]
+
+    def _both_hold(self) -> np.ndarray:
+        """Whether both endpoints of each positive-weight (pair, item) cell hold its item."""
+        pairs, items = self._instance.pairs[self._pair_idx], self._item_idx
+        return self._held[pairs[:, 0], items] & self._held[pairs[:, 1], items]
+
+    def __call__(self, row_duals: np.ndarray) -> Optional[PricedColumns]:
+        dual = -row_duals[self._assignment_rows]  # linprog minimizes: negate for π_u
+        users, items = np.nonzero(
+            self._universe & ~self._held & (self._reach - dual[:, None] > _PRICE_TOLERANCE)
+        )
+        if users.size == 0:
+            return None
+        instance, lam = self._instance, self._instance.social_weight
+        had_y = self._both_hold()
+        self._held[users, items] = True
+        cells = np.flatnonzero(self._both_hold() & ~had_y)
+
+        num_x, num_y = users.size, cells.size
+        x_columns = self._num_columns + np.arange(num_x)
+        y_columns = self._num_columns + num_x + np.arange(num_y)
+        self._column_of[users, items] = x_columns
+        self._x_cells.append((users, items, x_columns))
+        pair_idx, item_idx = self._pair_idx[cells], self._item_idx[cells]
+        c = -np.concatenate(
+            [
+                (1.0 - lam) * instance.preference[users, items],
+                lam * instance.pair_social[pair_idx, item_idx],
+            ]
+        )
+        # Each new x has a 1 in its user's assignment row; a new y has no old row.
+        entries = sparse.csc_matrix(
+            (
+                np.ones(num_x),
+                self._assignment_rows[users],
+                np.concatenate([np.arange(num_x + 1), np.full(num_y, num_x)]),
+            ),
+            shape=(self._num_rows, num_x + num_y),
+        )
+        self._num_columns += num_x + num_y
+        a_ub = b_ub = None
+        if num_y:
+            # Rows 2t and 2t+1: y_t - x_u <= 0 and y_t - x_v <= 0.
+            pairs = instance.pairs[pair_idx]
+            x_u = self._column_of[pairs[:, 0], item_idx]
+            x_v = self._column_of[pairs[:, 1], item_idx]
+            columns = np.stack(
+                [np.column_stack([x_u, y_columns]), np.column_stack([x_v, y_columns])], axis=1
+            )
+            a_ub = sparse.csr_matrix(
+                (
+                    np.tile([-1.0, 1.0], 2 * num_y),
+                    columns.ravel(),
+                    np.arange(0, 4 * num_y + 1, 2),
+                ),
+                shape=(2 * num_y, self._num_columns),
+            )
+            b_ub = np.zeros(2 * num_y)
+            self._num_rows += 2 * num_y
+        return PricedColumns(
+            c=c,
+            bounds=np.tile([0.0, 1.0], (num_x + num_y, 1)),
+            entries=entries,
+            A_ub=a_ub,
+            b_ub=b_ub,
+        )
+
+    def x_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(users, items, columns)`` of every ``x`` column in the grown model."""
+        users, items, columns = zip(*self._x_cells)
+        return np.concatenate(users), np.concatenate(items), np.concatenate(columns)
 
 
 # --------------------------------------------------------------------------- #

@@ -6,8 +6,9 @@ the reproduction:
 
 * :mod:`repro.solvers.linprog` — :class:`LinearProgram`, the record of one
   finished maximization LP (objective, ``<=`` and ``==`` CSR blocks,
-  bounds), handed whole to HiGHS in one call through the binding SciPy
-  bundles (``scipy.optimize.linprog`` where that binding is missing).
+  bounds), handed to HiGHS in one call through the binding SciPy bundles
+  (``scipy.optimize.linprog`` where that binding is missing); the call can
+  grow the model by column generation, re-solving warm on one session.
 * :mod:`repro.solvers.milp` — :class:`MixedIntegerProgram`, the finished
   MILP record (one ``lhs <= A x <= rhs`` block plus integrality), solved
   with SciPy's HiGHS MILP solver under time-limit / gap-limit knobs (used to

@@ -14,7 +14,9 @@ The loops add one term at a time to a :class:`ModelRecorder`, whose
 :meth:`~ModelRecorder.finish` returns the same finished
 :class:`~repro.solvers.linprog.LinearProgram` /
 :class:`~repro.solvers.milp.MixedIntegerProgram` record the batched
-builders return.
+builders return.  :func:`simplified_lp_value` recomputes LP_SIMP's optimal
+value from a solution's compact factors, so a test can check a solve's
+factors against its objective.
 """
 
 from __future__ import annotations
@@ -224,6 +226,24 @@ def build_simplified_lp_reference(
                 lp.add_le_constraint([(x_var(u, ci), 1.0) for u in range(n)], cap)
 
     return lp.finish()
+
+
+def simplified_lp_value(instance: SVGICInstance, compact: np.ndarray) -> float:
+    """LP_SIMP's objective at compact factors ``compact``, each ``y`` at ``min(x_u, x_v)``.
+
+    At an optimal solution of LP_SIMP with ``lambda > 0`` every ``y`` on a
+    positive weight equals the smaller of its two ``x`` (a ``y`` on any
+    other weight adds nothing), so this is the LP's optimal value read from
+    its factors alone, whichever optimal vertex the solver returned.
+    """
+    lam = instance.social_weight
+    value = (1.0 - lam) * float(np.sum(instance.preference * compact))
+    for p, (u, v) in enumerate(instance.pairs):
+        for c in range(instance.num_items):
+            weight = instance.pair_social[p, c]
+            if weight > 0:
+                value += lam * weight * min(compact[u, c], compact[v, c])
+    return value
 
 
 def build_full_lp_reference(

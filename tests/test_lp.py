@@ -6,13 +6,25 @@ import numpy as np
 import pytest
 
 from repro.core.ip import solve_exact
-from repro.core.lp import candidate_items, solve_lp_relaxation, solve_lp_relaxations_stacked
+from repro.core.lp import (
+    _build_full,
+    _build_sparse,
+    _candidate_lists,
+    _candidate_selection,
+    _decode_full,
+    candidate_items,
+    solve_lp_relaxation,
+    solve_lp_relaxations_stacked,
+)
 from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.core.registry import run_registered
 from repro.core.svgic_st import size_violation_report
 from repro.data import datasets
 from repro.data.example_paper import paper_example_instance
 from repro.solvers import linprog as linprog_module
+from repro.solvers.assembly import csr_row_ids
+
+from oracles.assembly_reference import simplified_lp_value
 
 
 @pytest.fixture(scope="module")
@@ -176,26 +188,177 @@ class TestSTRelaxation:
         assert result.objective > 0
 
 
+def universe_solve(instance, formulation="simplified", prune_items=True, max_candidate_items=None):
+    """``(objective, compact factors)`` of the universe model, solved in one call."""
+    if formulation == "full":
+        items = _candidate_selection(instance, prune_items, max_candidate_items)
+        result = _build_full(instance, items, True).solve()
+        return result.objective, _decode_full(instance, items, result.values).sum(axis=2)
+    indptr, indices = _candidate_lists(instance, formulation, prune_items, max_candidate_items, True)
+    result = _build_sparse(instance, indptr, indices, True).solve()
+    compact = np.zeros((instance.num_users, instance.num_items))
+    compact[csr_row_ids(indptr), indices] = np.clip(result.values[: indptr[-1]], 0.0, 1.0)
+    return result.objective, compact
+
+
+def recording_linprog(monkeypatch):
+    """Wrap ``linprog``: each call's start columns, and what each of its pricing rounds added."""
+    calls = []
+    solve = linprog_module.linprog
+
+    def recorded(**kwargs):
+        rounds = []
+        calls.append((len(kwargs["c"]), rounds))
+        price = kwargs["price"]
+        if price is not None:
+
+            def recorded_price(row_duals):
+                priced = price(row_duals)
+                rounds.append(0 if priced is None else len(priced.c))
+                return priced
+
+            kwargs["price"] = recorded_price
+        return solve(**kwargs)
+
+    monkeypatch.setattr(linprog_module, "linprog", recorded)
+    return calls
+
+
 @pytest.mark.skipif(linprog_module._highs is None, reason="SciPy's HiGHS binding is not in use")
-class TestLinprogFallback:
-    """``scipy.optimize.linprog`` (no binding) solves every model as the direct HiGHS call does."""
+class TestColumnPricing:
+    """Uncapped LP_SIMP is priced from per-user start lists to the universe model's optimum."""
 
     @staticmethod
-    def _assert_same(direct, fallback):
-        assert len(direct) == len(fallback)
-        for ours, theirs in zip(direct, fallback):
-            assert ours.objective == theirs.objective
-            assert np.array_equal(ours.compact_factors, theirs.compact_factors)
-            assert np.array_equal(ours.slot_factors, theirs.slot_factors)
+    def _assert_factors(solution, instance):
+        # The factors alone give back the objective: this pins the decode of
+        # the grown columns to their (user, item) cells at any optimal vertex.
+        factors = solution.compact_factors
+        np.testing.assert_allclose(factors.sum(axis=1), instance.num_slots, atol=1e-9)
+        assert factors.min() >= 0.0 and factors.max() <= 1.0
+        assert simplified_lp_value(instance, factors) == pytest.approx(
+            solution.objective, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("dataset", ["timik", "epinions", "yelp"])
+    @pytest.mark.parametrize("social_weight", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize(
+        "formulation, settings",
+        [
+            ("simplified", {}),
+            ("simplified", {"prune_items": False}),
+            ("sparse", {"prune_items": False}),
+            ("simplified", {"max_candidate_items": 12}),
+            ("sparse", {"max_candidate_items": 8}),
+        ],
+        ids=["simplified", "simplified-unpruned", "sparse-unpruned", "simplified-max-12",
+             "sparse-max-8"],
+    )
+    def test_objective_equals_universe_solve(self, dataset, social_weight, formulation, settings):
+        instance = datasets.make_instance(
+            dataset, num_users=16, num_items=24, num_slots=3, social_weight=social_weight, seed=7
+        )
+        solution = solve_lp_relaxation(instance, formulation=formulation, **settings)
+        objective, _ = universe_solve(instance, formulation, **settings)
+        assert solution.objective == pytest.approx(objective, rel=1e-9)
+        self._assert_factors(solution, instance)
+
+    def test_edgeless_instance(self):
+        rng = np.random.default_rng(3)
+        instance = SVGICInstance(
+            num_users=6,
+            num_items=12,
+            num_slots=2,
+            social_weight=0.5,
+            preference=rng.uniform(size=(6, 12)),
+            edges=np.empty((0, 2), dtype=np.int64),
+            social=np.empty((0, 12)),
+            name="edgeless",
+        )
+        solution = solve_lp_relaxation(instance, prune_items=False)
+        objective, _ = universe_solve(instance, prune_items=False)
+        assert solution.objective == pytest.approx(objective, rel=1e-9)
+        self._assert_factors(solution, instance)
+
+    def test_solve_ls_shape_prices_on_one_session(self, monkeypatch):
+        instance = datasets.make_instance("timik", num_users=20, num_items=30, num_slots=3, seed=1)
+        lists = _candidate_lists(instance, "simplified", True, None, True)
+        universe_columns = _build_sparse(instance, *lists, True).num_variables
+        calls = recording_linprog(monkeypatch)
+        solution = solve_lp_relaxation(instance)
+        assert len(calls) == 1
+        start_columns, rounds = calls[0]
+        assert start_columns < universe_columns
+        assert rounds[-1] == 0 and all(added > 0 for added in rounds[:-1]) and len(rounds) > 1
+        objective, _ = universe_solve(instance)
+        assert solution.objective == pytest.approx(objective, rel=1e-9)
+        self._assert_factors(solution, instance)
+        np.testing.assert_array_equal(solution.candidate_item_ids, np.unique(lists[1]))
+
+    @pytest.mark.parametrize(
+        "formulation, capped",
+        [("simplified", True), ("sparse", True), ("sparse", False), ("full", False)],
+        ids=["st-capped-simplified", "st-capped-sparse", "sparse", "full"],
+    )
+    def test_unpriced_solve_is_the_universe_solve(self, monkeypatch, formulation, capped):
+        shape = dict(num_users=12, num_items=20, num_slots=3, seed=4)
+        if capped:  # M * k = 9 < n = 12
+            instance = datasets.make_st_instance("timik", max_subgroup_size=3, **shape)
+        else:
+            instance = datasets.make_instance("timik", **shape)
+        objective, compact = universe_solve(instance, formulation)
+        calls = recording_linprog(monkeypatch)
+        solution = solve_lp_relaxation(instance, formulation=formulation)
+        assert [rounds for _, rounds in calls] == [[]]
+        assert solution.objective == objective
+        assert np.array_equal(solution.compact_factors, compact)
+
+
+@pytest.mark.parametrize("formulation", ["simplified", "sparse", "full"])
+@pytest.mark.parametrize("prune_items", [True, False])
+def test_no_pricing_without_the_binding(monkeypatch, formulation, prune_items):
+    """With ``_highs`` set to ``None`` at call time, every solve is one universe solve."""
+    monkeypatch.setattr(linprog_module, "_highs", None)
+    instance = datasets.make_instance("timik", num_users=12, num_items=20, num_slots=3, seed=5)
+    objective, compact = universe_solve(instance, formulation, prune_items=prune_items)
+    solution = solve_lp_relaxation(instance, formulation=formulation, prune_items=prune_items)
+    assert solution.objective == objective
+    assert np.array_equal(solution.compact_factors, compact)
+
+
+@pytest.mark.skipif(linprog_module._highs is None, reason="SciPy's HiGHS binding is not in use")
+class TestLinprogFallback:
+    """``scipy.optimize.linprog`` (no binding) solves every model as the direct HiGHS call does.
+
+    Without the binding nothing is priced: the fallback solves the universe
+    model.  Where the direct path prices, it solves a restricted model whose
+    vertex is the fallback's only when the optimum is unique, so those
+    cases compare objectives at 1e-9 and check both solutions' factors.
+    """
+
+    @staticmethod
+    def _assert_same(direct, fallback, instance, priced):
+        if not priced:
+            assert direct.objective == fallback.objective
+            assert np.array_equal(direct.compact_factors, fallback.compact_factors)
+            assert np.array_equal(direct.slot_factors, fallback.slot_factors)
+            return
+        assert direct.objective == pytest.approx(fallback.objective, rel=1e-9)
+        for solution in (direct, fallback):
+            factors = solution.compact_factors
+            np.testing.assert_allclose(factors.sum(axis=1), instance.num_slots, atol=1e-9)
+            assert factors.min() >= 0.0 and factors.max() <= 1.0
+            assert simplified_lp_value(instance, factors) == pytest.approx(
+                solution.objective, rel=1e-9
+            )
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
-        "formulation, capped",
-        [("simplified", False), ("sparse", False), ("full", False),
-         ("simplified", True), ("sparse", True)],
+        "formulation, capped, priced",
+        [("simplified", False, True), ("sparse", False, False), ("full", False, False),
+         ("simplified", True, False), ("sparse", True, False)],
         ids=["simplified", "sparse", "full", "st-capped-simplified", "st-capped-sparse"],
     )
-    def test_same_solution(self, monkeypatch, seed, formulation, capped):
+    def test_same_solution(self, monkeypatch, seed, formulation, capped, priced):
         shape = dict(num_users=12, num_items=20, num_slots=3, seed=seed)
         if capped:  # M * k = 9 < n = 12: LP_SIMP gets the aggregate cap rows
             instance = datasets.make_st_instance("timik", max_subgroup_size=3, **shape)
@@ -204,7 +367,7 @@ class TestLinprogFallback:
         direct = solve_lp_relaxation(instance, formulation=formulation)
         monkeypatch.setattr(linprog_module, "_highs", None)
         fallback = solve_lp_relaxation(instance, formulation=formulation)
-        self._assert_same([direct], [fallback])
+        self._assert_same(direct, fallback, instance, priced)
 
     def test_same_block_diagonal_batch(self, monkeypatch):
         instances = [
@@ -213,4 +376,7 @@ class TestLinprogFallback:
         ]
         direct = solve_lp_relaxations_stacked(instances)
         monkeypatch.setattr(linprog_module, "_highs", None)
-        self._assert_same(direct, solve_lp_relaxations_stacked(instances))
+        fallback = solve_lp_relaxations_stacked(instances)
+        assert len(direct) == len(fallback) == len(instances)
+        for instance, ours, theirs in zip(instances, direct, fallback):
+            self._assert_same(ours, theirs, instance, priced=True)

@@ -11,7 +11,7 @@ from repro.core.avg_d import run_avg_d
 from repro.core.configuration import UNASSIGNED, SAVGConfiguration
 from repro.core.greedy import greedy_complete, top_k_preference_configuration
 from repro.core.ip import _build_program_sparse
-from repro.core.lp import _build_sparse, candidate_items, solve_lp_relaxation
+from repro.core.lp import _build_sparse, _candidate_lists, candidate_items, solve_lp_relaxation
 from repro.core.objective import DeltaEvaluator, evaluate, per_user_utility, total_utility
 from repro.core.pipeline import LocalSearchImprover
 from repro.core.problem import SVGICInstance, SVGICSTInstance
@@ -277,6 +277,20 @@ class TestSingleAssembler:
         sparse = solve_lp_relaxation(instance, formulation="sparse", prune_items=False)
         np.testing.assert_array_equal(simplified.compact_factors, sparse.compact_factors)
         assert simplified.objective == sparse.objective
+
+    @settings(**SETTINGS)
+    @given(assembly_instances(max_users=8, max_items=10), st.booleans())
+    def test_priced_lp_equals_universe_solve(self, instance, prune):
+        # Uncapped LP_SIMP is priced from per-user start lists; the certified
+        # optimum is the universe model's (a capped one is that model).
+        lists = _candidate_lists(instance, "simplified", prune, None, True)
+        universe = _build_sparse(instance, *lists, True).solve()
+        priced = solve_lp_relaxation(instance, prune_items=prune)
+        assert priced.objective == pytest.approx(universe.objective, rel=1e-9, abs=1e-12)
+        # The priced factors give back that objective: the decode puts every
+        # grown column's value on its own (user, item) cell.
+        value = oracle.simplified_lp_value(instance, priced.compact_factors)
+        assert value == pytest.approx(priced.objective, rel=1e-9, abs=1e-12)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from scipy import sparse
 from repro.solvers import linprog as linprog_module
 from repro.solvers.assembly import stack_rows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver
-from repro.solvers.linprog import LinearProgram, LPError
+from repro.solvers.linprog import LinearProgram, LPError, PricedColumns
 from repro.solvers.milp import MixedIntegerProgram
 
 
@@ -64,6 +64,12 @@ class TestLinearProgram:
         lp = LinearProgram(np.ones(2), a_ub=[[1e16, 1.0]], b_ub=[1.0])
         with pytest.raises(LPError, match="Model error"):
             lp.solve()
+
+    def test_fallback_refuses_a_pricer(self, monkeypatch):
+        monkeypatch.setattr(linprog_module, "_highs", None)
+        lp = LinearProgram(np.ones(1))
+        with pytest.raises(ValueError, match="cannot price"):
+            lp.solve(price=lambda row_duals: None)
 
     def test_repeated_entries_are_summed(self, solver_path):
         # Row 0 holds column 0 twice: 0.5 x0 + 0.5 x0 + x1 <= 1.
@@ -191,6 +197,91 @@ class TestBindingSolutionCheck:
         else:
             expected = [0.75 + shift * (field == "col_value" and i == index) for i in range(2)]
             np.testing.assert_array_equal(lp.solve().values, expected)
+
+
+@pytest.mark.skipif(linprog_module._highs is None, reason="needs SciPy's HiGHS binding")
+class TestPricing:
+    """``linprog``'s column generation on one HiGHS session."""
+
+    # min -x0 s.t. x0 <= 2 (row 0), x0 == 1 (row 1), 0 <= x0 <= 2: x0 is basic,
+    # so row 1's dual is -1.  x1 prices in with cost -2.
+    START = dict(
+        a_ub=[[1.0]], b_ub=[2.0], a_eq=[[1.0]], b_eq=[1.0], upper_bounds=np.full(1, 2.0)
+    )
+
+    @staticmethod
+    def _column_x1(num_rows, row=None):
+        """x1 (cost -2, bounds [0, 1]) with a 1 in row 1, plus ``row`` over (x0, x1) if given."""
+        entries = sparse.csc_matrix(([1.0], [1], [0, 1]), shape=(num_rows, 1))
+        if row is None:
+            return PricedColumns(c=np.array([-2.0]), bounds=np.array([[0.0, 1.0]]), entries=entries)
+        coefficients, rhs = row
+        return PricedColumns(
+            c=np.array([-2.0]),
+            bounds=np.array([[0.0, 1.0]]),
+            entries=entries,
+            A_ub=sparse.csr_matrix([coefficients]),
+            b_ub=np.array([rhs]),
+        )
+
+    def test_rounds_see_every_row_and_the_result_every_column(self):
+        seen = []
+
+        def price(row_duals):
+            seen.append(np.array(row_duals))
+            if len(seen) == 1:  # x0 + x1 == 1 and x1 <= 0.75 (row 2)
+                return self._column_x1(2, row=([0.0, 1.0], 0.75))
+            return None
+
+        # max x0 (+ 2 x1 once priced in); linprog minimizes its negation.
+        result = LinearProgram(np.ones(1), **self.START).solve(price=price)
+        assert [duals.shape for duals in seen] == [(2,), (3,)]
+        assert seen[0][1] == pytest.approx(-1.0)  # the == row's dual, minimization sense
+        np.testing.assert_allclose(result.values, [0.25, 0.75])
+        assert result.objective == pytest.approx(1.75)
+
+    @pytest.mark.parametrize(
+        "row, status",
+        [(None, "Unbounded"), (([-1.0, 0.0], -2.0), "Infeasible")],
+        ids=["unbounded", "infeasible"],
+    )
+    def test_a_warm_round_raises_as_the_first(self, row, status):
+        def price(row_duals):
+            if len(row_duals) > 2:
+                return None
+            priced = self._column_x1(2, row)
+            if row is None:  # no upper bound on x1, and no row holds it back
+                return PricedColumns(
+                    c=priced.c,
+                    bounds=np.array([[0.0, np.inf]]),
+                    entries=sparse.csc_matrix((2, 1)),
+                )
+            return priced  # -x0 <= -2, so x1 = 1 - x0 < 0
+
+        with pytest.raises(LPError, match=f"LP solve failed: {status}"):
+            LinearProgram(np.ones(1), **self.START).solve(price=price)
+
+    def test_rejects_columns_that_do_not_fit_the_model(self):
+        lp = LinearProgram(np.ones(1), **self.START)
+        with pytest.raises(ValueError, match="priced columns"):
+            lp.solve(price=lambda row_duals: self._column_x1(3))
+
+
+@pytest.mark.parametrize("method", ["addCols", "addRows"])
+def test_binding_refusing_a_pricing_call_falls_back(monkeypatch, method):
+    """A binding whose ``addCols`` or ``addRows`` refuses the call pricing makes is not used."""
+    import scipy.optimize._highspy as highspy
+
+    binding = linprog_module._highs or pytest.skip("SciPy's HiGHS binding is not in use")
+
+    def refuse(self, *args):
+        raise TypeError(f"{method}(): incompatible function arguments")
+
+    Session = type("Session", (binding._Highs,), {method: refuse})
+    names = ("HighsModelStatus", "HighsStatus", "MatrixFormat", "ObjSense")
+    fake = SimpleNamespace(_Highs=Session, **{name: getattr(binding, name) for name in names})
+    monkeypatch.setattr(highspy, "_core", fake)
+    assert linprog_module._bundled_highs() is None
 
 
 def test_binding_without_pointer_form_pass_model_falls_back(monkeypatch):
