@@ -23,18 +23,21 @@ With ``prune_items=False`` both give every user the full item list and so
 return bit-identical solutions.
 
 Those lists are the *universe*: the LP is solved over them, and
-``candidate_item_ids`` names their items.  An uncapped LP_SIMP is not
-assembled over the universe, though.  It starts from the *start lists*,
-each user's top ``k + 2`` universe items by :func:`candidate_scores`, and
-grows by certified column pricing (:class:`_ColumnPricer`) on one warm
+``candidate_item_ids`` names their items.  LP_SIMP is not assembled over
+the universe, though.  It starts from the *start lists*, each user's top
+``k + 2`` universe items by :func:`candidate_scores` (under the SVGIC-ST
+cap rows, made feasible by :func:`repro.core.sparse.cap_feasible_lists`),
+and grows by certified column pricing (:class:`_ColumnPricer`) on one warm
 HiGHS session inside one :func:`repro.solvers.linprog.linprog` call: after
 each run, every universe cell whose reduced-cost bound is positive gets its
-``x`` column, with the ``y`` columns and rows it completes, until none
-does.  The optimum is then the universe model's, on about a third of its
-columns at the solve-ls shape.  The start is the universe itself, and the
-LP one solve of the universe model, when the cap rows bind, when the HiGHS
-binding is not in use (its fallback has no duals), or when every universe
-list already holds at most ``k + 2`` items (default ``"sparse"``).
+``x`` column, with the ``y`` columns and rows it completes and, for an
+item's first column, its cap row, until none does.  The optimum is then the
+universe model's, on about a third of its columns at the solve-ls shape.
+The LP is one solve of the universe model when the HiGHS binding is not in
+use (its fallback has no duals), or when the start is not a smaller part
+of the universe: default ``"sparse"`` lists are their own start (padded
+for the cap, they pad to the same shared set), and a padded start can
+leave a pruned ``"simplified"`` universe.
 
 ``"full"`` is separate: the straightforward relaxation ``LP_SVGIC`` with
 per-slot variables ``x[u,c,s]`` and ``y[e,c,s]`` (O((n+|E|)·m·k)) over the
@@ -426,7 +429,7 @@ def _decode_sparse(
 
 
 # --------------------------------------------------------------------------- #
-# Certified column pricing of uncapped LP_SIMP
+# Certified column pricing of LP_SIMP
 # --------------------------------------------------------------------------- #
 #: A user's start list holds its top ``k + _START_EXTRA`` universe items
 #: (as many as a default ``"sparse"`` list holds).
@@ -445,19 +448,20 @@ def _solve_simp(
 
     Priced from :func:`_start_lists` by a :class:`_ColumnPricer` on one
     warm HiGHS session; one solve of the universe model itself when the
-    cap rows bind, the HiGHS binding is not in use (read at call time), or
-    the start lists are the universe.
+    HiGHS binding is not in use (read at call time) or there is no start
+    smaller than the universe.
     """
+    capped = _cap_binds(instance, enforce_size_constraint)
     start = None
     # The fallback solver has no duals: price only on the HiGHS binding.
-    if not _cap_binds(instance, enforce_size_constraint) and linprog_module._highs is not None:
-        start = _start_lists(instance, indptr, indices)
+    if linprog_module._highs is not None:
+        start = _start_lists(instance, indptr, indices, capped)
     if start is None:
         result = _build_sparse(instance, indptr, indices, enforce_size_constraint).solve()
         x_cells = (csr_row_ids(indptr), indices, slice(0, int(indptr[-1])))
     else:
         program = _build_sparse(instance, *start, enforce_size_constraint)
-        pricer = _ColumnPricer(instance, (indptr, indices), start, program)
+        pricer = _ColumnPricer(instance, (indptr, indices), start, program, capped)
         result = program.solve(price=pricer)
         x_cells = pricer.x_cells()
     users, items, columns = x_cells
@@ -465,14 +469,17 @@ def _solve_simp(
 
 
 def _start_lists(
-    instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray
+    instance: SVGICInstance, indptr: np.ndarray, indices: np.ndarray, capped: bool
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Each user's top ``k + 2`` universe items by :func:`candidate_scores`; ``None`` if that is all.
 
     Ties go to lower item ids, as in
     :func:`repro.core.sparse.per_user_candidate_lists`.  The lists depend
     on the universe lists and the scores alone, so two list policies that
-    give the same universe price the same model.
+    give the same universe price the same model.  Under the cap rows
+    (``capped``) the lists pass through :func:`cap_feasible_lists`, which
+    keeps them or pads every list with one shared item set; ``None`` too if
+    the padded lists leave the universe or hold all of it.
     """
     size = instance.num_slots + _START_EXTRA
     lengths = np.diff(indptr)
@@ -484,27 +491,40 @@ def _start_lists(
     rank = np.arange(indices.size) - np.repeat(indptr[:-1], lengths)
     keep = np.sort(order[rank < size])
     start_indptr = np.concatenate([[0], np.cumsum(np.minimum(lengths, size))]).astype(np.int64)
-    return start_indptr, indices[keep]
+    start = start_indptr, indices[keep]
+    if not capped:
+        return start
+    start = cap_feasible_lists(instance, *start)
+    m = np.int64(instance.num_items)
+    keys = csr_row_ids(start[0]) * m + start[1]
+    if keys.size >= indices.size or not np.isin(keys, users * m + indices).all():
+        return None
+    return start
 
 
 class _ColumnPricer:
-    """Certified column pricing of uncapped LP_SIMP: a :func:`~repro.solvers.linprog.linprog` ``price``.
+    """Certified column pricing of LP_SIMP: a :func:`~repro.solvers.linprog.linprog` ``price``.
 
     The model starts as :func:`_build_sparse` over the start lists.  After
     each solve, every universe cell ``(u, c)`` that ``u`` does not yet hold
-    scores ``(1-λ)·p(u,c) + λ·Σ_{pairs e∋u} w(e,c) − π_u``, with ``π_u``
-    the dual of ``u``'s assignment row in the maximization sense.  Every
-    cell scoring above :data:`_PRICE_TOLERANCE` gets its ``x`` column (a 1
-    in ``u``'s assignment row); then every positive-weight (pair, item)
-    cell whose endpoints now both hold the item gets its ``y`` column
-    (objective ``λ·w``) and its rows ``y - x_u <= 0`` and ``y - x_v <= 0``.
-    So every round's model is LP_SIMP over the lists held so far.
+    scores ``(1-λ)·p(u,c) + λ·Σ_{pairs e∋u} w(e,c) − π_u − ν_c``, with
+    ``π_u`` the dual of ``u``'s assignment row and ``ν_c`` that of ``c``'s
+    cap row ``Σ_u x̄[u, c] <= M·k`` (0 without the cap, or while ``c`` has
+    no column), in the maximization sense.  Every cell scoring above
+    :data:`_PRICE_TOLERANCE` gets its ``x`` column (a 1 in ``u``'s
+    assignment row and in ``c``'s cap row); an item's first columns come
+    with its cap row, over just those columns.  Then every positive-weight
+    (pair, item) cell whose endpoints now both hold the item gets its ``y``
+    column (objective ``λ·w``) and its rows ``y - x_u <= 0`` and
+    ``y - x_v <= 0``.  So every round's model is LP_SIMP over the lists
+    held so far.
 
     When nothing scores above the tolerance, charging each missing ``y``'s
-    whole weight to an endpoint that lacks the item extends the duals to a
-    feasible dual of LP_SIMP over the universe lists, so the last solve is
-    that LP's optimum.  Every round adds a column of a finite universe, so
-    the loop ends; at worst the model grows into the universe model.
+    whole weight to an endpoint that lacks the item, and giving each
+    missing cap row a zero dual, extends the duals to a feasible dual of
+    LP_SIMP over the universe lists, so the last solve is that LP's
+    optimum.  Every round adds a column of a finite universe, so the loop
+    ends; at worst the model grows into the universe model.
     """
 
     def __init__(
@@ -513,6 +533,7 @@ class _ColumnPricer:
         universe: Tuple[np.ndarray, np.ndarray],
         start: Tuple[np.ndarray, np.ndarray],
         program: LinearProgram,
+        capped: bool,
     ) -> None:
         n, m = instance.num_users, instance.num_items
         lam = instance.social_weight
@@ -533,6 +554,13 @@ class _ColumnPricer:
         num_ub = 0 if program.a_ub is None else program.a_ub.shape[0]
         # linprog lays out A_ub's rows, then A_eq's: the n assignment rows.
         self._assignment_rows = num_ub + np.arange(n)
+        # M·k under the cap rows, else None; each item's cap row, -1 while it
+        # has none: _build_sparse ends A_ub with one per start item, in item order.
+        self._cap = float(instance.max_subgroup_size * instance.num_slots) if capped else None
+        self._cap_rows = np.full(m, -1, dtype=np.int64)
+        if capped:
+            opened = np.unique(start_items)
+            self._cap_rows[opened] = num_ub - opened.size + np.arange(opened.size)
         self._num_columns = program.num_variables
         self._num_rows = num_ub + n
         self._x_cells = [(start_users, start_items, np.arange(start_items.size))]
@@ -543,10 +571,12 @@ class _ColumnPricer:
         return self._held[pairs[:, 0], items] & self._held[pairs[:, 1], items]
 
     def __call__(self, row_duals: np.ndarray) -> Optional[PricedColumns]:
-        dual = -row_duals[self._assignment_rows]  # linprog minimizes: negate for π_u
-        users, items = np.nonzero(
-            self._universe & ~self._held & (self._reach - dual[:, None] > _PRICE_TOLERANCE)
-        )
+        # linprog minimizes, so its duals are -π_u and -ν_c (ν_c = 0 while c
+        # has no cap row): add them.
+        score = self._reach + row_duals[self._assignment_rows][:, None]
+        opened = np.flatnonzero(self._cap_rows >= 0)
+        score[:, opened] += row_duals[self._cap_rows[opened]]
+        users, items = np.nonzero(self._universe & ~self._held & (score > _PRICE_TOLERANCE))
         if users.size == 0:
             return None
         instance, lam = self._instance, self._instance.social_weight
@@ -566,35 +596,55 @@ class _ColumnPricer:
                 lam * instance.pair_social[pair_idx, item_idx],
             ]
         )
-        # Each new x has a 1 in its user's assignment row; a new y has no old row.
+        # Each new x has a 1 in its user's assignment row and, if its item has
+        # one, in its cap row (rows ascending, -1 first where it has none); a
+        # new y has no old row.
+        cap_rows = self._cap_rows[items]
+        x_rows = np.sort(np.column_stack([self._assignment_rows[users], cap_rows]), axis=1)
+        x_kept = np.column_stack([cap_rows >= 0, np.ones(num_x, dtype=bool)])
+        x_entries = np.cumsum(x_kept.sum(axis=1))
         entries = sparse.csc_matrix(
             (
-                np.ones(num_x),
-                self._assignment_rows[users],
-                np.concatenate([np.arange(num_x + 1), np.full(num_y, num_x)]),
+                np.ones(x_entries[-1]),
+                x_rows[x_kept],
+                np.concatenate([[0], x_entries, np.full(num_y, x_entries[-1])]),
             ),
             shape=(self._num_rows, num_x + num_y),
         )
         self._num_columns += num_x + num_y
+        # Rows 2t and 2t+1: y_t - x_u <= 0 and y_t - x_v <= 0; then, under the
+        # cap, the cap row of each item whose first columns these are.
+        pairs = instance.pairs[pair_idx]
+        x_u = self._column_of[pairs[:, 0], item_idx]
+        x_v = self._column_of[pairs[:, 1], item_idx]
+        row_columns = [
+            np.stack([np.column_stack([x_u, y_columns]), np.column_stack([x_v, y_columns])], axis=1)
+        ]
+        row_lengths = [np.full(2 * num_y, 2)]
+        rhs = [np.zeros(2 * num_y)]
+        opening = np.flatnonzero(cap_rows < 0) if self._cap is not None else []
+        if len(opening):
+            opening = opening[np.argsort(items[opening], kind="stable")]
+            opened, lengths = np.unique(items[opening], return_counts=True)
+            row_columns.append(x_columns[opening])
+            row_lengths.append(lengths)
+            rhs.append(np.full(opened.size, self._cap))
+            self._cap_rows[opened] = self._num_rows + 2 * num_y + np.arange(opened.size)
+        row_lengths = np.concatenate(row_lengths)
         a_ub = b_ub = None
-        if num_y:
-            # Rows 2t and 2t+1: y_t - x_u <= 0 and y_t - x_v <= 0.
-            pairs = instance.pairs[pair_idx]
-            x_u = self._column_of[pairs[:, 0], item_idx]
-            x_v = self._column_of[pairs[:, 1], item_idx]
-            columns = np.stack(
-                [np.column_stack([x_u, y_columns]), np.column_stack([x_v, y_columns])], axis=1
-            )
+        if row_lengths.size:
+            values = np.ones(int(row_lengths.sum()))
+            values[: 4 * num_y : 2] = -1.0  # each pair row's x
             a_ub = sparse.csr_matrix(
                 (
-                    np.tile([-1.0, 1.0], 2 * num_y),
-                    columns.ravel(),
-                    np.arange(0, 4 * num_y + 1, 2),
+                    values,
+                    np.concatenate([columns.ravel() for columns in row_columns]),
+                    np.concatenate([[0], np.cumsum(row_lengths)]),
                 ),
-                shape=(2 * num_y, self._num_columns),
+                shape=(row_lengths.size, self._num_columns),
             )
-            b_ub = np.zeros(2 * num_y)
-            self._num_rows += 2 * num_y
+            b_ub = np.concatenate(rhs)
+            self._num_rows += row_lengths.size
         return PricedColumns(
             c=c,
             bounds=np.tile([0.0, 1.0], (num_x + num_y, 1)),

@@ -368,30 +368,39 @@ class DeltaEvaluator:
             indirect_social=self._lam * self._d_tel * indirect,
         )
 
-    def _social_around(self, user: int, items: Tuple[int, ...]) -> Tuple[float, float]:
-        """(direct, indirect) weighted social mass on ``user``'s pairs for ``items``.
+    def _social_around(
+        self, user: int, items: Tuple[int, ...], old_row: np.ndarray
+    ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        """(direct, indirect) social mass on ``user``'s pairs for ``items``, before and after.
 
-        Direct matches contribute ``lambda * w^c_e`` per matching slot; with
-        teleportation, a shared item without any direct match contributes the
-        discounted ``lambda * d_tel * w^c_e`` once.  All incident pairs are
-        handled with a few vectorized operations per affected item.
+        "Before" reads ``user``'s row as ``old_row``, "after" as it is now;
+        the friends' rows, each item's pair weights and where the friends
+        show it are gathered once for both.  Direct matches contribute
+        ``lambda * w^c_e`` per matching slot; with teleportation, a shared
+        item without any direct match contributes the discounted
+        ``lambda * d_tel * w^c_e`` once.  Each sum adds the items in order,
+        as the two-pass form in ``tests/oracles/set_cell_reference.py`` does,
+        so the running totals move bit for bit as they do there.
         """
         pids, others = self._incident(user)
+        sums = [[0.0, 0.0], [0.0, 0.0]]
         if pids.size == 0 or not items:
-            return 0.0, 0.0
-        direct = 0.0
-        indirect = 0.0
-        row_u = self.assignment[user]
+            return (0.0, 0.0), (0.0, 0.0)
+        rows = (old_row, self.assignment[user])
         rows_v = self.assignment[others]  # (deg, k)
         for item in items:
-            direct_slots = ((row_u == item) & (rows_v == item)).sum(axis=1)  # (deg,)
+            v_shows = rows_v == item
             weights = self._lam * self._pair_social[pids, item]
-            direct += float(direct_slots @ weights)
-            if self._is_st and (row_u == item).any():
-                shared = (direct_slots == 0) & (rows_v == item).any(axis=1)
-                if np.any(shared):
-                    indirect += self._d_tel * float(weights[shared].sum())
-        return direct, indirect
+            v_any = v_shows.any(axis=1) if self._is_st else None
+            for total, row_u in zip(sums, rows):
+                u_shows = row_u == item
+                direct_slots = (u_shows & v_shows).sum(axis=1)  # (deg,)
+                total[0] += float(direct_slots @ weights)
+                if self._is_st and u_shows.any():
+                    shared = (direct_slots == 0) & v_any
+                    if np.any(shared):
+                        total[1] += self._d_tel * float(weights[shared].sum())
+        return (sums[0][0], sums[0][1]), (sums[1][0], sums[1][1])
 
     # ------------------------------------------------------------------ #
     def check_user(self, user: int) -> int:
@@ -426,12 +435,12 @@ class DeltaEvaluator:
             self._preference += (1.0 - self._lam) * float(self._pref[user, item])
             self.counts[item, slot] += 1
 
-        before_direct, before_indirect = self._social_around(user, affected)
+        old_row = self.assignment[user].copy()
         self.assignment[user, slot] = item
-        after_direct, after_indirect = self._social_around(user, affected)
+        before, after = self._social_around(user, affected, old_row)
 
-        self._social += after_direct - before_direct
-        self._indirect += after_indirect - before_indirect
+        self._social += after[0] - before[0]
+        self._indirect += after[1] - before[1]
         return self.total
 
     def clear_cell(self, user: int, slot: int) -> float:

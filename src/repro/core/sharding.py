@@ -175,10 +175,13 @@ def _evict_overfull(
 
     For every overfull ``(item, slot)`` cell of the evaluator's
     :attr:`~repro.core.objective.DeltaEvaluator.counts`, members are
-    relocated one at a time.  Each step scores every item for every
-    remaining member in one :meth:`DeltaEvaluator.probe_many` call against
-    the full instance, takes each member's best *under-cap* item outside its
-    row, and moves the member/item pair with the largest utility delta.
+    relocated one at a time.  Each step takes every remaining member's best
+    *under-cap* item outside its row and moves the member/item pair with
+    the largest utility delta.  The members' deltas for every item come
+    from :meth:`DeltaEvaluator.probe_many` against the full instance: all
+    members once per cell, then, after each move, only the remaining
+    members who are the mover's friends, since a probe row reads only its
+    own user's row and the friends' rows (bit for bit, whatever the batch).
     This greedy max-delta order makes the forced feasibility repair lose as
     little utility as possible per step and is fully deterministic (ties
     keep the lowest user, then the lowest item).
@@ -195,9 +198,14 @@ def _evict_overfull(
     cap = instance.max_subgroup_size
     num_items = instance.num_items
     all_items = np.arange(num_items, dtype=np.int64)
+    friends_ptr, _, friends = instance.pair_incidence
     moved: List[int] = []
     evictions = 0
     counts = evaluator.counts
+
+    def probe(users: np.ndarray, slot: int) -> np.ndarray:
+        return evaluator.probe_many(np.column_stack([users, np.full(users.size, slot)]), all_items)
+
     for _sweep in range(max_sweeps):
         overfull = np.argwhere(counts > cap)
         if overfull.size == 0:
@@ -205,11 +213,10 @@ def _evict_overfull(
         progressed = False
         for item, slot in overfull:
             item, slot = int(item), int(slot)
+            members = np.flatnonzero(evaluator.assignment[:, slot] == item)
+            deltas = probe(members, slot)
+            outside = ~shown_items(evaluator.assignment[members], num_items)
             while counts[item, slot] > cap:
-                members = np.flatnonzero(evaluator.assignment[:, slot] == item)
-                units = np.stack([members, np.full(members.size, slot)], axis=1)
-                deltas = evaluator.probe_many(units, all_items)
-                outside = ~shown_items(evaluator.assignment[members], num_items)
                 usable = outside & (counts[:, slot] < cap)
                 for row in np.flatnonzero(~usable.any(axis=1)):
                     # Every item outside the row is at cap: offer the first
@@ -228,6 +235,14 @@ def _evict_overfull(
                 moved.append(user)
                 evictions += 1
                 progressed = True
+                # Only the mover's row changed: re-probe its friends among the rest.
+                stay = np.arange(members.size) != mover
+                members, deltas, outside = members[stay], deltas[stay], outside[stay]
+                stale = np.flatnonzero(
+                    np.isin(members, friends[friends_ptr[user] : friends_ptr[user + 1]])
+                )
+                if stale.size and counts[item, slot] > cap:
+                    deltas[stale] = probe(members[stale], slot)
         if not progressed:
             break
     return moved, evictions

@@ -25,6 +25,7 @@ from repro.solvers import linprog as linprog_module
 from repro.solvers.assembly import csr_row_ids
 
 from oracles.assembly_reference import simplified_lp_value
+from oracles.pricing_certificate import check_certificate, recording_solves
 
 
 @pytest.fixture(scope="module")
@@ -201,32 +202,22 @@ def universe_solve(instance, formulation="simplified", prune_items=True, max_can
     return result.objective, compact
 
 
-def recording_linprog(monkeypatch):
-    """Wrap ``linprog``: each call's start columns, and what each of its pricing rounds added."""
-    calls = []
-    solve = linprog_module.linprog
-
-    def recorded(**kwargs):
-        rounds = []
-        calls.append((len(kwargs["c"]), rounds))
-        price = kwargs["price"]
-        if price is not None:
-
-            def recorded_price(row_duals):
-                priced = price(row_duals)
-                rounds.append(0 if priced is None else len(priced.c))
-                return priced
-
-            kwargs["price"] = recorded_price
-        return solve(**kwargs)
-
-    monkeypatch.setattr(linprog_module, "linprog", recorded)
-    return calls
+#: Universe lists whose start lists are smaller than them, so the LP is priced.
+PRICED_LISTS = pytest.mark.parametrize(
+    "formulation, settings",
+    [
+        ("simplified", {}),
+        ("simplified", {"prune_items": False}),
+        ("sparse", {"prune_items": False}),
+        ("sparse", {"max_candidate_items": 8}),
+    ],
+    ids=["simplified", "simplified-unpruned", "sparse-unpruned", "sparse-max-8"],
+)
 
 
 @pytest.mark.skipif(linprog_module._highs is None, reason="SciPy's HiGHS binding is not in use")
 class TestColumnPricing:
-    """Uncapped LP_SIMP is priced from per-user start lists to the universe model's optimum."""
+    """LP_SIMP is priced from per-user start lists to the universe model's optimum."""
 
     @staticmethod
     def _assert_factors(solution, instance):
@@ -235,6 +226,9 @@ class TestColumnPricing:
         factors = solution.compact_factors
         np.testing.assert_allclose(factors.sum(axis=1), instance.num_slots, atol=1e-9)
         assert factors.min() >= 0.0 and factors.max() <= 1.0
+        if isinstance(instance, SVGICSTInstance):  # the cap rows sum_u x̄[u, c] <= M·k
+            cap = instance.max_subgroup_size * instance.num_slots
+            assert factors.sum(axis=0).max() <= cap + 1e-9
         assert simplified_lp_value(instance, factors) == pytest.approx(
             solution.objective, rel=1e-9
         )
@@ -279,16 +273,14 @@ class TestColumnPricing:
         assert solution.objective == pytest.approx(objective, rel=1e-9)
         self._assert_factors(solution, instance)
 
-    def test_solve_ls_shape_prices_on_one_session(self, monkeypatch):
+    def test_solve_ls_shape_prices_on_one_session(self):
         instance = datasets.make_instance("timik", num_users=20, num_items=30, num_slots=3, seed=1)
         lists = _candidate_lists(instance, "simplified", True, None, True)
         universe_columns = _build_sparse(instance, *lists, True).num_variables
-        calls = recording_linprog(monkeypatch)
-        solution = solve_lp_relaxation(instance)
-        assert len(calls) == 1
-        start_columns, rounds = calls[0]
-        assert start_columns < universe_columns
-        assert rounds[-1] == 0 and all(added > 0 for added in rounds[:-1]) and len(rounds) > 1
+        with recording_solves(linprog_module) as solves:
+            solution = solve_lp_relaxation(instance)
+        assert len(solves) == 1 and solves[0].rounds
+        assert len(solves[0].keywords["c"]) < universe_columns
         objective, _ = universe_solve(instance)
         assert solution.objective == pytest.approx(objective, rel=1e-9)
         self._assert_factors(solution, instance)
@@ -296,21 +288,105 @@ class TestColumnPricing:
 
     @pytest.mark.parametrize(
         "formulation, capped",
-        [("simplified", True), ("sparse", True), ("sparse", False), ("full", False)],
-        ids=["st-capped-simplified", "st-capped-sparse", "sparse", "full"],
+        [("sparse", True), ("sparse", False), ("full", False)],
+        ids=["st-capped-sparse", "sparse", "full"],
     )
-    def test_unpriced_solve_is_the_universe_solve(self, monkeypatch, formulation, capped):
+    def test_unpriced_solve_is_the_universe_solve(self, formulation, capped):
+        # Default "sparse" lists are their own start: padded for the cap, the
+        # start pads to the same shared items.
         shape = dict(num_users=12, num_items=20, num_slots=3, seed=4)
         if capped:  # M * k = 9 < n = 12
             instance = datasets.make_st_instance("timik", max_subgroup_size=3, **shape)
         else:
             instance = datasets.make_instance("timik", **shape)
         objective, compact = universe_solve(instance, formulation)
-        calls = recording_linprog(monkeypatch)
-        solution = solve_lp_relaxation(instance, formulation=formulation)
-        assert [rounds for _, rounds in calls] == [[]]
+        with recording_solves(linprog_module) as solves:
+            solution = solve_lp_relaxation(instance, formulation=formulation)
+        assert len(solves) == 1 and solves[0].keywords["price"] is None
         assert solution.objective == objective
         assert np.array_equal(solution.compact_factors, compact)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @PRICED_LISTS
+    def test_capped_objective_equals_universe_solve(self, seed, formulation, settings):
+        # n = 40 users, at most M·k = 12 per item: the cap rows bind.
+        instance = datasets.make_st_instance(
+            "timik", num_users=40, num_items=30, num_slots=3, max_subgroup_size=4, seed=seed
+        )
+        solution = solve_lp_relaxation(instance, formulation=formulation, **settings)
+        objective, _ = universe_solve(instance, formulation, **settings)
+        assert solution.objective == pytest.approx(objective, rel=1e-9)
+        self._assert_factors(solution, instance)
+        uncapped = solve_lp_relaxation(
+            instance, formulation=formulation, enforce_size_constraint=False, **settings
+        )
+        assert uncapped.objective > objective + 1e-6
+
+    def test_churn_setup_shape_prices_on_one_session(self):
+        # ChurnEngine's first solve: about 165 active users of an n=300, m=60,
+        # k=3 SVGIC-ST universe under a cap of 5.
+        universe = datasets.make_st_instance(
+            "timik", num_users=300, num_items=60, num_slots=3, max_subgroup_size=5, seed=2020
+        )
+        active = np.sort(np.random.default_rng(1).permutation(300)[:165])
+        instance, _ = universe.subgroup_instance([int(u) for u in active])
+        lists = _candidate_lists(instance, "simplified", True, None, True)
+        universe_columns = _build_sparse(instance, *lists, True).num_variables
+        with recording_solves(linprog_module) as solves:
+            solution = solve_lp_relaxation(instance)
+        assert len(solves) == 1 and solves[0].rounds
+        assert len(solves[0].keywords["c"]) < universe_columns
+        objective, _ = universe_solve(instance)
+        assert solution.objective == pytest.approx(objective, rel=1e-9)
+        self._assert_factors(solution, instance)
+
+    def test_start_padded_outside_the_universe_is_the_universe_solve(self):
+        """Users 0-3 rank items 0-2 on top, user 4 items 3-5; item 6 is everyone's fourth.
+
+        The pruned candidate set is items 0-5, enough for five users under a
+        cap of one.  The top-3 start lists are not: users 0-3 share three
+        items.  The padding set is the top five items by global score, which
+        holds item 6, outside the candidate set, so the LP is one solve of
+        the universe model.
+        """
+        preference = np.tile([0.9, 0.85, 0.8, 0.05, 0.04, 0.03, 0.5, 0.01], (5, 1))
+        preference[4] = [0.1, 0.1, 0.1, 0.9, 0.85, 0.8, 0.5, 0.01]
+        base = SVGICInstance(
+            num_users=5,
+            num_items=8,
+            num_slots=1,
+            social_weight=0.5,
+            preference=preference,
+            edges=np.empty((0, 2), dtype=np.int64),
+            social=np.empty((0, 8)),
+            name="padded-outside",
+        )
+        instance = SVGICSTInstance.from_instance(base, max_subgroup_size=1)
+        assert candidate_items(instance).tolist() == [0, 1, 2, 3, 4, 5]
+        objective, compact = universe_solve(instance)
+        with recording_solves(linprog_module) as solves:
+            solution = solve_lp_relaxation(instance)
+        assert len(solves) == 1 and solves[0].keywords["price"] is None
+        assert solution.objective == objective
+        assert np.array_equal(solution.compact_factors, compact)
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["svgic", "st-capped"])
+    @PRICED_LISTS
+    @pytest.mark.parametrize("dataset", ["timik", "yelp"])
+    def test_extended_duals_certify_the_universe_optimum(
+        self, dataset, formulation, settings, capped
+    ):
+        shape = dict(num_users=40, num_items=30, num_slots=3, seed=5)
+        if capped:
+            instance = datasets.make_st_instance(dataset, max_subgroup_size=4, **shape)
+        else:
+            instance = datasets.make_instance(dataset, **shape)
+        with recording_solves(linprog_module) as solves:
+            solution = solve_lp_relaxation(instance, formulation=formulation, **settings)
+        assert len(solves) == 1 and solves[0].rounds
+        prune, max_items = settings.get("prune_items", True), settings.get("max_candidate_items")
+        lists = _candidate_lists(instance, formulation, prune, max_items, True)
+        assert check_certificate(instance, lists, solves[0]) == solution.objective
 
 
 @pytest.mark.parametrize("formulation", ["simplified", "sparse", "full"])
@@ -344,18 +420,13 @@ class TestLinprogFallback:
             return
         assert direct.objective == pytest.approx(fallback.objective, rel=1e-9)
         for solution in (direct, fallback):
-            factors = solution.compact_factors
-            np.testing.assert_allclose(factors.sum(axis=1), instance.num_slots, atol=1e-9)
-            assert factors.min() >= 0.0 and factors.max() <= 1.0
-            assert simplified_lp_value(instance, factors) == pytest.approx(
-                solution.objective, rel=1e-9
-            )
+            TestColumnPricing._assert_factors(solution, instance)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
         "formulation, capped, priced",
         [("simplified", False, True), ("sparse", False, False), ("full", False, False),
-         ("simplified", True, False), ("sparse", True, False)],
+         ("simplified", True, True), ("sparse", True, False)],
         ids=["simplified", "sparse", "full", "st-capped-simplified", "st-capped-sparse"],
     )
     def test_same_solution(self, monkeypatch, seed, formulation, capped, priced):

@@ -21,6 +21,7 @@ from repro.core.problem import SVGICInstance, SVGICSTInstance
 from repro.data import datasets
 
 from oracles import objective_reference as oracle
+from oracles.set_cell_reference import TwoPassDeltaEvaluator
 
 SETTINGS = dict(
     max_examples=25,
@@ -270,6 +271,31 @@ class TestDeltaEvaluator:
             else:
                 delta.clear_row(user)
             np.testing.assert_array_equal(delta.counts, cell_counts(delta.assignment, m))
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["svgic", "svgic-st"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_set_cell_totals_equal_the_two_pass_oracle(self, capped, seed):
+        """One gather per write moves the running totals bit for bit as two did."""
+        n, m, k = 30, 8, 3
+        shape = dict(num_users=n, num_items=m, num_slots=k, seed=seed)
+        if capped:
+            instance = datasets.make_st_instance("timik", max_subgroup_size=4, **shape)
+        else:
+            instance = datasets.make_instance("timik", **shape)
+        rng = np.random.default_rng(seed)
+        # Random rows with holes and repeated items.
+        assignment = rng.integers(UNASSIGNED, m, size=(n, k))
+        config = SAVGConfiguration(assignment=assignment, num_items=m)
+        once, twice = DeltaEvaluator(instance, config), TwoPassDeltaEvaluator(instance, config)
+        for _ in range(300):
+            user, slot = int(rng.integers(n)), int(rng.integers(k))
+            item = int(rng.integers(UNASSIGNED, m))  # UNASSIGNED clears the cell
+            assert once.set_cell(user, slot, item) == twice.set_cell(user, slot, item)
+            assert once.breakdown.preference == twice.breakdown.preference
+            assert once.breakdown.social == twice.breakdown.social
+            assert once.breakdown.indirect_social == twice.breakdown.indirect_social
+        np.testing.assert_array_equal(once.assignment, twice.assignment)
+        np.testing.assert_array_equal(once.counts, twice.counts)
 
     def test_starts_from_given_configuration(self, tiny_instance):
         config = SAVGConfiguration(assignment=np.array([[0, 2], [0, 1], [2, 3]]), num_items=4)

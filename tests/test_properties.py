@@ -281,8 +281,8 @@ class TestSingleAssembler:
     @settings(**SETTINGS)
     @given(assembly_instances(max_users=8, max_items=10), st.booleans())
     def test_priced_lp_equals_universe_solve(self, instance, prune):
-        # Uncapped LP_SIMP is priced from per-user start lists; the certified
-        # optimum is the universe model's (a capped one is that model).
+        # LP_SIMP is priced from per-user start lists, made cap-feasible where
+        # the drawn cap binds; the certified optimum is the universe model's.
         lists = _candidate_lists(instance, "simplified", prune, None, True)
         universe = _build_sparse(instance, *lists, True).solve()
         priced = solve_lp_relaxation(instance, prune_items=prune)

@@ -171,6 +171,56 @@ def test_eviction_matches_the_per_member_oracle(shape, seed):
     assert evictions > 0
 
 
+def test_eviction_reprobes_only_the_movers_friends():
+    """A cell's members are probed once; after a move only the mover's friends are.
+
+    Logs every ``probe_many`` call and move of the eviction on a seeded
+    stitched state: each call probes either a whole overfull cell or
+    members of the last mover's cell who are its friends, and there are
+    fewer calls than moves.
+    """
+    instance = datasets.make_st_instance(
+        "timik", num_users=45, num_items=18, num_slots=3, max_subgroup_size=5, seed=1
+    )
+    union = solve_sharded(instance, max_shard_users=12, seed=1, repair=False).configuration
+    evaluator = DeltaEvaluator(instance, union)
+    log = []
+    probe_many, set_cell = evaluator.probe_many, evaluator.set_cell
+
+    def logged_probe(units, candidates):
+        users, slots = np.asarray(units).T
+        item = evaluator.assignment[users[0], slots[0]]
+        cell = np.flatnonzero(evaluator.assignment[:, slots[0]] == item)
+        log.append(("probe", users, slots[0], item, cell))
+        return probe_many(units, candidates)
+
+    def logged_move(user, slot, item):
+        log.append(("move", user, slot, evaluator.assignment[user, slot]))
+        return set_cell(user, slot, item)
+
+    evaluator.probe_many, evaluator.set_cell = logged_probe, logged_move
+    moved, evictions = _evict_overfull(instance, evaluator)
+    ptr, _, others = instance.pair_incidence
+    probes = [event for event in log if event[0] == "probe"]
+    last_move = None
+    reprobes = 0
+    for event in log:
+        if event[0] == "move":
+            last_move = event
+            continue
+        _, users, slot, item, cell = event
+        if np.array_equal(users, cell):
+            continue  # a cell's first probe
+        _, mover, mover_slot, mover_item = last_move
+        assert (slot, item) == (mover_slot, mover_item)
+        assert np.isin(users, others[ptr[mover] : ptr[mover + 1]]).all()
+        reprobes += 1
+    assert reprobes > 0
+    assert len(probes) < evictions == len(moved)
+    reference = DeltaEvaluator(instance, union)
+    assert (moved, evictions) == evict_overfull_reference(instance, reference)
+
+
 def test_eviction_falls_back_to_the_least_loaded_item_like_the_oracle():
     """Every item outside users 0 and 1's rows is full at slot 0.
 
