@@ -15,8 +15,9 @@ preference row (finite, non-negative, as the evaluators require).
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +98,12 @@ def make_churn_trace(
     hardest case for an incremental maintainer.  Everything is derived from
     ``seed`` via :func:`repro.utils.rng.derive_seed`, so traces are stable
     across processes and sessions.
+
+    Each event draws what ``Generator.choice`` would: its kind is one
+    ``rng.random()`` looked up in the cdf ``choice`` builds from the feasible
+    kinds' weights (cached per feasible set), and a join's or leave's user
+    one ``rng.integers`` index into the sorted inactive or active users,
+    which the loop keeps sorted by insertion instead of rescanning a mask.
     """
     if num_events < 0:
         raise ValueError(f"num_events must be non-negative, got {num_events}")
@@ -116,34 +123,40 @@ def make_churn_trace(
     derived = derive_seed(seed, "churn-trace")
     rng = ensure_rng(derived)
     num_initial = max(min_active, int(round(initial_active_fraction * n)))
-    active = np.zeros(n, dtype=bool)
-    active[rng.choice(n, size=min(num_initial, n), replace=False)] = True
-    initial_active = active.copy()
+    initial_active = np.zeros(n, dtype=bool)
+    initial_active[rng.choice(n, size=min(num_initial, n), replace=False)] = True
 
     weights = {JOIN: float(join_weight), LEAVE: float(leave_weight), DRIFT: float(drift_weight)}
+    inactive_users: List[int] = np.flatnonzero(~initial_active).tolist()
+    active_users: List[int] = np.flatnonzero(initial_active).tolist()
+    cdfs: Dict[Tuple[str, ...], List[float]] = {}
     events = []
     for _ in range(num_events):
-        feasible = [DRIFT] if weights[DRIFT] > 0 else []
-        if not active.all() and weights[JOIN] > 0:
-            feasible.append(JOIN)
-        if int(active.sum()) > min_active and weights[LEAVE] > 0:
-            feasible.append(LEAVE)
+        feasible: Tuple[str, ...] = (DRIFT,) if weights[DRIFT] > 0 else ()
+        if inactive_users and weights[JOIN] > 0:
+            feasible += (JOIN,)
+        if len(active_users) > min_active and weights[LEAVE] > 0:
+            feasible += (LEAVE,)
         if not feasible:
             break
-        probs = np.array([weights[kind] for kind in feasible], dtype=float)
-        kind = feasible[int(rng.choice(len(feasible), p=probs / probs.sum()))]
-        if kind == JOIN:
-            user = int(rng.choice(np.nonzero(~active)[0]))
-            active[user] = True
-            events.append(ChurnEvent(JOIN, user))
-        elif kind == LEAVE:
-            user = int(rng.choice(np.nonzero(active)[0]))
-            active[user] = False
-            events.append(ChurnEvent(LEAVE, user))
-        else:
+        cdf = cdfs.get(feasible)
+        if cdf is None:
+            probs = np.array([weights[kind] for kind in feasible], dtype=float)
+            cumulative = (probs / probs.sum()).cumsum()
+            cdf = cdfs[feasible] = (cumulative / cumulative[-1]).tolist()
+        kind = feasible[bisect_right(cdf, rng.random())]
+        if kind == DRIFT:
             user = int(rng.integers(n))
             row = rng.uniform(0.0, float(drift_scale), size=instance.num_items)
             events.append(ChurnEvent(DRIFT, user, row))
+            continue
+        if kind == JOIN:
+            source, target = inactive_users, active_users
+        else:
+            source, target = active_users, inactive_users
+        user = source.pop(int(rng.integers(0, len(source), dtype=np.int64)))
+        insort(target, user)
+        events.append(ChurnEvent(kind, user))
 
     return ChurnTrace(
         num_users=n,

@@ -4,8 +4,9 @@ The store is the disk-backed sibling of the in-memory LP store the
 experiment executors use without it
 (:class:`~repro.experiments.executor.MemoryLPStore`; both expose
 ``load_lp``/``save_lp``): a SQLite index (WAL journal, busy-timeout) over
-content-addressed ``.npz`` blob payloads.  Two kinds of entries share the
-same index/blob substrate:
+content-addressed ``.bin`` blob payloads, each one JSON header plus the
+zlib-compressed raw bytes of its arrays (:mod:`repro.store.codecs`).  Two
+kinds of entries share the same index/blob substrate:
 
 * **LP relaxation solutions**, keyed by
   :func:`repro.core.pipeline.instance_fingerprint` plus the *full* LP
@@ -23,7 +24,9 @@ same index/blob substrate:
 Robustness is eviction-based: a stale schema version, a missing blob, a
 truncated or corrupted payload — every failure mode deletes the offending
 index entry (and blob, best effort) and reports a miss, so consumers simply
-re-solve.  The store never raises on bad persisted state.
+re-solve.  The store never raises on bad persisted state.  Entries written
+with schema 1 (``.npz`` payloads) are stale, so they are evicted and
+re-solved the same way; their ``*.npz`` files can be deleted.
 """
 
 from repro.store.blobs import BlobCorruptionError, BlobStore

@@ -1,7 +1,7 @@
 """Content-addressed blob files: the payload half of the artifact store.
 
 Blobs are immutable byte strings named by their own SHA-256 digest and laid
-out under ``<root>/<digest[:2]>/<digest>.npz`` (two-level fan-out keeps
+out under ``<root>/<digest[:2]>/<digest>.bin`` (two-level fan-out keeps
 directories small at scale).  Content addressing gives deduplication for
 free — writing the same payload twice is a no-op — and makes corruption
 detectable: a read re-hashes the bytes and refuses to return data whose
@@ -35,7 +35,7 @@ class BlobStore:
 
     def path_for(self, digest: str) -> Path:
         """Filesystem location of the blob named ``digest``."""
-        return self.root / digest[:2] / f"{digest}.npz"
+        return self.root / digest[:2] / f"{digest}.bin"
 
     def put(self, data: bytes) -> str:
         """Store ``data``; returns its SHA-256 digest (the blob name).

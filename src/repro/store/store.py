@@ -4,7 +4,7 @@ Layout under ``root``::
 
     root/
       index.sqlite        # SQLite index (WAL), see repro.store.index
-      blobs/ab/<sha>.npz  # content-addressed payloads, see repro.store.blobs
+      blobs/ab/<sha>.bin  # content-addressed payloads, see repro.store.blobs
 
 The store exposes three keyed surfaces over that substrate:
 
@@ -32,6 +32,7 @@ then share the directory through WAL-mode SQLite.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -64,7 +65,9 @@ class ArtifactStore:
     ----------
     hits / misses / evictions / writes:
         Per-instance counters (this process only — not persisted).  A miss
-        caused by a stale or corrupted entry also counts one eviction.
+        caused by a stale or corrupted entry also counts one eviction.  They
+        are updated under a lock, since the serving layer's batcher thread
+        and its callers share one store.
     """
 
     def __init__(self, root: os.PathLike, *, busy_timeout_ms: int = 30_000) -> None:
@@ -72,10 +75,11 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._index = SQLiteIndex(self.root / "index.sqlite", busy_timeout_ms=busy_timeout_ms)
         self._blobs = BlobStore(self.root / "blobs")
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
+        self._reset_counters()
+
+    def _reset_counters(self) -> None:
+        self._counter_lock = threading.Lock()
+        self.hits = self.misses = self.evictions = self.writes = 0
 
     # -- plumbing -------------------------------------------------------- #
     @property
@@ -92,37 +96,41 @@ class ArtifactStore:
         self.root = state["root"]
         self._index = state["_index"]
         self._blobs = state["_blobs"]
-        self.hits = self.misses = self.evictions = self.writes = 0
+        self._reset_counters()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writes": self.writes,
-        }
+        with self._counter_lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "writes": self.writes,
+            }
 
     def _evict(self, namespace: str, fingerprint: str, param_key: str, blob_sha: str) -> None:
-        # Blobs are content-addressed and may be shared by several entries;
-        # deleting a shared blob merely turns the other entries into misses
-        # on their next read (they evict themselves and re-solve).
+        # Counts one eviction and one miss.  Blobs are content-addressed and
+        # may be shared by several entries; deleting a shared blob merely
+        # turns the other entries into misses on their next read (they evict
+        # themselves and re-solve).
         self._index.delete(namespace, fingerprint, param_key)
         self._blobs.delete(blob_sha)
-        self.evictions += 1
+        with self._counter_lock:
+            self.evictions += 1
+            self.misses += 1
 
     def _load(self, namespace: str, fingerprint: str, param_key: str) -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
         """Verified ``(meta, arrays)`` of one entry, or None (evicting bad state)."""
         row = self._index.get(namespace, fingerprint, param_key)
         if row is None:
-            self.misses += 1
+            with self._counter_lock:
+                self.misses += 1
             return None
         blob_sha, schema_version = row
         if schema_version != SCHEMA_VERSION:
             self._evict(namespace, fingerprint, param_key, blob_sha)
-            self.misses += 1
             return None
         try:
             payload = self._blobs.get(blob_sha)
@@ -131,15 +139,16 @@ class ArtifactStore:
             # Missing, truncated, corrupted or undecodable blob: never crash —
             # drop the entry and let the caller re-solve.
             self._evict(namespace, fingerprint, param_key, blob_sha)
-            self.misses += 1
             return None
-        self.hits += 1
+        with self._counter_lock:
+            self.hits += 1
         return meta, arrays
 
     def _save(self, namespace: str, fingerprint: str, param_key: str, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
         blob_sha = self._blobs.put(pack_payload(meta, arrays))
         self._index.put(namespace, fingerprint, param_key, blob_sha, SCHEMA_VERSION)
-        self.writes += 1
+        with self._counter_lock:
+            self.writes += 1
 
     # -- LP relaxation solutions ----------------------------------------- #
     def load_lp(self, fingerprint: str, key: Tuple[Any, ...]) -> Optional[FractionalSolution]:

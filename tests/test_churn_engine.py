@@ -17,6 +17,8 @@ from repro.extensions.churn import (
 from repro.extensions.dynamic import DynamicSession
 from repro.store import ArtifactStore
 
+from oracles.churn_trace_reference import reference_churn_trace
+
 
 @pytest.fixture(scope="module")
 def st_instance():
@@ -64,6 +66,44 @@ class TestTraceGenerator:
             st_instance, num_events=60, seed=6, drift_weight=0.0
         )
         assert trace.kind_counts[DRIFT] == 0
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"join_weight": 0.35, "leave_weight": 0.45, "min_active": 8},
+            {"join_weight": 0.0},
+            {"leave_weight": 0.0},
+            {"drift_weight": 0.0},
+            {"min_active": 16},
+            {"initial_active_fraction": 1.0},
+            # No kind stays feasible: joins have no inactive user, leaves
+            # would go below min_active, and drift is weighted out.
+            {"initial_active_fraction": 1.0, "min_active": 16, "drift_weight": 0.0},
+            # Feasible until every user has joined, then the trace ends early.
+            {"leave_weight": 0.0, "drift_weight": 0.0},
+        ],
+    )
+    def test_matches_the_per_event_loop(self, st_instance, options):
+        """Same draws from the same generator as the choice/nonzero loop."""
+        for seed in (0, 1, 5, 9, 23):
+            fast = make_churn_trace(st_instance, num_events=120, seed=seed, **options)
+            slow = reference_churn_trace(st_instance, num_events=120, seed=seed, **options)
+            assert fast.seed == slow.seed
+            np.testing.assert_array_equal(fast.initial_active, slow.initial_active)
+            assert [(e.kind, e.user) for e in fast.events] == [
+                (e.kind, e.user) for e in slow.events
+            ]
+            for a, b in zip(fast.events, slow.events):
+                if a.kind == DRIFT:
+                    np.testing.assert_array_equal(a.preference, b.preference)
+
+    def test_no_feasible_kind_ends_the_trace(self, st_instance):
+        trace = make_churn_trace(
+            st_instance, num_events=10, seed=2, initial_active_fraction=1.0,
+            min_active=16, drift_weight=0.0,
+        )
+        assert len(trace) == 0 and trace.initial_active.all()
 
     def test_validate_for_rejects_other_universe(self, st_instance):
         other = datasets.make_instance(

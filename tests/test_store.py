@@ -1,25 +1,33 @@
 """Tests for the persistent artifact/result store and resumable execution.
 
-Covers the acceptance properties of the `repro.store` subsystem: LP
+Covers the acceptance properties of the `repro.store` subsystem: the blob
+payload layout (exact round trips, malformed payloads rejected); LP
 solutions persisted per (instance fingerprint, full LP parameter key) and
 reused across SolveContexts with ``lp_store_hits`` accounting; robustness
-against corrupted/truncated blobs and stale-schema index entries (evict and
-re-solve, never crash); executor job checkpoints that let an interrupted
-sweep — serial or parallel — complete only its unfinished jobs; and the
-ExperimentResult JSON round-trip edge cases (non-finite values, numpy
-dtypes).
+against corrupted/truncated/malformed blobs, stale-schema index entries and
+entries an ``.npz``-payload (schema 1) store wrote (evict and re-solve, never
+crash); counters that add up under threads; executor job checkpoints that
+let an interrupted sweep — serial or parallel — complete only its unfinished
+jobs; and the ExperimentResult JSON round-trip edge cases (non-finite
+values, numpy dtypes).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import math
 import pickle
+import struct
+import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.lp import solve_lp_relaxation
 from repro.core.pipeline import SolveContext
 from repro.core.registry import build_runners
 from repro.data import datasets
@@ -34,6 +42,7 @@ from repro.experiments.figures import InstanceSweepFactory
 from repro.experiments.harness import ExperimentResult, run_plan, sweep
 from repro.experiments.scheduler import WorkStealingExecutor
 from repro.store import (
+    SCHEMA_VERSION,
     ArtifactStore,
     BlobCorruptionError,
     BlobStore,
@@ -81,6 +90,51 @@ def _lp_blob_path(store, fingerprint, key=DEFAULT_LP_KEY):
     return store._blobs.path_for(sha)
 
 
+def _payload(header, body=b""):
+    """Hand-built payload: the magic, the header's length, a JSON (or raw) header, the body."""
+    header_bytes = header if isinstance(header, bytes) else json.dumps(header).encode()
+    magic = pack_payload({}, {})[:4]
+    return struct.pack("<4sI", magic, len(header_bytes)) + header_bytes + body
+
+
+def _floats_payload(shape, dtype="<f8", values=3):
+    """A header declaring one array of ``shape`` over ``values`` float64s."""
+    body = zlib.compress(np.arange(values, dtype=np.float64).tobytes(), 1)
+    return _payload({"meta": {}, "arrays": [["a", dtype, shape]]}, body)
+
+
+def _good_payload():
+    return pack_payload({"kind": "x"}, {"a": np.arange(3.0)})
+
+
+#: Payloads ``unpack_payload`` must reject, by what is wrong with them.
+MALFORMED_PAYLOADS = {
+    "wrong magic": lambda: b"NOPE" + _good_payload()[4:],
+    "shorter than the prefix": lambda: _good_payload()[:6],
+    "truncated header": lambda: _good_payload()[:20],
+    "header length past the end": lambda: struct.pack("<4sI", _good_payload()[:4], 1 << 20)
+    + _good_payload()[8:],
+    "header not JSON": lambda: _payload(b"\xff{not json"),
+    "header without arrays": lambda: _payload({"meta": {}}),
+    "fewer bytes than the header's sizes": lambda: _floats_payload([4]),
+    "more bytes than the header's sizes": lambda: _floats_payload([2]),
+    "truncated body": lambda: _good_payload()[:-3],
+    "bytes after the body": lambda: _good_payload() + b"tail",
+    "object dtype": lambda: _floats_payload([3], dtype="|O"),
+    "negative dim": lambda: _floats_payload([-3]),
+    "fractional dim": lambda: _floats_payload([1.5, 2]),
+    "npz archive": lambda: _npz_payload({"kind": "x"}, {"a": np.arange(3.0)}),
+}
+
+
+def _npz_payload(meta, arrays):
+    """A payload as schema 1 wrote it: a compressed ``.npz`` with a ``__meta__`` entry."""
+    buffer = io.BytesIO()
+    encoded = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(buffer, __meta__=encoded, **arrays)
+    return buffer.getvalue()
+
+
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
@@ -100,6 +154,41 @@ class TestBlobsAndPayloads:
         assert math.isnan(out_meta["nan"])
         np.testing.assert_array_equal(out_arrays["m"], arrays["m"])
         np.testing.assert_array_equal(out_arrays["f"], arrays["f"])
+
+    def test_edge_arrays_round_trip_exactly(self):
+        meta = {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"), "s": "é"}
+        arrays = {
+            "empty": np.zeros((0, 3)),
+            "empty_ints": np.zeros(0, dtype=np.int32),
+            "scalar": np.array(2.5),
+            "strided": np.arange(24.0).reshape(4, 6)[::2, ::3],
+            "fortran": np.asfortranarray(np.arange(6, dtype=np.int16).reshape(2, 3)),
+            "big_endian": np.arange(4, dtype=">u4"),
+            "flags": np.array([True, False, True]),
+        }
+        out_meta, out_arrays = unpack_payload(pack_payload(meta, arrays))
+        assert math.isnan(out_meta["nan"])
+        assert out_meta["inf"] == math.inf and out_meta["ninf"] == -math.inf
+        assert out_meta["s"] == "é"
+        assert list(out_arrays) == list(arrays)
+        for name, array in arrays.items():
+            out = out_arrays[name]
+            assert out.dtype == array.dtype and out.shape == array.shape, name
+            np.testing.assert_array_equal(out, array)
+            assert out.flags.writeable and out.flags.c_contiguous, name
+        out_arrays["strided"][0, 0] = -1.0  # writeable, and not a view of the input
+        assert arrays["strided"][0, 0] == 0.0
+
+    def test_pack_refuses_dtypes_it_cannot_name(self):
+        with pytest.raises(ValueError):
+            pack_payload({}, {"o": np.array([1, None], dtype=object)})
+        with pytest.raises(ValueError):
+            pack_payload({}, {"rec": np.zeros(2, dtype=[("a", "<f8"), ("b", "<i4")])})
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_payloads_are_rejected(self, case):
+        with pytest.raises(ValueError):
+            unpack_payload(MALFORMED_PAYLOADS[case]())
 
     def test_blobs_are_content_addressed_and_verified(self, tmp_path):
         blobs = BlobStore(tmp_path / "blobs")
@@ -160,6 +249,41 @@ class TestLPStore:
         np.testing.assert_array_equal(
             loaded.candidate_item_ids, solved.candidate_item_ids
         )
+
+    @pytest.mark.parametrize(
+        "formulation, capped",
+        [("simplified", False), ("sparse", False), ("full", False), ("simplified", True)],
+    )
+    def test_hits_equal_a_fresh_solve(self, store, formulation, capped):
+        """Values, dtypes, shapes and writeability of a hit are a solo solve's."""
+        if capped:  # a binding SVGIC-ST cap: M * k = 6 < n
+            instance = datasets.make_st_instance(
+                "timik", num_users=12, num_items=10, num_slots=3,
+                max_subgroup_size=2, seed=4,
+            )
+        else:
+            instance = datasets.make_instance(
+                "timik", num_users=8, num_items=18, num_slots=3, seed=11
+            )
+        key = (formulation, True, None, True)
+        solved = solve_lp_relaxation(instance, formulation=formulation)
+        store.save_lp("fp", key, solved)
+        loaded = store.load_lp("fp", key)
+        for field in ("objective", "lp_seconds", "formulation"):
+            assert getattr(loaded, field) == getattr(solved, field)
+        for field in ("compact_factors", "slot_factors", "candidate_item_ids"):
+            ours, theirs = getattr(loaded, field), getattr(solved, field)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, field
+            assert np.array_equal(ours, theirs), field
+            assert ours.flags.writeable == theirs.flags.writeable, field
+        assert loaded.slot_independent == (formulation != "full")
+
+    def test_lp_simp_payloads_omit_slot_factors(self, store, instance):
+        solved = solve_lp_relaxation(instance)
+        store.save_lp("fp", DEFAULT_LP_KEY, solved)
+        meta, arrays = unpack_payload(_lp_blob_path(store, "fp").read_bytes())
+        assert set(arrays) == {"compact_factors", "candidate_item_ids"}
+        assert meta["num_slots"] == instance.num_slots
 
     def test_store_is_keyed_by_full_lp_parameters(self, store, instance):
         context = SolveContext(instance, store=store)
@@ -227,6 +351,58 @@ class TestRobustness:
         assert store.load_lp(fingerprint, DEFAULT_LP_KEY) is None
         assert store.evictions == 1
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_payload_is_evicted_and_resolved(self, store, instance, case):
+        """A blob that passes its SHA-256 check but is not a valid payload."""
+        fingerprint = self._warm(store, instance)
+        sha = store._blobs.put(MALFORMED_PAYLOADS[case]())
+        store.index.put(NS_LP, fingerprint, lp_param_key(DEFAULT_LP_KEY), sha, SCHEMA_VERSION)
+
+        retry = SolveContext(instance, store=store)
+        retry.fractional()
+        assert retry.lp_solves == 1 and retry.lp_store_hits == 0
+        assert store.evictions == 1
+        assert sha not in store._blobs
+        healed = SolveContext(instance, store=store)
+        healed.fractional()
+        assert healed.lp_solves == 0 and healed.lp_store_hits == 1
+
+    def test_entry_an_npz_store_wrote_is_evicted_and_resolved(self, store, instance):
+        """Schema 1 entries (``.npz`` payloads at ``<sha>.npz``) are re-solved."""
+        context = SolveContext(instance)
+        solved = context.fractional()
+        old = _npz_payload(
+            {
+                "kind": "fractional-solution",
+                "objective": solved.objective,
+                "lp_seconds": solved.lp_seconds,
+                "formulation": solved.formulation,
+            },
+            {
+                "compact_factors": solved.compact_factors,
+                "slot_factors": np.ascontiguousarray(solved.slot_factors),
+                "candidate_item_ids": solved.candidate_item_ids,
+            },
+        )
+        sha = hashlib.sha256(old).hexdigest()
+        npz_path = store._blobs.root / sha[:2] / f"{sha}.npz"
+        npz_path.parent.mkdir(parents=True)
+        npz_path.write_bytes(old)
+        store.index.put(NS_LP, context.fingerprint, lp_param_key(DEFAULT_LP_KEY), sha, 1)
+
+        retry = SolveContext(instance, store=store)
+        again = retry.fractional()
+        assert retry.lp_solves == 1 and retry.lp_store_hits == 0
+        assert store.evictions == 1
+        assert again.objective == solved.objective
+        _, schema_version = store.index.get(
+            NS_LP, context.fingerprint, lp_param_key(DEFAULT_LP_KEY)
+        )
+        assert schema_version == SCHEMA_VERSION
+        healed = SolveContext(instance, store=store)
+        healed.fractional()
+        assert healed.lp_solves == 0 and healed.lp_store_hits == 1
+
     def test_stale_schema_entry_is_evicted_and_resolved(self, store, instance):
         fingerprint = self._warm(store, instance)
         with store.index.connection as conn:
@@ -249,6 +425,41 @@ class TestRobustness:
         assert again.jobs_resumed == 0 and again.jobs_executed == 1
         assert len(results) == 1
         assert store.evictions >= 1
+
+
+class TestCounters:
+    def test_counters_add_up_under_threads(self, store, instance):
+        """8 threads load present and absent keys: every call is one hit or one miss."""
+        fingerprint = SolveContext(instance, store=store).fingerprint
+        store.save_lp(fingerprint, DEFAULT_LP_KEY, solve_lp_relaxation(instance))
+        absent = ("full", True, None, True)
+        num_threads, calls = 8, 150
+        barrier = threading.Barrier(num_threads)
+        errors = []
+
+        def load() -> None:
+            barrier.wait(timeout=10)
+            try:
+                for call in range(calls):
+                    store.load_lp(fingerprint, DEFAULT_LP_KEY if call % 2 else absent)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load) for _ in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        stats = store.stats()
+        assert stats["hits"] + stats["misses"] == num_threads * calls
+        assert stats["hits"] == stats["misses"] == num_threads * calls // 2
+        assert stats["writes"] == 1 and stats["evictions"] == 0
 
 
 class TestJobCheckpoints:
