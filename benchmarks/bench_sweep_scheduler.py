@@ -4,17 +4,17 @@ A chunked schedule assigns *all* repetitions of one sweep value to one
 worker.  On a heterogeneous sweep — small instances next to one instance an
 order of magnitude bigger — that chunk is the makespan: one worker grinds
 the heavy value's repetitions back to back while the others sit idle.  The
-cost-model-aware :class:`~repro.experiments.scheduler.WorkStealingExecutor`
-splits the heavy value's repetitions into separately claimable groups and
-orders groups longest-first, so the heavy repetitions run *concurrently*.
+:class:`~repro.experiments.scheduler.WorkStealingExecutor` splits the heavy
+value's repetitions into separately claimable groups and orders groups
+largest-first (``n * m * k``), so the heavy repetitions run *concurrently*.
 
-The chunked baseline runs on the same executor with the chunk-by-value
-schedule rebuilt from two bench-local pieces: a factory wrapper
-(:class:`ChunkByValue`) whose ``instance_affinity`` is the sweep value, so
-each value forms one group whose repetitions run one after another on one
-worker, and a cost model (:class:`FlatCostModel`) that prices every job
-the same, so workers claim the groups in value order.  The pool holds
-``min(workers, values)`` processes.
+The chunked baseline runs on a bench-local
+:class:`~concurrent.futures.ProcessPoolExecutor` of ``min(workers,
+values)`` processes: each value's jobs are one
+:func:`~repro.experiments.executor._run_job_group` task, submitted in value
+order with no store, so workers claim the values in plan order and run
+each value's repetitions one after another.  Its table comes from
+:func:`~repro.experiments.harness.aggregate_plan`, as ``run_plan``'s does.
 
 Acceptance properties asserted on a Figure-5-style sweep whose largest
 value, n=1080, is 8-11x the next one, with four repetitions per value.
@@ -38,8 +38,8 @@ sweep read 1.13-1.44x.
 * **Speed-up** — the stolen sweep completes at least **1.25x** faster than
   the chunked one with the same worker count.  Asserted only on >= 2-core
   hosts (the equivalence and LP checks always run).
-* **Cost model** — a model trained on the run's own observed timings ranks
-  the heavy sweep value above every lighter one (monotone in ``n``).
+* **Schedule** — the stolen leg's schedule starts with the heavy value's
+  four repetition groups.
 
 Run as a script (not collected by pytest)::
 
@@ -55,8 +55,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Any, List, Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional
 
 try:
     from benchmarks._reporting import emit_bench_json
@@ -64,38 +64,39 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from _reporting import emit_bench_json
 
 from repro.core.registry import build_runners
-from repro.experiments.executor import compile_sweep, job_timing_signature
-from repro.experiments.figures import InstanceSweepFactory
-from repro.experiments.harness import run_plan
-from repro.experiments.scheduler import (
-    CostModel,
-    JobFeatures,
-    WorkStealingExecutor,
-    job_features,
+from repro.experiments.executor import (
+    JobResult,
+    SweepJob,
+    SweepPlan,
+    _run_job_group,
+    compile_sweep,
 )
+from repro.experiments.figures import InstanceSweepFactory
+from repro.experiments.harness import ExperimentResult, aggregate_plan, run_plan
+from repro.experiments.scheduler import WorkStealingExecutor
 
 WORKERS = 2
 MIN_SPEEDUP = 1.25
 
 
-@dataclass(frozen=True)
-class ChunkByValue:
-    """Factory wrapper that puts all repetitions of one sweep value in one group."""
-
-    factory: InstanceSweepFactory
-
-    def __call__(self, value: Any, rep_seed: int):
-        return self.factory(value, rep_seed)
-
-    def instance_affinity(self, value: Any, rep_seed: int) -> Any:
-        return value
-
-
-class FlatCostModel(CostModel):
-    """Every job costs the same, so groups are claimed in plan (value) order."""
-
-    def estimate(self, features: JobFeatures) -> float:
-        return 1.0
+def run_chunked(plan: SweepPlan, workers: int) -> ExperimentResult:
+    """Run ``plan`` chunked by value: one pool task per value, in value order."""
+    chunks: Dict[int, List[SweepJob]] = {}
+    for job in plan.jobs:
+        chunks.setdefault(job.value_index, []).append(job)
+    # The default start method, as WorkStealingExecutor's pool uses, so both
+    # legs pay the same pool start-up.
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        futures = [
+            pool.submit(_run_job_group, plan.instance_factory, tuple(jobs), None, None, True)
+            for jobs in chunks.values()
+        ]
+        results: List[JobResult] = [
+            result for future in futures for result in future.result()[0]
+        ]
+    table = aggregate_plan(plan, {result.job_index: result for result in results})
+    table.parameters["job_provenance"] = [result.provenance for result in results]
+    return table
 
 
 def _usable_cpus() -> int:
@@ -135,14 +136,12 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"heaviest value {max(values)} vs lightest {min(values)}")
 
     start = time.perf_counter()
-    chunked = run_plan(
-        replace(plan, instance_factory=ChunkByValue(factory)),
-        WorkStealingExecutor(workers=WORKERS, cost_model=FlatCostModel()),
-    )
+    chunked = run_chunked(plan, WORKERS)
     chunked_seconds = time.perf_counter() - start
 
+    stealing = WorkStealingExecutor(workers=WORKERS)
     start = time.perf_counter()
-    stolen = run_plan(plan, WorkStealingExecutor(workers=WORKERS))
+    stolen = run_plan(plan, stealing)
     stolen_seconds = time.perf_counter() - start
 
     speedup = chunked_seconds / stolen_seconds
@@ -172,30 +171,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"OK: every {label} job performed exactly 1 LP solve per instance")
 
-    # Train a cost model on the run's own observed timings and check it
-    # orders the sweep the way the wall clock did: heaviest value first.
-    observed = [
-        (
-            job_timing_signature(job),
-            prov["num_users"], prov["num_items"], prov["num_slots"],
-            prov["job_seconds"], prov.get("lp_seconds", 0.0), 1,
-        )
-        for job, prov in zip(plan.jobs, stolen.parameters["job_provenance"])
-    ]
-    model = CostModel(observed, min_samples=2)
-    estimates = {
-        value: model.estimate(job_features(plan, job))
-        for value, job in {job.value: job for job in plan.jobs}.items()
-    }
-    ordered = sorted(estimates, key=estimates.get)
-    kinds = {model.calibration(sig)["kind"] for sig, *_ in observed}
-    if ordered != sorted(values):
-        print(f"FAIL: calibrated cost model mis-ranks the sweep: {ordered} "
-              f"(estimates {estimates})")
+    # The size key puts the heavy value's repetitions at the head of the queue.
+    head = [group.jobs[0].value for group in stealing.last_schedule[:repetitions]]
+    if head != [max(values)] * repetitions:
+        order = [group.jobs[0].value for group in stealing.last_schedule]
+        print(f"FAIL: the stolen schedule does not start with the {repetitions} "
+              f"n={max(values)} groups: {order}")
         failures += 1
     else:
-        print(f"OK: calibrated cost model ({', '.join(sorted(kinds))}) is "
-              f"monotone in n: {ordered}")
+        print(f"OK: the stolen schedule starts with the {repetitions} "
+              f"n={max(values)} groups")
 
     if cpus >= 2:
         if speedup < MIN_SPEEDUP:
@@ -220,7 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "speedup": speedup,
             "min_speedup": MIN_SPEEDUP,
             "speedup_asserted": cpus >= 2,
-            "cost_model_kinds": sorted(kinds),
         },
         failures=failures,
     )

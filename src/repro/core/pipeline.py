@@ -130,8 +130,8 @@ class SolveContext:
         boundaries — a warm store makes ``lp_solves`` zero.
     lp_seconds:
         Wall-clock seconds this context spent inside the LP solver (cache
-        and store hits cost nothing) — the training signal the sweep
-        scheduler's cost model separates from total job time.
+        and store hits cost nothing), reported by :meth:`stats` into sweep
+        job provenance and by each sharded solve's shard results.
     """
 
     def __init__(self, instance: SVGICInstance, *, store: Optional[Any] = None) -> None:

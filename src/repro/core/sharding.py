@@ -317,8 +317,9 @@ def solve_sharded(
         Upper bound on shard size; the partition balances sizes within one.
     workers:
         Process-pool width for shard fan-out.  ``1`` (default) solves shards
-        serially in-process; larger values are clamped to the host CPU count
-        by :func:`repro.experiments.executor.resolve_worker_count`.
+        serially in-process; larger values are clamped to the CPUs the
+        process may use by
+        :func:`repro.experiments.executor.resolve_worker_count`.
     store:
         Optional :class:`repro.store.ArtifactStore` shared by every shard's
         :class:`SolveContext` — warm stores make repeated sweeps reuse

@@ -22,11 +22,7 @@ from repro.experiments.harness import (
     sweep,
 )
 from repro.experiments.progress import ProgressAggregator
-from repro.experiments.scheduler import (
-    CostModel,
-    WorkStealingExecutor,
-    schedule_groups,
-)
+from repro.experiments.scheduler import WorkStealingExecutor, schedule_groups
 
 __all__ = [
     "figures",
@@ -45,7 +41,6 @@ __all__ = [
     "job_checkpoint_key",
     "SerialExecutor",
     "WorkStealingExecutor",
-    "CostModel",
     "schedule_groups",
     "ProgressAggregator",
     "resolve_worker_count",

@@ -14,10 +14,10 @@ The experiment layer separates *what* a sweep runs from *how* it runs:
   groups of jobs out over a process pool, keeping every job that builds the
   same instance on one worker (preserving the per-instance
   :class:`~repro.core.pipeline.SolveContext` LP reuse).  Both run each job
-  through one step (:func:`_execute_job`: resume, run, checkpoint, record
-  timing), so they cannot drift apart.  Workers rehydrate the algorithm
-  registry simply by importing it — registration is an import-time side
-  effect of the provider modules.
+  through one step (:func:`_execute_job`: resume, run, checkpoint), so
+  they cannot drift apart.  Workers rehydrate the algorithm registry
+  simply by importing it — registration is an import-time side effect of
+  the provider modules.
 * Jobs share an **LP store** — anything exposing ``load_lp``/``save_lp``
   keyed by instance fingerprint and LP parameter key: when a factory
   rebuilds an identical instance for another repetition, its LP relaxation
@@ -463,63 +463,9 @@ def run_job(
         "rep": job.rep,
         "pid": os.getpid(),
         "seconds": elapsed,
-        # Uniform wall-time provenance on every execution path (serial and
-        # parallel both route through here): the cost model's training
-        # signal.  ``job_seconds`` is the full job (instance build + line-up
-        # + evaluation); ``lp_seconds`` arrives via context.stats() below.
-        "job_seconds": elapsed,
-        "num_users": instance.num_users,
-        "num_items": instance.num_items,
-        "num_slots": instance.num_slots,
     }
     provenance.update(context.stats())
     return JobResult(job_index=job.index, reports=reports, provenance=provenance)
-
-
-def job_timing_signature(job: SweepJob) -> str:
-    """Stable signature of a job's *work shape*: the line-up, not the instance.
-
-    Two jobs share a signature exactly when they run the same algorithms with
-    the same overrides and column bindings — the grouping key under which
-    observed wall times accumulate in the store's timings table and under
-    which the cost model (:mod:`repro.experiments.scheduler`) calibrates.
-    Instance size (``n``/``m``/``k``) is deliberately *not* part of the
-    signature: it is the regressor, recorded per row.
-    """
-    payloads = tuple(
-        (
-            payload.registry_name or payload.display_name,
-            tuple(sorted((str(key), repr(val)) for key, val in payload.overrides.items())),
-            tuple(sorted(payload.bind.items())),
-        )
-        for payload in job.algorithms
-    )
-    return hashlib.sha256(repr(payloads).encode("utf-8")).hexdigest()[:32]
-
-
-def record_job_timing(store: Any, job: SweepJob, result: JobResult) -> None:
-    """Persist one freshly executed job's wall time as cost-model training data.
-
-    A no-op for stores without a timings surface and for resumed results
-    (their ``job_seconds`` describes a past run already recorded).  Failures
-    are swallowed: timing collection must never break a sweep.
-    """
-    if not hasattr(store, "record_timing"):
-        return
-    prov = result.provenance
-    if prov.get("resumed") or "job_seconds" not in prov:
-        return
-    try:
-        store.record_timing(
-            job_timing_signature(job),
-            int(prov.get("num_users", 0)),
-            int(prov.get("num_items", 0)),
-            int(prov.get("num_slots", 0)),
-            float(prov["job_seconds"]),
-            float(prov.get("lp_seconds", 0.0)),
-        )
-    except Exception:
-        pass
 
 
 class MemoryLPStore:
@@ -554,11 +500,11 @@ def _execute_job(
     """The one per-job step every executor runs: resume, run, checkpoint.
 
     With a persistent ``store`` the job's checkpoint is consulted first
-    (unless ``resume`` is off) and a fresh result is checkpointed and its
-    wall time recorded the moment it finishes — by whichever process ran
-    it, since the store's WAL-mode SQLite index tolerates concurrent
-    writers.  ``backing`` is the LP store handed to :func:`run_job`.
-    Returns the result and whether it was resumed.
+    (unless ``resume`` is off) and a fresh result is checkpointed the moment
+    it finishes — by whichever process ran it, since the store's WAL-mode
+    SQLite index tolerates concurrent writers.  ``backing`` is the LP store
+    handed to :func:`run_job`.  Returns the result and whether it was
+    resumed.
     """
     if store is None:
         return run_job(instance_factory, job, backing), False
@@ -569,7 +515,6 @@ def _execute_job(
             return _as_resumed(cached, job), True
     result = run_job(instance_factory, job, backing)
     store.save_job(signature, key, result)
-    record_job_timing(store, job, result)
     return result, False
 
 
@@ -608,20 +553,26 @@ def _run_job_group(
 # Executors
 # --------------------------------------------------------------------------- #
 def resolve_worker_count(workers: int, *, available: Optional[int] = None) -> int:
-    """Validate a requested pool size and clamp it to the host's CPU count.
+    """Validate a requested pool size and clamp it to the CPUs this process may use.
 
-    A pool wider than ``os.cpu_count()`` cannot add throughput for the
-    CPU-bound LP/MILP jobs this layer runs — it only adds process start-up
-    cost and scheduler churn — so oversubscription is treated as a caller
-    mistake: the count is clamped and a :class:`RuntimeWarning` reports both
-    numbers.  ``available`` overrides the detected CPU count (for tests);
-    when the count cannot be detected (``os.cpu_count()`` returning ``None``)
-    the request is trusted as-is.
+    A pool wider than the process's CPU affinity mask
+    (``len(os.sched_getaffinity(0))``, or ``os.cpu_count()`` where ``os``
+    has no affinity call) cannot add throughput for the CPU-bound LP/MILP
+    jobs this layer runs — it only adds process start-up cost and scheduler
+    churn — so oversubscription is treated as a caller mistake: the count
+    is clamped and a :class:`RuntimeWarning` reports both numbers.
+    ``available`` overrides the detected count (for tests); when the count
+    cannot be detected (``os.cpu_count()`` returning ``None``) the request
+    is trusted as-is.
     """
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    available = os.cpu_count() if available is None else available
+    if available is None:
+        if hasattr(os, "sched_getaffinity"):
+            available = len(os.sched_getaffinity(0))
+        else:
+            available = os.cpu_count()
     if available is not None and workers > int(available):
         warnings.warn(
             f"requested {workers} workers but only {available} CPU(s) are "
@@ -710,8 +661,6 @@ __all__ = [
     "compile_grid",
     "plan_signature",
     "job_checkpoint_key",
-    "job_timing_signature",
-    "record_job_timing",
     "run_algorithms",
     "run_job",
     "resolve_worker_count",

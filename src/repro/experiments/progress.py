@@ -1,4 +1,4 @@
-"""Streaming sweep progress: live aggregation, completion counts, cost-model ETA.
+"""Streaming sweep progress: live aggregation, completion counts, size-weighted ETA.
 
 The executors (:mod:`repro.experiments.executor`,
 :mod:`repro.experiments.scheduler`) stream finished jobs through
@@ -10,10 +10,11 @@ stream into something watchable:
   the same rows :func:`~repro.experiments.harness.run_plan` would emit,
   averaged over the repetitions that have finished so far; (b) per-sweep-
   value completion counts; and (c) a wall-clock ETA that weights the
-  remaining jobs by the scheduler's cost model instead of assuming all
-  jobs are equal — on heterogeneous sweeps the last jobs are often the
-  big ones, and a naive ``remaining/throughput`` estimate is wildly
-  optimistic.
+  remaining jobs by the scheduler's size key
+  (:func:`~repro.experiments.scheduler.job_size`, ``n * m * k``) instead
+  of assuming all jobs are equal — on heterogeneous sweeps the last jobs
+  are often the big ones, and a naive ``remaining/throughput`` estimate is
+  wildly optimistic.
 
 An aggregator is itself a valid ``progress=`` callback (calling it is the
 same as calling :meth:`ProgressAggregator.update`), so the minimal live
@@ -29,7 +30,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.experiments.executor import JobResult, SweepJob, SweepPlan
-from repro.experiments.scheduler import CostModel
+from repro.experiments.scheduler import job_size
 
 __all__ = ["ProgressAggregator"]
 
@@ -48,11 +49,6 @@ class ProgressAggregator:
     plan:
         The compiled sweep being executed; defines the job universe, the
         sweep values and the row layout of the incremental table.
-    cost_model:
-        Optional :class:`~repro.experiments.scheduler.CostModel` used to
-        weight jobs for the ETA.  Defaults to a fresh (analytic-fallback)
-        model, which still captures the instance-size skew of a
-        heterogeneous sweep.
     clock:
         Monotonic time source, injectable for tests.
     """
@@ -61,19 +57,16 @@ class ProgressAggregator:
         self,
         plan: SweepPlan,
         *,
-        cost_model: Optional[CostModel] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.plan = plan
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self._clock = clock
         self._started = clock()
         self._finished_at: Optional[float] = None
         self._results: Dict[int, JobResult] = {}
         self._jobs: Dict[int, SweepJob] = {job.index: job for job in plan.jobs}
-        self._estimates: Dict[int, float] = {
-            job.index: max(1e-9, self.cost_model.estimate_job(plan, job))
-            for job in plan.jobs
+        self._sizes: Dict[int, int] = {
+            job.index: job_size(plan, job) for job in plan.jobs
         }
 
     # -- ingestion -------------------------------------------------------- #
@@ -133,26 +126,21 @@ class ProgressAggregator:
         return [counts[value_index] for value_index in sorted(counts)]
 
     def eta_seconds(self) -> Optional[float]:
-        """Cost-weighted remaining wall time, or None before any job finishes.
+        """Size-weighted remaining wall time, or None before any job finishes.
 
-        The observed rate (elapsed seconds per unit of *estimated* cost
-        completed) is extrapolated over the estimated cost still pending,
-        so a sweep whose big instances run last does not report a
-        misleadingly early finish.
+        The observed rate (elapsed seconds per unit of job size completed)
+        is extrapolated over the size still pending, so a sweep whose big
+        instances run last does not report a misleadingly early finish.
         """
         if not self._results:
             return None
         if self.done:
             return 0.0
-        completed_cost = sum(self._estimates[index] for index in self._results)
-        remaining_cost = sum(
-            estimate
-            for index, estimate in self._estimates.items()
-            if index not in self._results
+        completed = sum(self._sizes[index] for index in self._results)
+        remaining = sum(
+            size for index, size in self._sizes.items() if index not in self._results
         )
-        if completed_cost <= 0.0:
-            return None
-        return remaining_cost * (self.elapsed / completed_cost)
+        return remaining * (self.elapsed / completed)
 
     # -- incremental table ------------------------------------------------- #
     def result(self) -> "ExperimentResult":

@@ -94,8 +94,8 @@ class SolverService:
     workers:
         ``0`` (default) solves batches in the batcher thread; ``>= 1``
         maintains a **persistent** :class:`~concurrent.futures.ProcessPoolExecutor`
-        of that many workers (clamped to the CPU count with a warning,
-        :func:`~repro.experiments.executor.resolve_worker_count`) that
+        of that many workers (clamped to the CPUs the process may use, with
+        a warning, :func:`~repro.experiments.executor.resolve_worker_count`) that
         survives across batches — workers are reused, never respawned per
         request.
     batch_window:

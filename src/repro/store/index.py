@@ -6,7 +6,8 @@ use are ``"lp"`` (LP relaxation solutions; ``fingerprint`` is the instance
 fingerprint and ``param_key`` the canonical LP parameter key) and ``"job"``
 (executor job checkpoints; ``fingerprint`` is the plan signature and
 ``param_key`` the job's content key, whose index lives in the payload).
-A ``timings`` table next to it holds observed job wall times.
+The index only locates payloads.  Nothing reads or writes any other table:
+a ``timings`` table an older version created is left as it is.
 
 The connection is configured for concurrent multi-process access — workers
 of a :class:`~repro.experiments.scheduler.WorkStealingExecutor` all write to
@@ -43,24 +44,6 @@ CREATE TABLE IF NOT EXISTS entries (
 )
 """
 
-# Observed job wall times, the sweep scheduler's cost-model training data.
-# One row per (line-up signature, instance size): repeated observations fold
-# into a running mean via the WAL-safe upsert in record_timing(), so the
-# table stays bounded no matter how many sweeps run against the store.
-_TIMINGS_SQL = """
-CREATE TABLE IF NOT EXISTS timings (
-    signature   TEXT NOT NULL,
-    n           INTEGER NOT NULL,
-    m           INTEGER NOT NULL,
-    k           INTEGER NOT NULL,
-    job_seconds REAL NOT NULL,
-    lp_seconds  REAL NOT NULL,
-    samples     INTEGER NOT NULL,
-    updated_at  TEXT NOT NULL,
-    PRIMARY KEY (signature, n, m, k)
-)
-"""
-
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -93,7 +76,6 @@ class SQLiteIndex:
                 conn.execute("PRAGMA foreign_keys=ON")
                 with conn:
                     conn.execute(_SCHEMA_SQL)
-                    conn.execute(_TIMINGS_SQL)
                 self._conn = conn
             return self._conn
 
@@ -179,73 +161,6 @@ class SQLiteIndex:
     def clear(self) -> None:
         with self._lock, self.connection as conn:
             conn.execute("DELETE FROM entries")
-
-    # -- observed job timings (cost-model training data) ------------------ #
-    def record_timing(
-        self,
-        signature: str,
-        n: int,
-        m: int,
-        k: int,
-        job_seconds: float,
-        lp_seconds: float = 0.0,
-    ) -> None:
-        """Fold one observed job wall time into the timings table.
-
-        The upsert keeps a running mean per ``(signature, n, m, k)`` cell —
-        WAL-safe, so :class:`~repro.experiments.scheduler.WorkStealingExecutor`
-        workers of several processes can all report into one index.  Negative
-        durations (clock skew) are clamped to zero rather than poisoning the
-        mean.
-        """
-        job_seconds = max(0.0, float(job_seconds))
-        lp_seconds = max(0.0, float(lp_seconds))
-        with self._lock, self.connection as conn:
-            conn.execute(
-                "INSERT INTO timings (signature, n, m, k, job_seconds, lp_seconds,"
-                " samples, updated_at) VALUES (?, ?, ?, ?, ?, ?, 1, ?)"
-                " ON CONFLICT (signature, n, m, k) DO UPDATE SET"
-                " job_seconds = (timings.job_seconds * timings.samples + excluded.job_seconds)"
-                "   / (timings.samples + 1),"
-                " lp_seconds = (timings.lp_seconds * timings.samples + excluded.lp_seconds)"
-                "   / (timings.samples + 1),"
-                " samples = timings.samples + 1,"
-                " updated_at = excluded.updated_at",
-                (signature, int(n), int(m), int(k), job_seconds, lp_seconds, _utc_now()),
-            )
-
-    def timings(
-        self, signature: Optional[str] = None
-    ) -> List[Tuple[str, int, int, int, float, float, int]]:
-        """``(signature, n, m, k, job_seconds, lp_seconds, samples)`` rows.
-
-        With ``signature`` the result is restricted to one line-up; rows are
-        ordered by instance size so calibration code can consume them
-        directly.
-        """
-        query = (
-            "SELECT signature, n, m, k, job_seconds, lp_seconds, samples"
-            " FROM timings"
-        )
-        params: Tuple[Any, ...] = ()
-        if signature is not None:
-            query += " WHERE signature = ?"
-            params = (signature,)
-        query += " ORDER BY signature, n, m, k"
-        with self._lock:
-            rows = self.connection.execute(query, params).fetchall()
-        return [
-            (str(sig), int(n), int(m), int(k), float(js), float(ls), int(s))
-            for sig, n, m, k, js, ls, s in rows
-        ]
-
-    def timing_signatures(self) -> List[str]:
-        """Distinct line-up signatures with at least one recorded timing."""
-        with self._lock:
-            rows = self.connection.execute(
-                "SELECT DISTINCT signature FROM timings ORDER BY signature"
-            ).fetchall()
-        return [str(row[0]) for row in rows]
 
 
 __all__ = ["SQLiteIndex"]

@@ -6,7 +6,7 @@ Layout under ``root``::
       index.sqlite        # SQLite index (WAL), see repro.store.index
       blobs/ab/<sha>.bin  # content-addressed payloads, see repro.store.blobs
 
-The store exposes three keyed surfaces over that substrate:
+The store exposes two keyed surfaces over that substrate:
 
 * ``load_lp`` / ``save_lp`` — LP relaxation solutions keyed by instance
   fingerprint **plus the full LP parameter tuple**.  This is the surface a
@@ -18,8 +18,9 @@ The store exposes three keyed surfaces over that substrate:
 * ``load_job`` / ``save_job`` — executor checkpoints keyed by plan signature
   and a per-job content key; the streaming executors write one entry per
   finished job so interrupted sweeps resume instead of restarting.
-* ``record_timing`` / ``load_timings`` — observed job wall times, the sweep
-  scheduler's cost-model training data.
+
+The index only locates payloads: it records no timings, and a ``timings``
+table an older version created is left alone.
 
 Every load verifies schema version and blob integrity; anything stale,
 missing, truncated or corrupted is evicted and reported as a miss — callers
@@ -195,36 +196,6 @@ class ArtifactStore:
             except Exception:
                 continue
         return sorted(indices)
-
-    # -- observed job timings (cost-model training data) ------------------ #
-    def record_timing(
-        self,
-        signature: str,
-        n: int,
-        m: int,
-        k: int,
-        job_seconds: float,
-        lp_seconds: float = 0.0,
-    ) -> None:
-        """Fold one observed job wall time into the index's timings table.
-
-        ``signature`` identifies the work shape (a line-up signature from
-        :func:`repro.experiments.executor.job_timing_signature`);
-        ``n``/``m``/``k`` the instance size it ran at.  The sweep
-        scheduler's cost model (:mod:`repro.experiments.scheduler`) trains on
-        these rows, so every store-backed run makes later schedules better.
-        """
-        self._index.record_timing(signature, n, m, k, job_seconds, lp_seconds)
-
-    def load_timings(
-        self, signature: Optional[str] = None
-    ) -> List[Tuple[str, int, int, int, float, float, int]]:
-        """``(signature, n, m, k, job_seconds, lp_seconds, samples)`` rows."""
-        return self._index.timings(signature)
-
-    def timing_signatures(self) -> List[str]:
-        """Distinct work-shape signatures with recorded timings."""
-        return self._index.timing_signatures()
 
     # -- maintenance ------------------------------------------------------ #
     def clear(self) -> None:

@@ -320,13 +320,50 @@ class TestWorkerResolution:
             resolve_worker_count(-3, available=8)
 
     def test_unknown_cpu_count_trusts_the_request(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_worker_count(16) == 16
 
+    def test_affinity_mask_bounds_the_pool(self, monkeypatch):
+        # One usable CPU on a multi-core host: the mask wins over cpu_count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        with pytest.warns(RuntimeWarning, match="clamping to 1"):
+            assert resolve_worker_count(2) == 1
+
+    def test_a_wider_affinity_mask_keeps_the_request(self, monkeypatch):
+        # cpu_count says 1, but the mask is what this process may use.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_worker_count(4) == 4
+
+    def test_cpu_count_bounds_the_pool_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.warns(RuntimeWarning, match="clamping to 2"):
+            assert resolve_worker_count(5) == 2
+
+    def test_explicit_available_overrides_the_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_worker_count(4, available=8) == 4
+
+    def test_work_stealing_executor_clamps_to_the_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.warns(RuntimeWarning, match="clamping to 1"):
+            executor = WorkStealingExecutor(workers=2)
+        assert executor.workers == 1
+
     def test_parallel_executor_clamps_on_construction(self):
-        cores = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
         with pytest.warns(RuntimeWarning):
             executor = WorkStealingExecutor(workers=cores + 1)
         assert executor.workers == cores

@@ -2,12 +2,14 @@
 
 Covers :mod:`repro.experiments.progress`: incremental tables that converge
 to the :func:`run_plan` output row for row, per-sweep-value completion
-counts, the cost-weighted ETA (None before data, positive mid-sweep, zero
+counts, the size-weighted ETA (None before data, positive mid-sweep, zero
 at the end), and the ``progress=`` callback threading through
 :func:`run_plan` / :func:`sweep` / :func:`grid`.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.registry import build_runners
 from repro.experiments.executor import JobResult, SerialExecutor, compile_sweep
@@ -111,7 +113,7 @@ class TestProgressAggregator:
 
     def test_eta_weights_remaining_jobs_by_cost(self):
         # Two jobs left: one at n=5, one at n=40.  After the small one
-        # finishes, the cost-weighted ETA must exceed the naive
+        # finishes, the size-weighted ETA must exceed the naive
         # equal-weight extrapolation (elapsed * remaining / completed).
         plan = _make_plan(values=(5, 40), repetitions=1, algorithms=("PER",))
         results = SerialExecutor().run(plan)
@@ -120,6 +122,39 @@ class TestProgressAggregator:
         clock.now = 1.0
         agg.update(results[0])
         assert agg.eta_seconds() > 1.0
+
+    def test_eta_is_the_pending_size_at_the_observed_rate(self):
+        # Sizes n*m*k: 5*15*2 = 150 and 10*15*2 = 300.
+        plan = _make_plan(values=(5, 10), repetitions=1, algorithms=("PER",))
+        clock = FakeClock()
+        small_first = ProgressAggregator(plan, clock=clock)
+        clock.now = 1.0
+        small_first.update(JobResult(job_index=0, reports={}))
+        # 1 s for 150 units leaves 300 units: 2 s.
+        assert small_first.eta_seconds() == pytest.approx(2.0)
+
+        clock = FakeClock()
+        big_first = ProgressAggregator(plan, clock=clock)
+        clock.now = 3.0
+        big_first.update(JobResult(job_index=1, reports={}))
+        # 3 s for 300 units leaves 150 units: 1.5 s.
+        assert big_first.eta_seconds() == pytest.approx(1.5)
+
+    def test_equal_sizes_give_the_equal_weight_eta(self):
+        # A dataset sweep: every job has one size, so the ETA is
+        # elapsed * remaining / completed.
+        factory = InstanceSweepFactory(
+            dataset="timik", vary="dataset", num_users=6, num_items=15, num_slots=2
+        )
+        plan = compile_sweep(
+            "progress-test", "d", ["timik", "epinions", "yelp"], factory,
+            build_runners(["PER"]),
+        )
+        clock = FakeClock()
+        agg = ProgressAggregator(plan, clock=clock)
+        clock.now = 2.0
+        agg.update(JobResult(job_index=0, reports={}))
+        assert agg.eta_seconds() == pytest.approx(4.0)
 
     def test_render_mentions_progress_and_values(self):
         plan = _make_plan()

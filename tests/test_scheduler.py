@@ -1,35 +1,39 @@
-"""Tests for the cost-model-aware work-stealing sweep scheduler.
+"""Tests for the size-ordered work-stealing sweep scheduler.
 
 Covers the acceptance properties of :mod:`repro.experiments.scheduler`:
-cost-model estimates monotone in instance size on every calibration path
-(analytic cold start, rescaled-analytic, fitted power law); LPT affinity
-grouping (heaviest group first, repetitions split into separately claimable
-groups, fixed-instance factories collapsing to one group); and the
-:class:`WorkStealingExecutor` reproducing the serial table exactly — one LP
-solve per instance under stealing, checkpoint resume after a mid-sweep
-kill, and observed timings recorded into the store for the next schedule.
+job sizes predicted from the plan without building instances; LPT affinity
+grouping (largest group first, equal sizes in plan order, repetitions split
+into separately claimable groups, fixed-instance factories collapsing to one
+group); and the :class:`WorkStealingExecutor` reproducing the serial table
+exactly — one LP solve per instance under stealing, checkpoint resume after
+an interrupted sweep, and a worker killed mid-sweep failing the run at once
+and leaving checkpoints a re-run resumes.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from repro.core.registry import build_runners
 from repro.experiments.executor import (
     SerialExecutor,
+    compile_grid,
     compile_sweep,
-    job_timing_signature,
     plan_signature,
 )
 from repro.experiments.figures import FixedInstanceFactory, InstanceSweepFactory
 from repro.experiments.harness import run_plan
 from repro.experiments.scheduler import (
-    CostModel,
-    JobFeatures,
     WorkStealingExecutor,
     affinity_key,
-    job_features,
-    payload_cost_profile,
+    job_size,
     schedule_groups,
 )
 from repro.store import ArtifactStore
@@ -46,89 +50,144 @@ def _make_plan(values=(5, 8), repetitions=2, algorithms=("AVG-D", "PER"), seed=0
     )
 
 
+@dataclass(frozen=True)
+class KillOnFirstBuild:
+    """Sweep factory whose process SIGKILLs itself the first time it builds ``value``.
+
+    Creating ``marker`` is atomic, so exactly one build dies; every later
+    build, in any process, is normal.
+    """
+
+    marker: str
+    value: int
+
+    def __call__(self, value, rep_seed):
+        if value == self.value:
+            try:
+                open(self.marker, "x").close()
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return SWEEP_FACTORY(value, rep_seed)
+
+
+def _never_built(value, rep_seed):
+    raise AssertionError("sizing or scheduling a plan built an instance")
+
+
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
-def _features(signature, n, m=15, k=2, profiles=((8.0, 1.2),)):
-    return JobFeatures(signature=signature, n=n, m=m, k=k, profiles=profiles)
+class TestJobSize:
+    """Sizes come from the plan alone: columns, then ``vary``, then base fields."""
 
-
-class TestCostModel:
-    def test_analytic_estimates_monotone_in_n(self):
-        model = CostModel()
-        estimates = [model.estimate(_features("cold", n)) for n in (4, 16, 64, 256)]
-        assert estimates == sorted(estimates)
-        assert estimates[0] < estimates[-1]
-
-    def test_registry_tags_drive_the_analytic_profile(self):
-        # exact >> LP rounding >> untagged baseline, at identical sizes.
-        ip = payload_cost_profile("IP")
-        avg_d = payload_cost_profile("AVG-D")
-        per = payload_cost_profile("PER")
-        model = CostModel()
-        costs = [
-            model.estimate(_features("p", 50, profiles=(profile,)))
-            for profile in (ip, avg_d, per)
-        ]
-        assert costs[0] > costs[1] > costs[2]
-
-    def test_power_law_fit_is_monotone_and_reported(self):
-        rows = [
-            ("sig", n, 15, 2, seconds, 0.0, 1)
-            for n, seconds in ((5, 0.02), (10, 0.09), (20, 0.4), (40, 1.7))
-        ]
-        model = CostModel(rows, min_samples=3)
-        assert model.calibration("sig")["kind"] == "power-law"
-        estimates = [model.estimate(_features("sig", n)) for n in (5, 10, 20, 40, 80)]
-        assert estimates == sorted(estimates)
-        # Calibrated predictions pass through the observed magnitude range.
-        assert 0.005 < estimates[0] < 0.1
-        assert estimates[3] > 0.5
-
-    def test_few_samples_rescale_the_analytic_curve(self):
-        # Two rows at one size: not fittable, but the magnitude is adopted.
-        rows = [("sig", 10, 15, 2, 4.0, 0.0, 1), ("sig", 10, 15, 2, 4.0, 0.0, 1)]
-        model = CostModel(rows)
-        assert model.calibration("sig")["kind"] == "rescaled-analytic"
-        at_observed = model.estimate(_features("sig", 10))
-        assert at_observed == pytest.approx(4.0, rel=0.5)
-        # Monotone shape survives the rescale.
-        assert model.estimate(_features("sig", 40)) > at_observed
-
-    def test_cold_signature_falls_back_to_analytic(self):
-        rows = [("other", 10, 15, 2, 4.0, 0.0, 1)]
-        model = CostModel(rows)
-        assert model.calibration("never-seen")["kind"] == "analytic"
-        assert model.estimate(_features("never-seen", 10)) == pytest.approx(
-            CostModel().estimate(_features("never-seen", 10))
+    @pytest.mark.parametrize("vary", ["n", "m", "k"])
+    def test_size_scales_with_the_swept_dimension(self, vary):
+        factory = InstanceSweepFactory(
+            dataset="timik", vary=vary, num_users=6, num_items=15, num_slots=2
         )
+        plan = compile_sweep("size", "d", [2, 3, 5, 9], factory, build_runners(["PER"]))
+        fixed = {"n": 6, "m": 15, "k": 2}
+        fixed.pop(vary)
+        (a, b) = fixed.values()
+        assert [job_size(plan, job) for job in plan.jobs] == [
+            value * a * b for value in (2, 3, 5, 9)
+        ]
 
-    def test_from_store_trains_on_recorded_timings(self, store):
-        store.record_timing("sig", 10, 15, 2, 1.5)
-        model = CostModel.from_store(store)
-        assert model.calibrated_signatures == ["sig"]
-        assert CostModel.from_store(None).calibrated_signatures == []
-        assert CostModel.from_store({}).calibrated_signatures == []
+    def test_grid_columns_name_two_dimensions(self):
+        plan = compile_grid(
+            "grid", "d", [4, 8], [10, 20], _never_built,
+            build_runners(["PER"]), x_label="n", y_label="m",
+        )
+        assert [job_size(plan, job) for job in plan.jobs] == [
+            4 * 10 * 3, 4 * 20 * 3, 8 * 10 * 3, 8 * 20 * 3,
+        ]
 
-    def test_min_samples_validation(self):
-        with pytest.raises(ValueError, match="min_samples"):
-            CostModel(min_samples=1)
+    def test_a_labelled_column_wins_over_base_fields(self):
+        fixed = FixedInstanceFactory(dataset="timik", num_users=6, num_items=15, num_slots=2)
+        plan = compile_sweep("col", "d", [40], fixed, build_runners(["PER"]), x_label="n")
+        assert job_size(plan, plan.jobs[0]) == 40 * 15 * 2
 
-    def test_job_features_resolve_dimensions_from_the_plan(self):
-        plan = _make_plan(values=(5, 8))
-        features = job_features(plan, plan.jobs[0])
-        assert (features.n, features.m, features.k) == (5, 15, 2)
-        assert features.signature == job_timing_signature(plan.jobs[0])
+    def test_a_numeric_value_with_no_hint_is_taken_as_n(self):
+        plan = compile_sweep("bare", "d", [2, 7], _never_built, build_runners(["PER"]))
+        assert [job_size(plan, job) for job in plan.jobs] == [2 * 32 * 3, 7 * 32 * 3]
+
+    def test_unnamed_dimensions_take_the_defaults(self):
+        plan = compile_sweep(
+            "ds", "d", ["timik", "yelp"], _never_built, build_runners(["PER"])
+        )
+        assert [job_size(plan, job) for job in plan.jobs] == [64 * 32 * 3] * 2
+
+    def test_bools_are_not_dimensions(self):
+        plan = compile_sweep(
+            "flag", "d", [True, False], _never_built, build_runners(["PER"]), x_label="n"
+        )
+        assert [job_size(plan, job) for job in plan.jobs] == [64 * 32 * 3] * 2
+
+    def test_numpy_scalar_values_are_dimensions(self):
+        plan = compile_sweep(
+            "np", "d", np.array([5, 8]), SWEEP_FACTORY, build_runners(["PER"])
+        )
+        assert [job_size(plan, job) for job in plan.jobs] == [5 * 15 * 2, 8 * 15 * 2]
+
+    def test_size_is_at_least_one(self):
+        # The ETA divides by the finished jobs' summed size, so no job
+        # may weigh zero, even at a degenerate dimension.
+        factory = InstanceSweepFactory(
+            dataset="timik", vary="k", num_users=6, num_items=15, num_slots=2
+        )
+        plan = compile_sweep("zero", "d", [0, -1], factory, build_runners(["PER"]))
+        assert [job_size(plan, job) for job in plan.jobs] == [6 * 15, 6 * 15]
+
+    def test_scheduling_builds_no_instance(self):
+        plan = compile_sweep(
+            "lazy", "d", [5, 8], _never_built, build_runners(["PER"]),
+            x_label="n", repetitions=2,
+        )
+        assert [group.jobs[0].value for group in schedule_groups(plan)] == [8, 8, 5, 5]
 
 
 class TestScheduleGroups:
     def test_heaviest_group_first(self):
-        plan = _make_plan(values=(5, 20), repetitions=1)
-        groups = schedule_groups(plan)
-        assert [group.jobs[0].value for group in groups] == [20, 5]
-        assert groups[0].estimated_cost >= groups[-1].estimated_cost
+        cases = [
+            ("n", [5, 20], [20, 5]),
+            ("m", [10, 30, 20], [30, 20, 10]),
+            ("k", [2, 4, 3], [4, 3, 2]),
+            # Equal sizes keep plan order.
+            ("dataset", ["timik", "epinions", "yelp"], ["timik", "epinions", "yelp"]),
+        ]
+        for vary, values, expected in cases:
+            factory = InstanceSweepFactory(
+                dataset="timik", vary=vary, num_users=6, num_items=15, num_slots=2
+            )
+            plan = compile_sweep(
+                "sched-test", "d", values, factory,
+                build_runners(["AVG-D", "PER"]), seed=0,
+            )
+            groups = schedule_groups(plan)
+            assert [group.jobs[0].value for group in groups] == expected, vary
+            sizes = [group.size for group in groups]
+            assert sizes == sorted(sizes, reverse=True)
+
+    def test_job_size_resolves_dimensions_from_the_plan(self):
+        # The factory's vary hint binds the value; base fields fill the rest.
+        plan = _make_plan(values=(5, 8))
+        assert job_size(plan, plan.jobs[0]) == 5 * 15 * 2
+        # A labelled sweep column wins; unnamed dimensions take the defaults.
+        bare = compile_sweep(
+            "bare", "d", [7], lambda value, rep_seed: None,
+            build_runners(["PER"]), x_label="n",
+        )
+        assert job_size(bare, bare.jobs[0]) == 7 * 32 * 3
+        fixed = compile_sweep(
+            "fixed", "d", [0.1],
+            FixedInstanceFactory(dataset="timik", num_users=6, num_items=15, num_slots=2),
+            build_runners(["PER"]),
+        )
+        assert job_size(fixed, fixed.jobs[0]) == 6 * 15 * 2
 
     def test_repetitions_become_separate_groups(self):
         # Distinct rep seeds build distinct instances, so every rep is its
@@ -158,17 +217,26 @@ class TestScheduleGroups:
         (group,) = schedule_groups(plan)
         assert [job.index for job in group.jobs] == list(range(len(plan.jobs)))
 
-    def test_calibrated_model_reorders_the_schedule(self):
-        plan = _make_plan(values=(5, 8), repetitions=1)
-        signature = job_timing_signature(plan.jobs[0])
-        # History claiming the *small* value is slower flips the LPT order.
-        rows = [
-            (signature, 5, 15, 2, 9.0, 0.0, 1),
-            (signature, 5, 15, 2, 9.1, 0.0, 1),
-            (signature, 8, 15, 2, 0.01, 0.0, 1),
-        ]
-        groups = schedule_groups(plan, cost_model=CostModel(rows, min_samples=3))
-        assert groups[0].jobs[0].value == 5
+    def test_group_size_is_the_sum_of_its_jobs(self):
+        fixed = FixedInstanceFactory(dataset="timik", num_users=6, num_items=15, num_slots=2)
+        plan = compile_sweep(
+            "fixed", "d", [0.1, 0.2, 0.3], fixed,
+            build_runners(["AVG-D"]), seed=0, repetitions=2,
+        )
+        (group,) = schedule_groups(plan)
+        assert group.size == len(plan.jobs) * 6 * 15 * 2
+
+    def test_equal_sizes_keep_first_job_order(self):
+        # Each value's two repetitions tie on size, so they keep plan order.
+        plan = _make_plan(values=(5, 8), repetitions=2)
+        groups = schedule_groups(plan)
+        assert [group.jobs[0].index for group in groups] == [2, 3, 0, 1]
+
+    def test_only_the_given_jobs_are_scheduled(self):
+        plan = _make_plan(values=(5, 8, 11), repetitions=1)
+        groups = schedule_groups(plan, plan.jobs[:2])
+        assert [group.jobs[0].index for group in groups] == [1, 0]
+        assert schedule_groups(plan, []) == []
 
 
 class TestWorkStealingExecutor:
@@ -185,7 +253,7 @@ class TestWorkStealingExecutor:
         assert executor.jobs_executed == len(plan)
         for provenance in stolen.parameters["job_provenance"]:
             assert provenance["lp_solves"] == 1
-            assert provenance["job_seconds"] >= 0.0
+            assert provenance["seconds"] >= 0.0
             assert provenance["lp_seconds"] >= 0.0
 
     def test_run_returns_results_in_job_index_order(self):
@@ -198,8 +266,8 @@ class TestWorkStealingExecutor:
         executor = WorkStealingExecutor(workers=2)
         executor.run(plan)
         assert executor.last_schedule
-        costs = [group.estimated_cost for group in executor.last_schedule]
-        assert costs == sorted(costs, reverse=True)
+        sizes = [group.size for group in executor.last_schedule]
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_full_rerun_resumes_every_job(self, store):
         plan = _make_plan()
@@ -211,6 +279,20 @@ class TestWorkStealingExecutor:
         assert resumed_executor.jobs_resumed == len(plan)
         assert resumed_executor.jobs_executed == 0
         assert resumed.comparable_rows() == baseline.comparable_rows()
+
+    def test_resumed_jobs_are_not_scheduled(self, store):
+        plan = _make_plan(values=(5, 8), repetitions=1)
+        run_plan(plan.subset([0]), WorkStealingExecutor(workers=1, store=store))
+
+        executor = WorkStealingExecutor(workers=2, store=store)
+        executor.run(plan)
+        assert executor.jobs_resumed == 1
+        scheduled = [job.index for group in executor.last_schedule for job in group.jobs]
+        assert scheduled == [1]
+
+        executor.run(plan)
+        assert executor.jobs_resumed == len(plan)
+        assert executor.last_schedule == []
 
     def test_killed_run_completes_only_unfinished_jobs(self, store):
         """Acceptance: a run that died mid-sweep leaves a strict prefix of
@@ -234,22 +316,29 @@ class TestWorkStealingExecutor:
         assert finisher.jobs_resumed + finisher.jobs_executed == len(plan)
         assert finished.comparable_rows() == baseline.comparable_rows()
 
-    def test_store_backed_run_records_timings(self, store):
-        plan = _make_plan()
-        run_plan(plan, WorkStealingExecutor(workers=2, store=store))
-        rows = store.load_timings()
-        assert rows, "no timings recorded by the store-backed run"
-        signature = job_timing_signature(plan.jobs[0])
-        assert signature in store.timing_signatures()
-        # The next executor's default model trains on exactly this history.
-        assert CostModel.from_store(store).calibrated_signatures
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_dead_worker_fails_the_run_and_a_rerun_resumes(self, store, tmp_path):
+        values = (5, 6, 7, 8)
+        baseline = run_plan(_make_plan(values=values), SerialExecutor())
+        # Same name, values and seed as the baseline's plan, so the same
+        # instances; n=5 is the smallest value, so its groups are claimed last.
+        plan = compile_sweep(
+            "sched-test", "d", list(values),
+            KillOnFirstBuild(str(tmp_path / "killed"), 5),
+            build_runners(["AVG-D", "PER"]), seed=0, repetitions=2,
+        )
 
-    def test_serial_store_run_also_records_timings(self, store):
-        plan = _make_plan(values=(5,), repetitions=1)
-        run_plan(plan, SerialExecutor(store=store))
-        assert store.load_timings()
+        crashed = WorkStealingExecutor(workers=2, store=store)
+        started = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            run_plan(plan, crashed)
+        assert time.perf_counter() - started < 30.0
+        assert crashed.last_schedule[-1].jobs[0].value == 5
+        checkpointed = len(store.job_indices(plan_signature(plan)))
+        assert 1 <= checkpointed < len(plan)
 
-    def test_explicit_cost_model_wins_over_store(self, store):
-        model = CostModel()
-        executor = WorkStealingExecutor(workers=1, cost_model=model, store=store)
-        assert executor._resolve_model() is model
+        rerun = WorkStealingExecutor(workers=2, store=store)
+        finished = run_plan(plan, rerun)
+        assert rerun.jobs_resumed == checkpointed
+        assert rerun.jobs_executed == len(plan) - checkpointed
+        assert finished.comparable_rows() == baseline.comparable_rows()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -214,6 +215,15 @@ class TestLifecycle:
         assert stats["count"] == 2
         recent = [serve.total_seconds for serve in served[1:]]
         assert stats["mean"] == pytest.approx(np.mean(recent))
+
+    def test_pool_width_clamps_to_the_affinity_mask(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.warns(RuntimeWarning, match="clamping to 1"):
+            service = SolverService(tmp_path / "store", workers=2)
+        with service:
+            assert service.workers == 1
+        with SolverService(tmp_path / "store", workers=0) as in_thread:
+            assert in_thread.workers == 0
 
 
 class TestReplayHarness:

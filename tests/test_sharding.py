@@ -333,7 +333,7 @@ def test_shard_worker_is_picklable(medium_instance):
 
 
 # --------------------------------------------------------------------------- #
-# Worker-count hygiene and cost-model integration
+# Worker-count hygiene and per-shard timing
 # --------------------------------------------------------------------------- #
 def test_sharded_solve_rejects_zero_workers(medium_instance):
     with pytest.raises(ValueError, match="workers"):
@@ -356,6 +356,18 @@ def test_sharded_solve_clamps_oversubscribed_workers(medium_instance):
         )
     assert result.configuration.is_valid(medium_instance)
     assert result.info["workers"] <= available
+
+
+def test_sharded_solve_clamps_to_the_affinity_mask(medium_instance, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.warns(RuntimeWarning, match="clamping to 1"):
+        result = solve_sharded(
+            medium_instance, algorithm="AVG-D", max_shard_users=24, seed=3, workers=2
+        )
+    assert result.configuration.is_valid(medium_instance)
+    assert result.info["workers"] == 1
 
 
 def test_sharded_solve_parallel_matches_serial(medium_instance):

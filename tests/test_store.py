@@ -6,7 +6,8 @@ solutions persisted per (instance fingerprint, full LP parameter key) and
 reused across SolveContexts with ``lp_store_hits`` accounting; robustness
 against corrupted/truncated/malformed blobs, stale-schema index entries and
 entries an ``.npz``-payload (schema 1) store wrote (evict and re-solve, never
-crash); counters that add up under threads; executor job checkpoints that
+crash); an index holding an older version's ``timings`` table (opened,
+used and left alone); counters that add up under threads; executor job checkpoints that
 let an interrupted sweep — serial or parallel — complete only its unfinished
 jobs; and the ExperimentResult JSON round-trip edge cases (non-finite
 values, numpy dtypes).
@@ -19,10 +20,12 @@ import io
 import json
 import math
 import pickle
+import sqlite3
 import struct
 import sys
 import threading
 import zlib
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -693,48 +696,89 @@ class TestExperimentResultJSONEdgeCases:
         assert restored.parameters["arr"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
-class TestTimingsTable:
-    """Observed job/shard wall times persisted for cost-model calibration."""
+#: The ``timings`` table earlier versions created in every store's index.
+OLD_TIMINGS_SQL = """
+CREATE TABLE IF NOT EXISTS timings (
+    signature   TEXT NOT NULL,
+    n           INTEGER NOT NULL,
+    m           INTEGER NOT NULL,
+    k           INTEGER NOT NULL,
+    job_seconds REAL NOT NULL,
+    lp_seconds  REAL NOT NULL,
+    samples     INTEGER NOT NULL,
+    updated_at  TEXT NOT NULL,
+    PRIMARY KEY (signature, n, m, k)
+)
+"""
+OLD_TIMINGS_ROW = ("sig", 10, 20, 3, 1.5, 0.4, 1, "2026-10-19T00:00:00+00:00")
 
-    def test_record_and_load_round_trip(self, store):
-        store.record_timing("sig-a", 10, 20, 3, 1.5, 0.4)
-        rows = store.load_timings()
-        assert rows == [("sig-a", 10, 20, 3, 1.5, 0.4, 1)]
 
-    def test_running_mean_folds_samples(self, store):
-        store.record_timing("sig", 10, 20, 3, 1.0, 0.2)
-        store.record_timing("sig", 10, 20, 3, 3.0, 0.6)
-        ((_, _, _, _, job_seconds, lp_seconds, samples),) = store.load_timings()
-        assert job_seconds == pytest.approx(2.0)
-        assert lp_seconds == pytest.approx(0.4)
-        assert samples == 2
+def _index_tables(root):
+    with closing(sqlite3.connect(str(root / "index.sqlite"))) as conn:
+        rows = conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+        ).fetchall()
+    return [name for (name,) in rows]
 
-    def test_negative_durations_are_clamped(self, store):
-        # Clock skew across worker processes must not poison the mean.
-        store.record_timing("sig", 10, 20, 3, -5.0, -1.0)
-        ((_, _, _, _, job_seconds, lp_seconds, _),) = store.load_timings()
-        assert job_seconds == 0.0
-        assert lp_seconds == 0.0
 
-    def test_signature_filter_and_size_ordering(self, store):
-        store.record_timing("sig-b", 40, 20, 3, 4.0)
-        store.record_timing("sig-b", 10, 20, 3, 1.0)
-        store.record_timing("sig-a", 10, 20, 3, 0.5)
-        rows = store.load_timings("sig-b")
-        assert [row[0] for row in rows] == ["sig-b", "sig-b"]
-        # Rows come back ordered by instance size for calibration code.
-        assert [row[1] for row in rows] == [10, 40]
+def _old_timings_rows(root):
+    with closing(sqlite3.connect(str(root / "index.sqlite"))) as conn:
+        return conn.execute("SELECT * FROM timings").fetchall()
 
-    def test_timing_signatures_lists_distinct_shapes(self, store):
-        assert store.timing_signatures() == []
-        store.record_timing("sig-b", 10, 20, 3, 1.0)
-        store.record_timing("sig-a", 10, 20, 3, 1.0)
-        store.record_timing("sig-a", 40, 20, 3, 2.0)
-        assert store.timing_signatures() == ["sig-a", "sig-b"]
 
-    def test_distinct_cells_do_not_share_means(self, store):
-        store.record_timing("sig", 10, 20, 3, 1.0)
-        store.record_timing("sig", 10, 20, 4, 9.0)  # different k: separate cell
-        rows = store.load_timings("sig")
-        assert len(rows) == 2
-        assert {row[6] for row in rows} == {1}
+def test_a_fresh_index_holds_only_entries(tmp_path, instance):
+    store = ArtifactStore(tmp_path / "fresh")
+    store.save_lp("fp", DEFAULT_LP_KEY, solve_lp_relaxation(instance))
+    run_plan(_make_plan(values=(5,), repetitions=1), SerialExecutor(store=store))
+    assert _index_tables(tmp_path / "fresh") == ["entries"]
+
+
+class TestIndexWithOldTimingsTable:
+    """An index an earlier version wrote, ``timings`` table included, serves
+    LP hits and resumes jobs, serially and under work stealing, and its
+    ``timings`` rows are left as they were."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = tmp_path / "old-store"
+        root.mkdir()
+        with closing(sqlite3.connect(str(root / "index.sqlite"))) as conn, conn:
+            conn.execute(OLD_TIMINGS_SQL)
+            conn.execute(
+                "INSERT INTO timings VALUES (?, ?, ?, ?, ?, ?, ?, ?)", OLD_TIMINGS_ROW
+            )
+        return root
+
+    def test_lp_hit(self, root, instance):
+        solved = solve_lp_relaxation(instance)
+        ArtifactStore(root).save_lp("fp", DEFAULT_LP_KEY, solved)
+        reopened = ArtifactStore(root)
+        assert reopened.load_lp("fp", DEFAULT_LP_KEY).objective == solved.objective
+        assert reopened.stats()["hits"] == 1
+        assert _old_timings_rows(root) == [OLD_TIMINGS_ROW]
+
+    def test_serial_rerun_resumes_every_job(self, root):
+        plan = _make_plan()
+        baseline = run_plan(plan, SerialExecutor())
+        run_plan(plan, SerialExecutor(store=ArtifactStore(root)))
+        resumer = SerialExecutor(store=ArtifactStore(root))
+        assert run_plan(plan, resumer).comparable_rows() == baseline.comparable_rows()
+        assert (resumer.jobs_resumed, resumer.jobs_executed) == (len(plan), 0)
+        assert _old_timings_rows(root) == [OLD_TIMINGS_ROW]
+
+    def test_work_stealing_rerun_resumes_every_job(self, root):
+        plan = _make_plan()
+        baseline = run_plan(plan, SerialExecutor())
+        run_plan(plan, WorkStealingExecutor(workers=2, store=ArtifactStore(root)))
+        resumer = WorkStealingExecutor(workers=2, store=ArtifactStore(root))
+        assert run_plan(plan, resumer).comparable_rows() == baseline.comparable_rows()
+        assert (resumer.jobs_resumed, resumer.jobs_executed) == (len(plan), 0)
+        assert _old_timings_rows(root) == [OLD_TIMINGS_ROW]
+
+    def test_clear_leaves_the_old_table_alone(self, root, instance):
+        store = ArtifactStore(root)
+        store.save_lp("fp", DEFAULT_LP_KEY, solve_lp_relaxation(instance))
+        store.clear()
+        assert store.load_lp("fp", DEFAULT_LP_KEY) is None
+        assert _index_tables(root) == ["entries", "timings"]
+        assert _old_timings_rows(root) == [OLD_TIMINGS_ROW]
